@@ -1,29 +1,14 @@
 """Measure how coloring time grows with instance size.
 
-Times the full pipeline on a geometric ladder of sizes and fits a
-log-log slope.  Peeling and reinsertion are near-linear; the matcher
-rescans add a factor, keeping the whole run comfortably subquadratic.
+Runs `fivecolor bench` on random triangulations of 250, 500, 1000 and
+2000 vertices (seeds 20 to 23, 2n diagonal flips each), keeping the best
+of three runs per size, and prints the log-log slope it fits.  Nearly all
+of that time is Kempe chain work in the ascent; on this family the
+matcher almost never runs.
 """
 
-import math
-import time
+import sys
 
-from fivecolor import GenSpec, color_planar, generate
+from fivecolor.cli import main
 
-sizes = (250, 500, 1000, 2000)
-points = []
-for i, n in enumerate(sizes):
-    g = generate(GenSpec(seed=20 + i, n=n, flips=2 * n))
-    best = math.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        color_planar(g)
-        best = min(best, time.perf_counter() - t0)
-    points.append((n, best))
-    print(f"n={n:5}  {best:.4f}s")
-
-xs = [math.log(n) for n, _ in points]
-ys = [math.log(t) for _, t in points]
-mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
-print(f"log-log slope = {slope:.2f}")
+sys.exit(main(["bench", "--sizes", "250,500,1000,2000", "--seed", "20"]))

@@ -461,12 +461,18 @@ def get_entry(name):
 
 
 def _check_entry(e):
+    """Check a hand-entered entry against its own rotation templates."""
+
+    def need(ok, what):
+        if not ok:
+            raise ValidationFailure(e.name, "shape", what)
+
     ids = range(len(e.caps))
-    assert len(e.rotations) == len(e.caps)
+    need(len(e.rotations) == len(e.caps), "one rotation template per vertex")
     for a, b in e.edges:
-        assert a < b and a in ids and b in ids, (e.name, a, b)
+        need(a < b and a in ids and b in ids, f"bad edge {(a, b)}")
     if isinstance(e.scheme, TrialSequence):
-        assert all(v in ids for v in e.scheme.order)
+        need(all(v in ids for v in e.scheme.order), "trial vertex out of range")
     for v in ids:
         run = 0
         members = []
@@ -475,18 +481,18 @@ def _check_entry(e):
                 run += item[1]
             else:
                 members.append(item)
-        assert sorted(members) == e.pattern_neighbors(v), (e.name, v)
-        assert e.caps[v] == len(members) + run, (e.name, v)
+        need(sorted(members) == e.pattern_neighbors(v), f"template of {v} vs edges")
+        need(e.caps[v] == len(members) + run, f"cap of {v} vs its template")
     if e.layout is not None:
         k = len(e.layout)
         occupied = [v for v in e.layout if v is not None]
-        assert len(occupied) == len(set(occupied))
+        need(len(occupied) == len(set(occupied)), "layout repeats a vertex")
         for v in occupied:
-            assert tuple(sorted((e.anchor, v))) in e.edges, (e.name, v)
+            need(tuple(sorted((e.anchor, v))) in e.edges, f"layout {v} off anchor")
         for i in range(k):
             a, b = e.layout[i], e.layout[(i + 1) % k]
             if a is not None and b is not None:
-                assert tuple(sorted((a, b))) in e.edges, (e.name, a, b)
+                need(tuple(sorted((a, b))) in e.edges, f"layout gap {a}-{b}")
 
 
 for _e in _CATALOG:
@@ -495,6 +501,28 @@ del _e
 
 
 # -- replay validation -------------------------------------------------------
+
+
+def greedy_peel(todo, gone, load):
+    """Peel the lowest vertex of todo with load(v, gone) <= 4, until stuck.
+
+    Each peeled vertex joins `gone` (updated in place), so later loads see
+    it.  Returns (order, stuck): stuck is empty iff all of todo peeled.
+    The reducer's select_fifth runs this same loop on the live graph.
+    """
+    todo = sorted(todo)
+    order = []
+    progress = True
+    while progress:
+        progress = False
+        for v in todo:
+            if load(v, gone) <= 4:
+                order.append(v)
+                gone.add(v)
+                todo.remove(v)
+                progress = True
+                break
+    return tuple(order), frozenset(todo)
 
 
 def blocked_peel(caps, edges, deleted=(), blocked=None):
@@ -512,25 +540,12 @@ def blocked_peel(caps, edges, deleted=(), blocked=None):
     for a, b in edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
+
+    def load(v, gone):
+        return caps[v] - sum(1 for w in nbrs[v] if w in gone) - blocked.get(v, 0)
+
     gone = set(deleted)
-    remaining = sorted(v for v in caps if v not in gone)
-    order = []
-    progress = True
-    while progress:
-        progress = False
-        for v in remaining:
-            eff = (
-                caps[v]
-                - sum(1 for w in nbrs[v] if w in gone)
-                - blocked.get(v, 0)
-            )
-            if eff <= 4:
-                order.append(v)
-                gone.add(v)
-                remaining.remove(v)
-                progress = True
-                break
-    return tuple(order), frozenset(remaining)
+    return greedy_peel([v for v in caps if v not in gone], gone, load)
 
 
 def _require_full_peel(entry_name, label, caps, edges, deleted, blocked):

@@ -33,7 +33,7 @@ from .kempe import DiagonalContradiction
 from .matching import CompletenessBreach, find_reducible
 from .reducer import RunStats, SchemeExhausted, color_planar
 
-TRIPWIRES = (DiagonalContradiction, SchemeExhausted, SumMismatch)
+TRIPWIRES = (CompletenessBreach, DiagonalContradiction, SchemeExhausted, SumMismatch)
 
 
 def _load_graph(path):

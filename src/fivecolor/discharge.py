@@ -20,7 +20,7 @@ of the run receive 1/6 each; otherwise each 9-or-more link member whose
 two link flanks are both degree-5 receives 1/3.
 
 All amounts are fractions with denominators dividing 360; the arithmetic
-is exact and the sum is asserted, never trusted.
+is exact and the sum is checked, never trusted.
 """
 
 from __future__ import annotations
@@ -44,18 +44,6 @@ class ChargeLedger:
     initial: dict  # vertex -> int, 6 - deg
     transfers: dict  # (sender, receiver) -> Fraction, nonzero entries only
     expected: int  # 6n - 2m
-
-    def sent(self, v):
-        return sum(
-            (a for (s, _), a in self.transfers.items() if s == v),
-            Fraction(0),
-        )
-
-    def received(self, v):
-        return sum(
-            (a for (_, r), a in self.transfers.items() if r == v),
-            Fraction(0),
-        )
 
 
 def _shares_from_five(degrees):
@@ -127,7 +115,9 @@ def final_charges(ledger):
     total = sum(charges.values(), Fraction(0))
     if total != ledger.expected:
         raise SumMismatch(f"charges total {total}, expected {ledger.expected}")
-    assert all(c.denominator and 360 % c.denominator == 0 for c in charges.values())
+    for v, c in charges.items():
+        if 360 % c.denominator:
+            raise SumMismatch(f"vertex {v}: denominator of {c} does not divide 360")
     return charges
 
 

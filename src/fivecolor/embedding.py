@@ -176,22 +176,16 @@ def _check_euler(g):
             )
 
 
-def _trace(rows):
-    """Yield every face walk of the rotation system, as a vertex list.
+def face_walks(rows, starts):
+    """Yield the face walks through the darts leaving `starts`, as vertex lists.
 
-    Each dart (u, v) lies on exactly one walk.  Walks start at their
-    lexicographically smallest dart, and are produced in order of that dart.
+    Walks the darts out of each start vertex in turn, in row order; the dart
+    after (a, b) is (b, w), where w precedes a in the rotation of b.  Each
+    dart lies on one walk, and no walk is yielded twice.
     """
-    pred = {}
-    for v, row in enumerate(rows):
-        if row:
-            pred[v] = {row[i]: row[i - 1] for i in range(len(row))}
     seen = set()
-    out = []
-    for u, row in enumerate(rows):
-        if not row:
-            continue
-        for w in row:
+    for u in starts:
+        for w in rows[u]:
             if (u, w) in seen:
                 continue
             walk = []
@@ -199,11 +193,21 @@ def _trace(rows):
             while (a, b) not in seen:
                 seen.add((a, b))
                 walk.append(a)
-                a, b = b, pred[b][a]
-            k = len(walk)
-            best = min(range(k), key=lambda i: (walk[i], walk[(i + 1) % k]))
-            out.append(walk[best:] + walk[:best])
-    return out
+                row = rows[b]
+                a, b = b, row[row.index(a) - 1]
+            yield walk
+
+
+def _trace(rows):
+    """Yield every face walk of the rotation system, as a vertex list.
+
+    Walks start at their lexicographically smallest dart, and come in the
+    order their first dart is met, vertex by vertex, in row order.
+    """
+    for walk in face_walks(rows, [v for v, row in enumerate(rows) if row]):
+        k = len(walk)
+        best = min(range(k), key=lambda i: (walk[i], walk[(i + 1) % k]))
+        yield walk[best:] + walk[:best]
 
 
 def trace_faces(g):
@@ -324,9 +328,6 @@ class Triangulation(EmbeddedGraph):
         super().__init__(rotation, _skip_validation=_skip_validation)
         object.__setattr__(self, "faces", tuple(tuple(f) for f in faces))
         object.__setattr__(self, "added_edges", tuple(added_edges))
-
-    def link_cycle(self, v):
-        return self.rotation[v]
 
 
 def triangulate(g):

@@ -102,6 +102,9 @@ def read(stream):
                 raise ParseError(f"bad vertex count {parts[1]!r}", line_no) from None
             if n < 0:
                 raise ParseError(f"negative vertex count {n}", line_no)
+            if n > len(lines):
+                # each vertex needs a line of its own; refuse before allocating
+                raise ParseError(f"{n} vertices but {len(lines)} lines", line_no)
             rows = [None] * n
             filled = 0
             continue

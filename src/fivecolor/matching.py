@@ -182,16 +182,6 @@ def _wants(entry, d):
     return d == entry.caps[entry.anchor]
 
 
-def find_low_degree(tri):
-    """The lowest-id vertex of degree at most 4, as an occurrence."""
-    rows = _rows_view(tri)
-    low = next(e for e in builtin_catalog() if e.family == "f1")
-    for v in range(len(rows)):
-        if rows[v] is not None and len(rows[v]) <= 4:
-            return match_at(tri, low, v)
-    return None
-
-
 def find_reducible(tri, entries=None):
     """First occurrence of any entry, in fixed scan order.
 

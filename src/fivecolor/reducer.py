@@ -26,8 +26,8 @@ from collections import Counter
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 
-from .catalog import TrialSequence
-from .embedding import fill_walk
+from .catalog import TrialSequence, greedy_peel
+from .embedding import face_walks, fill_walk
 from .kempe import free_color
 from .matching import find_reducible
 
@@ -100,11 +100,12 @@ def select_fifth(rows, occ, colors):
 
     Candidates come in scheme order (trial images, or hub before leaves);
     one is blocked if any current neighbor is already colored 5.  The
-    winner is the first whose removal lets the remaining members peel:
-    repeatedly take the lowest vertex with at most 4 relevant neighbors
-    (not peeled, not the candidate, not colored 5).  Peeled-but-uncolored
-    members still count, matching the order the ascent will color them in.
-    Returns (candidate or None, peel order).
+    winner is the first whose removal lets the remaining members peel
+    under catalog.greedy_peel, the loop the validator replays: repeatedly
+    take the lowest vertex with at most 4 live neighbors (not peeled, not
+    the candidate, not colored 5).  Members not yet peeled count although
+    uncolored: the ascent colors the peel in reverse, so they get their
+    colors first.  Returns (candidate or None, peel order).
     """
     scheme = occ.entry.scheme
     if isinstance(scheme, TrialSequence):
@@ -112,30 +113,17 @@ def select_fifth(rows, occ, colors):
     else:
         cands = [occ.mapping[0]]
         cands += [occ.mapping[k] for k in sorted(occ.mapping) if k != 0]
-    members = occ.vertices
+
+    def live(v, gone):
+        return sum(1 for w in rows[v] if w not in gone and colors.get(w) != 5)
+
     for cand in cands + [None]:
         if cand is not None and any(colors.get(w) == 5 for w in rows[cand]):
             continue
-        todo = sorted(v for v in members if v != cand)
-        gone = set()
-        order = []
-        progress = True
-        while todo and progress:
-            progress = False
-            for v in todo:
-                eff = sum(
-                    1
-                    for w in rows[v]
-                    if w not in gone and w != cand and colors.get(w) != 5
-                )
-                if eff <= 4:
-                    order.append(v)
-                    gone.add(v)
-                    todo.remove(v)
-                    progress = True
-                    break
-        if not todo:
-            return cand, tuple(order)
+        gone = set() if cand is None else {cand}
+        order, stuck = greedy_peel(occ.vertices - gone, gone, live)
+        if not stuck:
+            return cand, order
     raise SchemeExhausted(
         f"{occ.entry.name} at vertex {occ.anchor}: every candidate leaves "
         f"an unpeelable remainder"
@@ -218,31 +206,9 @@ class _Work:
 
     # -- hole filling ------------------------------------------------------
 
-    def _fill_quad(self, q0, q1, q2, q3):
-        """Chord (q0, q2) across a quadrilateral hole, in rotation order."""
-        pa = self.rows[q0].index(q3)
-        self.rows[q0].insert(pa, q2)
-        pb = self.rows[q2].index(q1)
-        self.rows[q2].insert(pb, q0)
-        return ("fill", q0, pa, q2, pb)
-
-    def _fill_holes(self, boundary, ops):
-        """Re-triangulate every face touching the boundary vertices."""
+    def _fill(self, walks, ops):
+        """Triangulate each walk, logging every chord; returns its endpoints."""
         rows = self.rows
-        seen = set()
-        walks = []
-        for u in boundary:
-            for w in rows[u]:
-                if (u, w) in seen:
-                    continue
-                walk = []
-                a, b = u, w
-                while (a, b) not in seen:
-                    seen.add((a, b))
-                    walk.append(a)
-                    row = rows[b]
-                    a, b = b, row[(row.index(a) - 1) % len(row)]
-                walks.append(walk)
         touched = set()
 
         def log(a, pa, b, pb):
@@ -255,16 +221,19 @@ class _Work:
                 fill_walk(rows, walk, lambda a, b: b in rows[a], on_chord=log)
         return touched
 
+    def _fill_holes(self, boundary, ops):
+        """Re-triangulate every face touching the boundary vertices."""
+        # walk first: filling changes the rows the walks are read from
+        return self._fill(list(face_walks(self.rows, boundary)), ops)
+
     # -- descent steps -----------------------------------------------------
 
     def _step_low(self, v):
         link = list(self.rows[v])
         ops = [self._remove_vertex(v)]
         if len(link) == 4:
-            q0, q1, q2, q3 = link
-            if q2 in self.rows[q0]:
-                q0, q1, q2, q3 = q1, q2, q3, q0
-            ops.append(self._fill_quad(q0, q1, q2, q3))
+            # the hole runs along the link in rotation order
+            self._fill([link], ops)
         for u in link:
             self._push_if_low(u)
         return ops

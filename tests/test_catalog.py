@@ -14,6 +14,7 @@ from fivecolor.catalog import (
     TrialSequence,
     ValidationFailure,
     VirtualHub,
+    _check_entry,
     blocked_peel,
     builtin_catalog,
     get_entry,
@@ -189,6 +190,22 @@ def test_validation_catches_bad_entry():
     )
     with pytest.raises(ValidationFailure, match="stuck"):
         validate_entry(bad)
+
+
+def test_shape_check_catches_bad_cap():
+    # cap 5, but no pattern neighbors and a single run of 4 halfedges
+    bad = ConfigurationSpec(
+        name="bad-cap",
+        family="f2",
+        caps=(5,),
+        exact=frozenset(),
+        edges=frozenset(),
+        rotations=((("h", 4),),),
+        scheme=TrialSequence((0,)),
+    )
+    with pytest.raises(ValidationFailure, match="bad-cap: shape: cap of 0") as info:
+        _check_entry(bad)
+    assert info.value.scenario == "shape"
 
 
 def test_scheme_types():

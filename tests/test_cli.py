@@ -187,9 +187,10 @@ def test_bench_reports_slope(capsys):
     assert lines[2].startswith("slope=")
 
 
-def test_tripwire_exit_code(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("tripwire", [DiagonalContradiction, CompletenessBreach])
+def test_tripwire_exit_code(tmp_path, capsys, monkeypatch, tripwire):
     def boom(*_a, **_k):
-        raise DiagonalContradiction("forced")
+        raise tripwire("forced")
 
     monkeypatch.setattr("fivecolor.cli.color_planar", boom)
     path = graph_file(tmp_path, "k4")

@@ -17,6 +17,7 @@ from fivecolor.embedding import (
     Triangulation,
     UntriangulatableFace,
     build,
+    face_walks,
     from_faces,
     remove_vertices,
     trace_faces,
@@ -131,6 +132,21 @@ def test_each_dart_on_one_walk():
         assert len(darts) == len(set(darts)) == 2 * g.m
 
 
+def least_rotation(walk):
+    return min(tuple(walk[i:] + walk[:i]) for i in range(len(walk)))
+
+
+def test_face_walks_from_some_starts():
+    # the walks through a subset of vertices are the faces touching it
+    for name in ("k4", "cube", "octahedron", "icosahedron", "c4"):
+        g = named(name)
+        for starts in ([0], [2, 0], list(g.vertices())[1::2]):
+            walks = [least_rotation(w) for w in face_walks(g.rotation, starts)]
+            faces = [least_rotation(f) for f in trace_faces(g) if set(f) & set(starts)]
+            assert len(walks) == len(set(walks))
+            assert sorted(walks) == sorted(faces)
+
+
 # -- from_faces --------------------------------------------------------------
 
 
@@ -197,7 +213,6 @@ def test_triangulate_noop_on_triangulation(icosahedron):
     tri = triangulate(icosahedron)
     assert tri.added_edges == ()
     assert tri.rotation == icosahedron.rotation
-    assert tri.link_cycle(0) == icosahedron.rotation[0]
 
 
 def test_triangulate_requires_connected():

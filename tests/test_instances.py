@@ -77,6 +77,8 @@ def test_read_errors():
         ("pg 2\n0: 1\n5: 0\n", "range"),
         ("pg 2\n0: 1\n1 0\n", "line 3"),
         ("pg 2\n0: q\n1: 0\n", "neighbor"),
+        # refused before any allocation: each vertex needs its own line
+        ("pg 1000000000000000\n0: 1\n", "lines"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError, match=fragment):

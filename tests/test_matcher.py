@@ -16,7 +16,6 @@ from fivecolor.embedding import from_faces, remove_vertices
 from fivecolor.instances import GenSpec, generate
 from fivecolor.matching import (
     CompletenessBreach,
-    find_low_degree,
     find_reducible,
     match_at,
 )
@@ -156,7 +155,6 @@ def test_nine_pattern_on_split_antiprism():
     occ = find_reducible(g)
     assert occ.entry.name == "low"
     assert occ.anchor == 20
-    assert find_low_degree(g).anchor == 20
 
 
 def test_recheck_tracks_graph_changes():
@@ -174,7 +172,6 @@ def test_low_entry_matches_small_degrees(octahedron, k4):
     occ = find_reducible(octahedron)
     assert occ.entry.name == "low" and occ.anchor == 0
     assert find_reducible(k4).entry.name == "low"
-    assert find_low_degree(octahedron).anchor == 0
 
 
 def test_no_match_without_right_degrees(octahedron, icosahedron):
