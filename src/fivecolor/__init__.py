@@ -43,9 +43,9 @@ from .embedding import (
     triangulate,
 )
 from .instances import GenSpec, ParseError, UnknownName, generate, named, read, write
-from .kempe import BadColorPair, DiagonalContradiction, chain, free_color, swap
+from .kempe import BadColorPair, BrokenInvariant, DiagonalContradiction, chain, free_color, swap
 from .matching import CompletenessBreach, Occurrence, find_reducible, match_at
-from .reducer import Coloring, RunStats, SchemeExhausted, check_coloring, color_planar
+from .reducer import RunStats, SchemeExhausted, check_coloring, color_planar
 
 __version__ = "0.1.0"
 
@@ -53,8 +53,8 @@ __all__ = [
     "AsymmetricAdjacency",
     "AuditReport",
     "BadColorPair",
+    "BrokenInvariant",
     "ChargeLedger",
-    "Coloring",
     "CompletenessBreach",
     "ConfigurationSpec",
     "DiagonalContradiction",

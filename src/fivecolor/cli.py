@@ -29,11 +29,17 @@ from .instances import (
     read,
     write,
 )
-from .kempe import DiagonalContradiction
+from .kempe import BrokenInvariant, DiagonalContradiction
 from .matching import CompletenessBreach, find_reducible
 from .reducer import RunStats, SchemeExhausted, color_planar
 
-TRIPWIRES = (CompletenessBreach, DiagonalContradiction, SchemeExhausted, SumMismatch)
+TRIPWIRES = (
+    BrokenInvariant,
+    CompletenessBreach,
+    DiagonalContradiction,
+    SchemeExhausted,
+    SumMismatch,
+)
 
 
 def _load_graph(path):
@@ -72,7 +78,7 @@ def cmd_color(args):
     colors = color_planar(g, stats)
     for v in sorted(colors):
         print(f"{v} {colors[v]}")
-    v5 = colors.class_size(5)
+    v5 = sum(1 for v in g.vertices() if colors.get(v) == 5)
     ok = 6 * v5 <= g.n
     print(f"n={g.n} v5={v5} bound={'PASS' if ok else 'FAIL'}")
     if args.stats:

@@ -1,7 +1,7 @@
 """Kempe chains and the guaranteed pick of a spare color.
 
 Works on plain rotation rows (indexable: rows[v] iterates neighbors) and a
-mutable mapping of colors.  Uncolored vertices (missing or None) are
+plain dict of colors.  Uncolored vertices (missing or None) are
 invisible to chains: a chain is a connected piece of the subgraph induced
 by the colored vertices whose colors lie in a two-color pair.
 """
@@ -9,7 +9,6 @@ by the colored vertices whose colors lie in a two-color pair.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 
 class BadColorPair(ValueError):
@@ -25,20 +24,13 @@ class DiagonalContradiction(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ChainView:
-    start: int
-    pair: tuple
-    members: frozenset
+class BrokenInvariant(RuntimeError):
+    """An internal guarantee of the engine failed; the state is corrupt.
 
-    def __contains__(self, v):
-        return v in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+    Raised where a correct run cannot get: a swap that breaks an edge, a
+    vertex with five blockers, an undo that does not match its log, a
+    match that misses a pattern vertex, a rotation not restored.
+    """
 
 
 def _check_pair(pair):
@@ -49,7 +41,7 @@ def _check_pair(pair):
 
 
 def chain(rows, colors, start, pair):
-    """The Kempe chain through `start` on the given color pair."""
+    """The set of vertices of the Kempe chain through `start` on `pair`."""
     a, b = _check_pair(pair)
     c0 = colors.get(start)
     if c0 not in (a, b):
@@ -62,23 +54,24 @@ def chain(rows, colors, start, pair):
             if w not in seen and colors.get(w) in (a, b):
                 seen.add(w)
                 queue.append(w)
-    return ChainView(start, (a, b), frozenset(seen))
+    return seen
 
 
-def swap(rows, colors, view):
-    """Exchange the two colors on every chain member.
+def swap(rows, colors, members, pair):
+    """Exchange the two colors of `pair` on every chain member.
 
     A maximal chain stays proper by construction; the neighborhood check
     guards against swapping something that is not a maximal chain.
     """
-    a, b = view.pair
-    for v in view.members:
+    a, b = pair
+    for v in members:
         colors[v] = b if colors[v] == a else a
-    for v in view.members:
+    for v in members:
         for w in rows[v]:
-            assert colors.get(w) != colors[v], (
-                f"swap broke edge {v}-{w} (color {colors[v]})"
-            )
+            if colors.get(w) == colors[v]:
+                raise BrokenInvariant(
+                    f"swap broke edge {v}-{w} (color {colors[v]})"
+                )
 
 
 def free_color(rows, colors, v, stats=None):
@@ -88,32 +81,29 @@ def free_color(rows, colors, v, stats=None):
     uncolored ones do not block).  When all four colors appear, the four
     blocking neighbors w1..w4 sit in rotation order around v; by planarity
     either the (c1, c3) chain at w1 misses w3 or the (c2, c4) chain at w2
-    misses w4, and the corresponding swap frees a color.
+    misses w4, and the corresponding swap frees a color.  `stats`, a
+    RunStats, counts the calls and the swaps.
     """
     if stats is not None:
-        stats["free_color_calls"] = stats.get("free_color_calls", 0) + 1
+        stats.free_color_calls += 1
     blockers = [w for w in rows[v] if colors.get(w) not in (None, 5)]
     palette = [colors[w] for w in blockers]
-    assert len(blockers) <= 4, (
-        f"vertex {v} has {len(blockers)} neighbors colored 1..4"
-    )
+    if len(blockers) > 4:
+        raise BrokenInvariant(
+            f"vertex {v} has {len(blockers)} neighbors colored 1..4"
+        )
     for c in (1, 2, 3, 4):
         if c not in palette:
             return c
     w1, w2, w3, w4 = blockers
     c1, c2, c3, c4 = palette
-    view = chain(rows, colors, w1, (c1, c3))
-    if w3 not in view:
-        swap(rows, colors, view)
-        if stats is not None:
-            stats["chain_swaps"] = stats.get("chain_swaps", 0) + 1
-        return c1
-    view = chain(rows, colors, w2, (c2, c4))
-    if w4 not in view:
-        swap(rows, colors, view)
-        if stats is not None:
-            stats["chain_swaps"] = stats.get("chain_swaps", 0) + 1
-        return c2
+    for w, far, pair in ((w1, w3, (c1, c3)), (w2, w4, (c2, c4))):
+        members = chain(rows, colors, w, pair)
+        if far not in members:
+            swap(rows, colors, members, pair)
+            if stats is not None:
+                stats.chain_swaps += 1
+            return pair[0]
     raise DiagonalContradiction(
         f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed"
     )

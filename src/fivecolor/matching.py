@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import builtin_catalog
+from .kempe import BrokenInvariant
 
 _FAMILY_ORDER = ("f2", "f3", "f4", "f7", "f8", "f5", "f6")
 
@@ -122,7 +123,8 @@ def _match_layout(rows, entry, anchor, offset, direction):
         if not _fits(rows, z, entry.caps[5], 5 in entry.exact):
             return None
         mapping[5] = z
-    assert len(mapping) == len(entry.caps), entry.name
+    if len(mapping) != len(entry.caps):
+        raise BrokenInvariant(f"{entry.name}: match misses a pattern vertex")
     return Occurrence(entry, mapping, anchor, offset, direction, entry.edges)
 
 

@@ -23,58 +23,16 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 
 from .catalog import TrialSequence, greedy_peel
 from .embedding import face_walks, fill_walk
-from .kempe import free_color
+from .kempe import BrokenInvariant, free_color
 from .matching import find_reducible
 
 
 class SchemeExhausted(RuntimeError):
     """No fifth-color candidate of an occurrence admits a full peel."""
-
-
-class Coloring(MutableMapping):
-    """Vertex -> color (1..5) with class sizes kept current."""
-
-    def __init__(self, items=()):
-        self._colors = {}
-        self._sizes = Counter()
-        for v, c in dict(items).items():
-            self[v] = c
-
-    def __getitem__(self, v):
-        return self._colors[v]
-
-    def __setitem__(self, v, c):
-        if c not in (1, 2, 3, 4, 5):
-            raise ValueError(f"color must be 1..5, got {c!r}")
-        old = self._colors.get(v)
-        if old is not None:
-            self._sizes[old] -= 1
-        self._colors[v] = c
-        self._sizes[c] += 1
-
-    def __delitem__(self, v):
-        self._sizes[self._colors.pop(v)] -= 1
-
-    def __iter__(self):
-        return iter(self._colors)
-
-    def __len__(self):
-        return len(self._colors)
-
-    def class_size(self, c):
-        return self._sizes[c]
-
-    @property
-    def counts(self):
-        return {c: self._sizes[c] for c in (1, 2, 3, 4, 5)}
-
-    def __repr__(self):
-        return f"Coloring({self._colors!r})"
 
 
 @dataclass
@@ -84,15 +42,8 @@ class RunStats:
     scans: int = 0
     fifth_assigned: int = 0
     fallback_peels: int = 0
-    kempe: dict = field(default_factory=dict)
-
-    @property
-    def free_color_calls(self):
-        return self.kempe.get("free_color_calls", 0)
-
-    @property
-    def chain_swaps(self):
-        return self.kempe.get("chain_swaps", 0)
+    free_color_calls: int = 0
+    chain_swaps: int = 0
 
 
 def select_fifth(rows, occ, colors):
@@ -132,9 +83,8 @@ def select_fifth(rows, occ, colors):
 
 def reinsert(rows, colors, peel, stats=None):
     """Color a peeled sequence in reverse, each via its spare color."""
-    kstats = stats.kempe if stats is not None else None
     for v in reversed(peel):
-        colors[v] = free_color(rows, colors, v, kstats)
+        colors[v] = free_color(rows, colors, v, stats)
 
 
 def reduce_once(rows, occ, colors, stats=None):
@@ -189,7 +139,8 @@ class _Work:
             self.n_alive += 1
         else:
             _, a, pa, b, pb = op
-            assert self.rows[a][pa] == b and self.rows[b][pb] == a
+            if self.rows[a][pa] != b or self.rows[b][pb] != a:
+                raise BrokenInvariant(f"chord {a}-{b} is not where its log put it")
             del self.rows[a][pa]
             del self.rows[b][pb]
 
@@ -270,7 +221,7 @@ class _Work:
                 stats.occ_steps[occ.entry.family] += 1
 
     def ascend(self, stats):
-        colors = Coloring()
+        colors = {}
         base = [v for v in range(len(self.rows)) if self.rows[v] is not None]
         for c, v in enumerate(sorted(base), start=1):
             colors[v] = c
@@ -278,7 +229,7 @@ class _Work:
             for op in reversed(ops):
                 self._undo(op)
             if kind == "low":
-                colors[payload] = free_color(self.rows, colors, payload, stats.kempe)
+                colors[payload] = free_color(self.rows, colors, payload, stats)
             elif kind == "occ":
                 reduce_once(self.rows, payload, colors, stats)
         return colors
@@ -288,15 +239,16 @@ def color_planar(g, stats=None):
     """Properly color an embedded planar graph with colors 1..5.
 
     Color 5 is rationed: at most one use per deleted occurrence, so its
-    class holds at most n/6 vertices.  Returns a Coloring over all present
-    vertices of g.
+    class holds at most n/6 vertices.  Returns a dict {vertex: color} over
+    all present vertices of g.
     """
     if stats is None:
         stats = RunStats()
     work = _Work(g)
     work.descend(stats)
     colors = work.ascend(stats)
-    assert [None if r is None else tuple(r) for r in work.rows] == list(g.rotation)
+    if [None if r is None else tuple(r) for r in work.rows] != list(g.rotation):
+        raise BrokenInvariant("the ascent did not restore the rotation system")
     return colors
 
 

@@ -1,0 +1,62 @@
+"""The library names that bench/spans.py patches and reads.
+
+The benchmark traces the library from outside by swapping module
+attributes, so a renamed or reshaped patch point does not fail the
+benchmark: its per-layer metrics just read 0.  These tests load
+bench/spans.py as it is and fail instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from fivecolor import kempe, reducer
+from fivecolor.embedding import from_faces
+from fivecolor.instances import GenSpec, generate, named
+from fivecolor.reducer import RunStats, check_coloring
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_point_exists(spans):
+    points = [(m, a) for m, a, _, _ in spans.SPANS]
+    points += [spans.SCAN[:2], spans.PROBE]
+    for modname, attr in points:
+        assert hasattr(importlib.import_module(modname), attr), f"{modname}.{attr}"
+
+
+def test_chain_result_has_a_length():
+    g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
+    colors = {1: 1, 2: 3, 3: 4, 4: 2}
+    assert len(kempe.chain(g.rotation, colors, 1, (1, 3))) == 2  # {1, 2}
+
+
+@pytest.mark.parametrize(
+    "g",
+    [named("icosahedron"), generate(GenSpec(seed=1, n=200, flips=400))],
+    ids=["icosahedron", "random-200"],
+)
+def test_traced_run_reads_every_layer(spans, g):
+    tracer = spans.Tracer()
+    stats = RunStats()
+    with tracer.patched():
+        colors = reducer.color_planar(g, stats)
+    check_coloring(g, colors)
+    assert not tracer.missing
+    _, calls, _ = tracer.summary(0)
+    assert calls["kempe.free_color"] == stats.free_color_calls > 0
+    assert calls["kempe.swap"] == stats.chain_swaps > 0
+    assert tracer.counts["kempe.chain.verts.sum"] >= calls["kempe.chain"] > 0
+    assert calls["matching.find_reducible"] == stats.scans
+    if stats.scans:
+        assert tracer.counts["matching.match_at.calls"] > 0

@@ -12,7 +12,7 @@ import pytest
 import fivecolor
 from fivecolor.cli import main
 from fivecolor.instances import named, read, write
-from fivecolor.kempe import DiagonalContradiction
+from fivecolor.kempe import BrokenInvariant, DiagonalContradiction
 from fivecolor.matching import CompletenessBreach
 
 SRC = Path(fivecolor.__file__).resolve().parents[1]
@@ -187,7 +187,9 @@ def test_bench_reports_slope(capsys):
     assert lines[2].startswith("slope=")
 
 
-@pytest.mark.parametrize("tripwire", [DiagonalContradiction, CompletenessBreach])
+@pytest.mark.parametrize(
+    "tripwire", [DiagonalContradiction, CompletenessBreach, BrokenInvariant]
+)
 def test_tripwire_exit_code(tmp_path, capsys, monkeypatch, tripwire):
     def boom(*_a, **_k):
         raise tripwire("forced")

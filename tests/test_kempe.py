@@ -5,17 +5,24 @@ first blocker wraps around and reaches the third, forcing the (2,4) swap;
 the wheel fixture lets the first swap through.  Both traced by hand.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fivecolor
 from fivecolor.embedding import from_faces
 from fivecolor.kempe import (
     BadColorPair,
-    ChainView,
+    BrokenInvariant,
     DiagonalContradiction,
     chain,
     free_color,
     swap,
 )
+from fivecolor.reducer import RunStats
 
 
 def double_fan():
@@ -42,16 +49,12 @@ def wheel4():
 
 def test_chain_membership():
     rows, colors = double_fan()
-    view = chain(rows, colors, 1, (1, 3))
-    assert view.members == {1, 5, 6, 3}
-    assert 5 in view and 2 not in view
-    assert len(view) == 4
-    assert set(view) == {1, 3, 5, 6}
+    assert chain(rows, colors, 1, (1, 3)) == {1, 5, 6, 3}
 
 
 def test_chain_singleton():
     rows, colors = wheel4()
-    assert chain(rows, colors, 1, (1, 3)).members == {1}
+    assert chain(rows, colors, 1, (1, 3)) == {1}
 
 
 def test_chain_bad_pairs():
@@ -67,7 +70,7 @@ def test_chain_bad_pairs():
 
 def test_swap_flips_both_colors():
     rows, colors = double_fan()
-    swap(rows, colors, chain(rows, colors, 1, (1, 3)))
+    swap(rows, colors, chain(rows, colors, 1, (1, 3)), (1, 3))
     assert colors[1] == 3 and colors[3] == 1
     assert colors[5] == 1 and colors[6] == 3
     assert colors[2] == 2 and colors[4] == 4
@@ -75,8 +78,8 @@ def test_swap_flips_both_colors():
 
 def test_swap_rejects_partial_chain():
     rows, colors = wheel4()
-    with pytest.raises(AssertionError):
-        swap(rows, colors, ChainView(2, (2, 3), frozenset({2})))
+    with pytest.raises(BrokenInvariant, match="swap broke edge"):
+        swap(rows, colors, {2}, (2, 3))
 
 
 def test_free_color_missing_color():
@@ -96,11 +99,11 @@ def test_free_color_ignores_fives_and_uncolored():
 
 def test_free_color_first_swap():
     rows, colors = wheel4()
-    stats = {}
+    stats = RunStats()
     assert free_color(rows, colors, 0, stats) == 1
     assert colors[1] == 3  # the singleton chain at w1 flipped
     assert colors[3] == 3
-    assert stats == {"free_color_calls": 1, "chain_swaps": 1}
+    assert stats.free_color_calls == 1 and stats.chain_swaps == 1
     # the pick is now actually usable
     colors[0] = 1
     for w in rows[0]:
@@ -109,11 +112,11 @@ def test_free_color_first_swap():
 
 def test_free_color_second_swap():
     rows, colors = double_fan()
-    stats = {}
+    stats = RunStats()
     assert free_color(rows, colors, 0, stats) == 2
     assert colors[2] == 4  # (2,4) chain at w2 was the singleton {2}
     assert colors[1] == 1 and colors[3] == 3
-    assert stats["chain_swaps"] == 1
+    assert stats.free_color_calls == 1 and stats.chain_swaps == 1
     colors[0] = 2
     for w in rows[0]:
         assert colors[w] != 2
@@ -122,8 +125,44 @@ def test_free_color_second_swap():
 def test_too_many_blockers_asserts():
     rows = {0: (1, 2, 3, 4, 5)}
     colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 1}
-    with pytest.raises(AssertionError):
+    with pytest.raises(BrokenInvariant, match="5 neighbors"):
         free_color(rows, colors, 0)  # five neighbors colored 1..4
+
+
+# The two guards above, run where `python -O` would strip an `assert`.
+OPTIMIZED_GUARDS = """\
+import sys
+
+from fivecolor.embedding import from_faces
+from fivecolor.kempe import BrokenInvariant, free_color, swap
+
+g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
+cases = (
+    lambda: swap(g.rotation, {1: 1, 2: 2, 3: 3, 4: 4}, {2}, (2, 3)),
+    lambda: free_color({0: (1, 2, 3, 4, 5)}, {1: 1, 2: 2, 3: 3, 4: 4, 5: 1}, 0),
+)
+print("optimize:", sys.flags.optimize)
+for case in cases:
+    try:
+        case()
+    except BrokenInvariant as exc:
+        print("raised:", exc)
+    else:
+        print("passed silently")
+"""
+
+
+def test_guards_survive_optimize():
+    src = Path(fivecolor.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    head, *lines = run.stdout.splitlines()
+    assert head == "optimize: 1"
+    assert len(lines) == 2 and all(line.startswith("raised:") for line in lines), run.stdout
 
 
 def test_diagonal_contradiction_on_crossing_chains():

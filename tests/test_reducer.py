@@ -20,7 +20,6 @@ from fivecolor.embedding import build, from_faces, remove_vertices
 from fivecolor.instances import GenSpec, generate, named
 from fivecolor.matching import match_at
 from fivecolor.reducer import (
-    Coloring,
     RunStats,
     SchemeExhausted,
     check_coloring,
@@ -54,21 +53,9 @@ def wheel_gadget():
     return g, occ
 
 
-def test_coloring_counts():
-    c = Coloring({1: 2, 2: 2})
-    assert c.class_size(2) == 2 and c.class_size(5) == 0
-    c[1] = 5
-    assert c.class_size(2) == 1 and c.class_size(5) == 1
-    del c[1]
-    assert c.class_size(5) == 0 and len(c) == 1
-    assert c.counts == {1: 0, 2: 1, 3: 0, 4: 0, 5: 0}
-    with pytest.raises(ValueError, match="color must be"):
-        c[3] = 7
-
-
 def test_select_fifth_hub_free():
     g, occ = hub_gadget()
-    colors = Coloring({4: 1, 7: 1, 8: 2, 9: 3})
+    colors = {4: 1, 7: 1, 8: 2, 9: 3}
     fifth, peel = select_fifth(g.rotation, occ, colors)
     assert fifth == 0
     assert peel == (1, 2, 3, 5, 6)
@@ -78,7 +65,7 @@ def test_select_fifth_blocked_cascade():
     # vertex 4 colored 5 blocks the hub and the first four leaves; leaf 6
     # is the survivor and the hub then peels mid-sequence
     g, occ = hub_gadget()
-    colors = Coloring({4: 5, 7: 1, 8: 2, 9: 3})
+    colors = {4: 5, 7: 1, 8: 2, 9: 3}
     fifth, peel = select_fifth(g.rotation, occ, colors)
     assert fifth == 6
     assert peel == (1, 2, 0, 3, 5)
@@ -86,7 +73,7 @@ def test_select_fifth_blocked_cascade():
 
 def test_select_fifth_all_blocked():
     g, occ = hub_gadget()
-    colors = Coloring({4: 5, 7: 5, 8: 1, 9: 2})
+    colors = {4: 5, 7: 5, 8: 1, 9: 2}
     fifth, peel = select_fifth(g.rotation, occ, colors)
     assert fifth is None
     assert peel == (1, 2, 0, 3, 5, 6)
@@ -94,7 +81,7 @@ def test_select_fifth_all_blocked():
 
 def test_reduce_once_on_hub_gadget():
     g, occ = hub_gadget()
-    colors = Coloring({4: 1, 7: 1, 8: 2, 9: 3})
+    colors = {4: 1, 7: 1, 8: 2, 9: 3}
     stats = RunStats()
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth == 0 and colors[0] == 5
@@ -104,9 +91,8 @@ def test_reduce_once_on_hub_gadget():
 
 def test_reduce_once_wheel_first_candidate():
     g, occ = wheel_gadget()
-    outside = {6 + j: 1 + j % 2 for j in range(12)}
-    outside.update({18: 3, 19: 4})
-    colors = Coloring(outside)
+    colors = {6 + j: 1 + j % 2 for j in range(12)}
+    colors.update({18: 3, 19: 4})
     stats = RunStats()
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth == 1  # trial order starts at the degree-8 rim vertex
@@ -122,10 +108,8 @@ def test_reduce_once_wheel_hub_fallback():
     # three rim vertices see a 5 outside, so the trial falls through to
     # the hub; the peel must shed the rim in ring order
     g, occ = wheel_gadget()
-    colors = Coloring(
-        {6: 1, 7: 2, 8: 5, 9: 1, 10: 2, 11: 5, 12: 1, 13: 5, 14: 1,
-         15: 2, 16: 1, 17: 2, 18: 3, 19: 4}
-    )
+    colors = {6: 1, 7: 2, 8: 5, 9: 1, 10: 2, 11: 5, 12: 1, 13: 5, 14: 1,
+              15: 2, 16: 1, 17: 2, 18: 3, 19: 4}
     stats = RunStats()
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth == 0 and colors[0] == 5
@@ -146,7 +130,7 @@ def test_select_fifth_exhausted():
     rows[0] = rows[0] + [10, 11, 12, 13]  # hub sees four phantom blockers
     for v in (10, 11, 12, 13):
         rows.append([0])
-    colors = Coloring({4: 5, 7: 5, 8: 1, 9: 2})
+    colors = {4: 5, 7: 5, 8: 1, 9: 2}
     colors.update({10: 1, 11: 2, 12: 3, 13: 4})
     with pytest.raises(SchemeExhausted, match="hub"):
         select_fifth(rows, occ, colors)
