@@ -42,7 +42,7 @@ from .embedding import (
     from_faces,
     triangulate,
 )
-from .instances import GenSpec, ParseError, UnknownName, generate, named, read, write
+from .instances import GenSpec, ParseError, UnknownName, generate, icosphere, named, read, write
 from .kempe import BadColorPair, BrokenInvariant, DiagonalContradiction, chain, free_color, swap
 from .matching import CompletenessBreach, Occurrence, find_reducible, match_at
 from .reducer import RunStats, SchemeExhausted, check_coloring, color_planar
@@ -90,6 +90,7 @@ __all__ = [
     "from_faces",
     "generate",
     "get_entry",
+    "icosphere",
     "match_at",
     "named",
     "read",

@@ -86,7 +86,8 @@ def cmd_color(args):
         print(
             f"stats: f1={stats.f1_steps} occ={occ or '-'} scans={stats.scans}"
             f" fifth={stats.fifth_assigned} fallback={stats.fallback_peels}"
-            f" free_color={stats.free_color_calls} swaps={stats.chain_swaps}",
+            f" free_color={stats.free_color_calls} swaps={stats.chain_swaps}"
+            f" chain_verts={stats.chain_verts}",
             file=sys.stderr,
         )
     return 0 if ok else 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .embedding import EmbeddedGraph, build
+from .embedding import EmbeddedGraph, build, from_faces
 
 
 class UnknownName(KeyError):
@@ -68,6 +68,34 @@ def named(name):
     except KeyError:
         raise UnknownName(name) from None
     return build(rot)
+
+
+def icosphere(k):
+    """The icosahedron with every face cut into four, k times over.
+
+    Each round puts a new vertex on every edge, so n = 10 * 4**k + 2; the
+    twelve original vertices keep degree 5 and every new one has degree 6.
+    """
+    rot = _NAMED_ROTATIONS["icosahedron"]
+    # each face once, read at its smallest vertex, oriented as from_faces wants
+    faces = [
+        (v, row[i], row[(i + 1) % 5])
+        for v, row in enumerate(rot)
+        for i in range(5)
+        if v < min(row[i], row[(i + 1) % 5])
+    ]
+    mids = {}  # an edge, once cut, never recurs, so one map serves every round
+
+    def mid(a, b):
+        return mids.setdefault((min(a, b), max(a, b)), 12 + len(mids))
+
+    for _ in range(k):
+        finer = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            finer += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        faces = finer
+    return from_faces(12 + len(mids), faces)
 
 
 # -- pg/1 format -------------------------------------------------------------

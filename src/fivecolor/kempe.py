@@ -4,6 +4,11 @@ Works on plain rotation rows (indexable: rows[v] iterates neighbors) and a
 plain dict of colors.  Uncolored vertices (missing or None) are
 invisible to chains: a chain is a connected piece of the subgraph induced
 by the colored vertices whose colors lie in a two-color pair.
+
+A chain search can run from two ends at once, one vertex from each in
+turn, and stops as soon as one end's chain is complete or the two
+searches meet.  Its work is then about twice the smaller of the two
+chains, however large the other one is.
 """
 
 from __future__ import annotations
@@ -40,21 +45,33 @@ def _check_pair(pair):
     return a, b
 
 
-def chain(rows, colors, start, pair):
-    """The set of vertices of the Kempe chain through `start` on `pair`."""
+def chain(rows, colors, start, pair, end=None):
+    """The Kempe chain through `start` on `pair`, as a set of vertices.
+
+    With `end`, searches from both vertices, one expansion each in turn.
+    Whichever search runs out first returns its complete chain, which
+    then misses the other end; if the searches meet, the set returned
+    holds both ends (and is not a complete chain).
+    """
     a, b = _check_pair(pair)
-    c0 = colors.get(start)
-    if c0 not in (a, b):
-        raise BadColorPair(f"vertex {start} has color {c0!r}, not in {pair!r}")
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in rows[u]:
+    ends = (start,) if end is None else (start, end)
+    for v in ends:
+        if colors.get(v) not in (a, b):
+            raise BadColorPair(f"vertex {v} has color {colors.get(v)!r}, not in {pair!r}")
+    sides = [({v}, deque([v])) for v in ends]
+    k = 0
+    while True:
+        seen, queue = sides[k]
+        if not queue:
+            return seen
+        other = sides[k - 1][0]  # seen itself when searching from one end
+        for w in rows[queue.popleft()]:
             if w not in seen and colors.get(w) in (a, b):
+                if w in other:
+                    return seen | other
                 seen.add(w)
                 queue.append(w)
-    return seen
+        k = (k + 1) % len(sides)
 
 
 def swap(rows, colors, members, pair):
@@ -80,9 +97,10 @@ def free_color(rows, colors, v, stats=None):
     Requires at most 4 neighbors colored 1..4 (vertices with color 5 and
     uncolored ones do not block).  When all four colors appear, the four
     blocking neighbors w1..w4 sit in rotation order around v; by planarity
-    either the (c1, c3) chain at w1 misses w3 or the (c2, c4) chain at w2
-    misses w4, and the corresponding swap frees a color.  `stats`, a
-    RunStats, counts the calls and the swaps.
+    the (c1, c3) chains at w1 and w3 differ, or the (c2, c4) chains at w2
+    and w4 do.  Each diagonal is searched from both ends; the first side
+    to run out is swapped, which frees the color its end had.  `stats`, a
+    RunStats, counts the calls, the swaps and the chain vertices returned.
     """
     if stats is not None:
         stats.free_color_calls += 1
@@ -98,12 +116,15 @@ def free_color(rows, colors, v, stats=None):
     w1, w2, w3, w4 = blockers
     c1, c2, c3, c4 = palette
     for w, far, pair in ((w1, w3, (c1, c3)), (w2, w4, (c2, c4))):
-        members = chain(rows, colors, w, pair)
-        if far not in members:
-            swap(rows, colors, members, pair)
-            if stats is not None:
-                stats.chain_swaps += 1
-            return pair[0]
+        members = chain(rows, colors, w, pair, far)
+        if stats is not None:
+            stats.chain_verts += len(members)
+        if far in members and w in members:
+            continue
+        swap(rows, colors, members, pair)
+        if stats is not None:
+            stats.chain_swaps += 1
+        return pair[0] if w in members else pair[1]
     raise DiagonalContradiction(
         f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed"
     )

@@ -1,7 +1,8 @@
 """Five-coloring a planar embedding with a small fifth color class.
 
 Descent deletes vertices until at most three remain: degree-4-or-less
-vertices straight off a heap, and once the minimum degree reaches 5 a
+vertices straight off a heap, smallest degree first (fewer of them then
+need a Kempe swap on the way back), and once the minimum degree reaches 5 a
 catalog occurrence as one block.  Every hole is re-triangulated on the
 spot and every mutation is logged, so the ascent can replay the log
 backwards and color each vertex the moment its full neighborhood is back.
@@ -25,10 +26,15 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .catalog import TrialSequence, greedy_peel
+from .catalog import TrialSequence, builtin_catalog, greedy_peel
 from .embedding import face_walks, fill_walk
 from .kempe import BrokenInvariant, free_color
 from .matching import find_reducible
+
+
+# The reducer scans only once no vertex of degree 4 or less is left, so the
+# f1 entry cannot match there; scanning without it skips a probe per vertex.
+_SCAN_ENTRIES = tuple(e for e in builtin_catalog() if e.family != "f1")
 
 
 class SchemeExhausted(RuntimeError):
@@ -44,6 +50,7 @@ class RunStats:
     fallback_peels: int = 0
     free_color_calls: int = 0
     chain_swaps: int = 0
+    chain_verts: int = 0  # summed sizes of the sets kempe.chain returned
 
 
 def select_fifth(rows, occ, colors):
@@ -144,14 +151,20 @@ class _Work:
             del self.rows[a][pa]
             del self.rows[b][pb]
 
+    # The heap pops the smallest degree first.  Every vertex whose degree
+    # changes is pushed again, so an entry whose degree no longer matches
+    # its vertex's is stale and dropped.
+
     def _push_if_low(self, v):
-        if self.rows[v] is not None and len(self.rows[v]) <= 4:
-            heapq.heappush(self.heap, v)
+        row = self.rows[v]
+        if row is not None and len(row) <= 4:
+            heapq.heappush(self.heap, (len(row), v))
 
     def _pop_low(self):
         while self.heap:
-            v = heapq.heappop(self.heap)
-            if self.rows[v] is not None and len(self.rows[v]) <= 4:
+            d, v = heapq.heappop(self.heap)
+            row = self.rows[v]
+            if row is not None and len(row) == d:
                 return v
         return None
 
@@ -216,7 +229,7 @@ class _Work:
                 stats.f1_steps += 1
             else:
                 stats.scans += 1
-                occ = find_reducible(self.rows)
+                occ = find_reducible(self.rows, _SCAN_ENTRIES)
                 self.levels.append(("occ", occ, self._step_occurrence(occ)))
                 stats.occ_steps[occ.entry.family] += 1
 

@@ -14,7 +14,7 @@ import pytest
 
 from fivecolor import kempe, reducer
 from fivecolor.embedding import from_faces
-from fivecolor.instances import GenSpec, generate, named
+from fivecolor.instances import GenSpec, generate, icosphere
 from fivecolor.reducer import RunStats, check_coloring
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -43,8 +43,8 @@ def test_chain_result_has_a_length():
 
 @pytest.mark.parametrize(
     "g",
-    [named("icosahedron"), generate(GenSpec(seed=1, n=200, flips=400))],
-    ids=["icosahedron", "random-200"],
+    [icosphere(1), generate(GenSpec(seed=1, n=200, flips=400))],
+    ids=["icosphere-1", "random-200"],
 )
 def test_traced_run_reads_every_layer(spans, g):
     tracer = spans.Tracer()

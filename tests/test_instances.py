@@ -16,6 +16,7 @@ from fivecolor.instances import (
     SplitMix64,
     UnknownName,
     generate,
+    icosphere,
     named,
     read,
     write,
@@ -127,6 +128,16 @@ def test_splitmix64_reference_stream():
 def test_splitmix64_below():
     r = SplitMix64(42)
     assert [r.below(10) for _ in range(12)] == [3, 1, 8, 4, 0, 2, 5, 8, 5, 4, 7, 6]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_icosphere(k):
+    g = icosphere(k)
+    assert g.n == 10 * 4**k + 2
+    assert min(g.degree(v) for v in g.vertices()) == 5
+    assert all(len(f) == 3 for f in trace_faces(g))
+    if k == 0:
+        assert g == named("icosahedron")
 
 
 # -- generator ---------------------------------------------------------------

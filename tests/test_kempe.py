@@ -2,7 +2,8 @@
 
 The 7-vertex fixture embeds a double fan where the (1,3) chain from the
 first blocker wraps around and reaches the third, forcing the (2,4) swap;
-the wheel fixture lets the first swap through.  Both traced by hand.
+the wheel fixture lets the first swap through.  Both traced by hand, as
+are the two small graphs that steer the two-ended search to each outcome.
 """
 
 import os
@@ -11,9 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fivecolor
 from fivecolor.embedding import from_faces
+from fivecolor.instances import GenSpec, generate
 from fivecolor.kempe import (
     BadColorPair,
     BrokenInvariant,
@@ -47,6 +51,24 @@ def wheel4():
     return g.rotation, colors
 
 
+def long_start():
+    # hub 0 sees blockers 1..4; the (1,3) chain at 1 is the path 1-5-7,
+    # the one at 3 is {3}
+    rows = {0: (1, 2, 3, 4), 1: (0, 5), 5: (1, 7), 7: (5,),
+            2: (0,), 3: (0,), 4: (0,)}
+    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1}
+    return rows, colors
+
+
+def long_closed():
+    # the (1,3) chain 1-5-6-3 joins the first diagonal and runs on past 3
+    # along 8-9-10; the (2,4) chains at 2 and 4 are singletons
+    rows = {0: (1, 2, 3, 4), 1: (0, 5), 5: (1, 6), 6: (5, 3), 3: (0, 6, 8),
+            8: (3, 9), 9: (8, 10), 10: (9,), 2: (0,), 4: (0,)}
+    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 6: 1, 8: 1, 9: 3, 10: 1}
+    return rows, colors
+
+
 def test_chain_membership():
     rows, colors = double_fan()
     assert chain(rows, colors, 1, (1, 3)) == {1, 5, 6, 3}
@@ -66,6 +88,68 @@ def test_chain_bad_pairs():
         chain(rows, colors, 1, (2, 4))  # vertex 1 has color 1
     with pytest.raises(BadColorPair):
         chain(rows, colors, 0, (1, 2))  # vertex 0 uncolored
+
+
+def test_two_ended_start_runs_out():
+    rows, colors = long_start()
+    assert chain(rows, colors, 3, (1, 3), 1) == {3}
+
+
+def test_two_ended_end_runs_out():
+    rows, colors = long_start()
+    assert chain(rows, colors, 1, (1, 3)) == {1, 5, 7}
+    assert chain(rows, colors, 1, (1, 3), 3) == {3}
+    stats = RunStats()
+    assert free_color(rows, colors, 0, stats) == 3  # pair[1]: 3's side flipped
+    assert colors == {1: 1, 2: 2, 3: 1, 4: 4, 5: 3, 7: 1}
+    assert stats.chain_swaps == 1 and stats.chain_verts == 1
+
+
+def test_two_ended_searches_meet():
+    rows, colors = long_closed()
+    full = chain(rows, colors, 1, (1, 3))
+    assert full == {1, 5, 6, 3, 8, 9, 10}
+    # one step from each end, then 5 finds 6 on the other side
+    assert chain(rows, colors, 1, (1, 3), 3) == {1, 5, 3, 6, 8}
+    before = dict(colors)
+    stats = RunStats()
+    assert free_color(rows, colors, 0, stats) == 2  # the (2,4) diagonal
+    assert [v for v in before if colors[v] != before[v]] == [2]
+    assert colors[2] == 4
+    assert stats.chain_swaps == 1 and stats.chain_verts == 5 + 1
+
+
+def test_two_ended_bad_end():
+    rows, colors = long_start()
+    with pytest.raises(BadColorPair, match="vertex 2"):
+        chain(rows, colors, 1, (1, 3), 2)  # vertex 2 has color 2
+    with pytest.raises(BadColorPair, match="vertex 0"):
+        chain(rows, colors, 1, (1, 3), 0)  # vertex 0 uncolored
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(4, 60), st.randoms(use_true_random=False))
+def test_two_ended_chain_agrees_with_one_ended(seed, n, rnd):
+    rows = generate(GenSpec(seed=seed, n=n, flips=n)).rotation
+    colors = {}  # a random proper coloring in 1..4, some vertices left out
+    for v in rnd.sample(range(n), n):
+        free = [c for c in (1, 2, 3, 4) if all(colors.get(w) != c for w in rows[v])]
+        if free:
+            colors[v] = rnd.choice(free)
+    start, end = rnd.choice(sorted(colors)), rnd.choice(sorted(colors))
+    pair = (colors[start], colors[end])
+    if pair[0] == pair[1]:
+        pair = (pair[0], rnd.choice([c for c in (1, 2, 3, 4) if c != pair[0]]))
+    both = chain(rows, colors, start, pair, end)
+    from_start = chain(rows, colors, start, pair)
+    from_end = chain(rows, colors, end, pair)
+    if start in both and end in both:
+        assert from_start == from_end
+        assert both <= from_start
+    else:
+        assert (both == from_start and end not in both) or (
+            both == from_end and start not in both
+        )
 
 
 def test_swap_flips_both_colors():

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivecolor import reducer
 from fivecolor.catalog import get_entry
 from fivecolor.embedding import build, from_faces, remove_vertices
-from fivecolor.instances import GenSpec, generate, named
+from fivecolor.instances import GenSpec, generate, icosphere, named
 from fivecolor.matching import match_at
 from fivecolor.reducer import (
     RunStats,
@@ -108,16 +109,19 @@ def test_reduce_once_wheel_hub_fallback():
     # three rim vertices see a 5 outside, so the trial falls through to
     # the hub; the peel must shed the rim in ring order
     g, occ = wheel_gadget()
-    colors = {6: 1, 7: 2, 8: 5, 9: 1, 10: 2, 11: 5, 12: 1, 13: 5, 14: 1,
-              15: 2, 16: 1, 17: 2, 18: 3, 19: 4}
+    outside = {6: 1, 7: 2, 8: 5, 9: 1, 10: 2, 11: 5, 12: 1, 13: 5, 14: 1,
+               15: 2, 16: 1, 17: 2, 18: 3, 19: 4}
+    colors = dict(outside)
     stats = RunStats()
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth == 0 and colors[0] == 5
     assert peel == (2, 3, 4, 5, 1)
-    assert stats.chain_swaps == 1
-    # the swap ran through the outer arc: 6, 9, 18 traded 1 <-> 3
-    assert (colors[6], colors[9], colors[18]) == (3, 3, 1)
-    assert colors[2] == 3
+    assert stats.chain_swaps == 1 and stats.chain_verts == 1
+    # rim 2 sees 3, 2, 1, 4 at 1, 10, 12, 3; the (3,1) chain at 1 runs
+    # through the outer arc, the one at 12 is {12}, so 12 traded 1 -> 3
+    assert [v for v in outside if colors[v] != outside[v]] == [12]
+    assert colors[12] == 3
+    assert {v: colors[v] for v in range(6)} == {0: 5, 1: 3, 2: 1, 3: 4, 4: 3, 5: 4}
     sizes = check_coloring(g, colors)
     assert sizes[5] == 4  # three seeded outside plus the hub
 
@@ -229,3 +233,41 @@ def test_color_planar_generated(seed, n, shaped):
     assert 6 * sizes[5] <= g.n
     assert stats.fifth_assigned == sizes[5]
     assert len(colors) == g.n
+
+
+@pytest.mark.parametrize(
+    "g",
+    [icosphere(2), generate(GenSpec(seed=22, n=400, flips=800))],
+    ids=["icosphere-2", "random-400"],
+)
+def test_scan_skips_f1(monkeypatch, g):
+    # the reducer scans only once the low-degree heap is empty, so the f1
+    # entry it leaves out could not have matched: same first occurrence
+    scan = reducer.find_reducible
+    found = []
+
+    def checked(rows, entries=None):
+        assert all(e.family != "f1" for e in entries)
+        assert all(row is None or len(row) > 4 for row in rows)
+        occ = scan(rows, entries)
+        assert occ == scan(rows)
+        found.append(occ)
+        return occ
+
+    monkeypatch.setattr(reducer, "find_reducible", checked)
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert len(found) == stats.scans > 0
+
+
+@pytest.mark.parametrize("n", [2000, 4000, 8000])
+def test_kempe_work_stays_small(n):
+    # counters, not time.  Peeling the smallest degree first and swapping
+    # whichever side of a diagonal runs out first gave swap ratios
+    # 0.132 / 0.138 / 0.127 and 1.2 / 1.4 / 1.2 chain vertices per call;
+    # popping in id order with one-ended chains gave 0.444 and 96 / 178 / 282
+    g = generate(GenSpec(seed=7, n=n, flips=2 * n))
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert stats.chain_swaps / stats.free_color_calls <= 0.2
+    assert stats.chain_verts / stats.free_color_calls <= 2
