@@ -112,6 +112,8 @@ _WHEEL_EDGES = _edges(
     *_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)
 )
 
+# In scan order: find_reducible tries entries in the order it is given them,
+# so this order (f1, f2, f3, f4, f7, f8, f5, f6) is the default one.
 _CATALOG = (
     # Any vertex of degree <= 4 recolors for free after its neighbors.
     ConfigurationSpec(
@@ -293,6 +295,39 @@ _CATALOG = (
         scheme=TrialSequence((5, 0, 1)),
         layout=(1, 2, 3, 4, None, None, None),
     ),
+    # Parametric hub of degree d >= 8 whose link is all 5-caps except three
+    # separator slots.  Concrete shape depends on d and the slot positions,
+    # so the entry itself carries no fixed pattern; validation enumerates
+    # d in scheme.degrees with every separator placement.
+    ConfigurationSpec(
+        name="hub",
+        family="f7",
+        caps=(),
+        exact=frozenset(),
+        edges=frozenset(),
+        rotations=(),
+        scheme=VirtualHub(),
+    ),
+    # Degree-9 hub with 5-cap leaves in runs of 3 and 2 (four separators).
+    ConfigurationSpec(
+        name="hub9",
+        family="f8",
+        caps=(9, 5, 5, 5, 5, 5),
+        exact=frozenset({0}),
+        edges=_edges(
+            *_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 3), (4, 5)
+        ),
+        rotations=(
+            (1, 2, 3, _h(2), 4, 5, _h(2)),
+            (0, _h(3), 2),
+            (0, 1, _h(2), 3),
+            (0, 2, _h(3)),
+            (0, _h(3), 5),
+            (0, 4, _h(3)),
+        ),
+        scheme=NinePattern(),
+        layout=(1, 2, 3, None, None, 4, 5, None, None),
+    ),
     # Degree-5 anchor with four consecutive link vertices m, x, y, p (one of
     # them 7-cap, the rest 6-cap) and a second 5-cap B behind m.
     ConfigurationSpec(
@@ -410,39 +445,6 @@ _CATALOG = (
         ),
         scheme=TrialSequence((5, 0)),
         layout=(1, 2, 3, 4, None),
-    ),
-    # Parametric hub of degree d >= 8 whose link is all 5-caps except three
-    # separator slots.  Concrete shape depends on d and the slot positions,
-    # so the entry itself carries no fixed pattern; validation enumerates
-    # d in scheme.degrees with every separator placement.
-    ConfigurationSpec(
-        name="hub",
-        family="f7",
-        caps=(),
-        exact=frozenset(),
-        edges=frozenset(),
-        rotations=(),
-        scheme=VirtualHub(),
-    ),
-    # Degree-9 hub with 5-cap leaves in runs of 3 and 2 (four separators).
-    ConfigurationSpec(
-        name="hub9",
-        family="f8",
-        caps=(9, 5, 5, 5, 5, 5),
-        exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 3), (4, 5)
-        ),
-        rotations=(
-            (1, 2, 3, _h(2), 4, 5, _h(2)),
-            (0, _h(3), 2),
-            (0, 1, _h(2), 3),
-            (0, 2, _h(3)),
-            (0, _h(3), 5),
-            (0, 4, _h(3)),
-        ),
-        scheme=NinePattern(),
-        layout=(1, 2, 3, None, None, 4, 5, None, None),
     ),
 )
 

@@ -11,16 +11,23 @@ Occurrence.recheck re-verifies a match without that shortcut.
 Caps are matched exactly where the entry says so and as upper bounds
 elsewhere.  Offsets cover the cyclic alignments of the anchor's link,
 direction -1 the mirror images.
+
+A search tries the entries in the order given (the catalog's own order by
+default), anchors ascending, and stops at the first hit.  find_reducible
+without a ScanIndex scans every live vertex; the reducer, which searches
+again after every reduction, passes a ScanIndex instead, which probes only
+the anchors whose surroundings changed since they last failed and returns
+the same first hit.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cache
 
 from .catalog import builtin_catalog
 from .kempe import BrokenInvariant
-
-_FAMILY_ORDER = ("f2", "f3", "f4", "f7", "f8", "f5", "f6")
 
 # entry name -> (host pid, reference pid, walk sign) for the one pattern
 # vertex that lives outside the anchor's link.  Stand in the host's link at
@@ -184,40 +191,134 @@ def _wants(entry, d):
     return d == entry.caps[entry.anchor]
 
 
-def find_reducible(tri, entries=None):
-    """First occurrence of any entry, in fixed scan order.
+@cache
+def _alignments(family, d):
+    """(offset, direction) pairs to probe at an anchor of degree d, in order."""
+    if family in ("f1", "f7"):  # alignment never changes the verdict
+        return ((0, 1),)
+    return tuple((offset, direction) for offset in range(d) for direction in (1, -1))
 
-    Low-degree vertices win outright; then each family in the order f2,
-    f3, f4, f7, f8, f5, f6, each variant in catalog order, anchors
-    ascending, offsets ascending, direction +1 before -1.  Raises
+
+def _no_match(rows):
+    degs = [len(row) for row in rows if row is not None]
+    return CompletenessBreach(
+        f"no configuration matches: {len(degs)} vertices, "
+        f"minimum degree {min(degs) if degs else 0}"
+    )
+
+
+def find_reducible(tri, entries=None):
+    """First occurrence of any entry, in scan order.
+
+    The scan order is the order of `entries` (the whole catalog if None):
+    each entry in turn, anchors ascending, offsets ascending, direction +1
+    before -1.  `entries` may be a ScanIndex, which gives the same answer
+    from its record of the anchors already known to fail.  Raises
     CompletenessBreach when nothing matches.
     """
     rows = _rows_view(tri)
+    if isinstance(entries, ScanIndex):
+        return entries.search(rows)
     if entries is None:
         entries = builtin_catalog()
     verts = [v for v in range(len(rows)) if rows[v] is not None]
-    by_family = {}
     for e in entries:
-        by_family.setdefault(e.family, []).append(e)
-    for e in by_family.get("f1", ()):
         for v in verts:
-            occ = match_at(tri, e, v)
-            if occ is not None:
-                return occ
-    for fam in _FAMILY_ORDER:
-        for e in by_family.get(fam, ()):
-            probe_all = fam != "f7"  # hub alignment never changes the verdict
-            for v in verts:
-                d = len(rows[v])
-                if not _wants(e, d):
-                    continue
-                for offset in range(d if probe_all else 1):
-                    for direction in (1, -1) if probe_all else (1,):
-                        occ = match_at(tri, e, v, offset, direction)
+            d = len(rows[v])
+            if not _wants(e, d):
+                continue
+            for offset, direction in _alignments(e.family, d):
+                occ = match_at(tri, e, v, offset, direction)
+                if occ is not None:
+                    return occ
+    raise _no_match(rows)
+
+
+class ScanIndex:
+    """Incremental state for repeated scans of one changing triangulation.
+
+    Iterates as its entries, in scan order.  For each entry it keeps the
+    pending anchors: live vertices of a wanted degree not yet known to fail
+    it, as a set with a min-heap beside it.  The first search to reach an
+    entry makes every such vertex pending.  A search pops them in ascending
+    order and probes them as the full scan does; a failing anchor is
+    dropped, the first hit is returned and stays pending.
+
+    The owner adds to `changed` every vertex whose row changes between
+    searches.  The next search puts the 1-ball of each one back in pending
+    for every entry reached so far, and its 2-ball for the _SECONDARY
+    entries, whose probe also reads the host's row and the degree of a
+    vertex behind it.  Every anchor left out therefore still fails, and a
+    search returns exactly what find_reducible(rows, entries) would.
+    `probes` counts the match_at calls made so far.
+    """
+
+    def __init__(self, entries):
+        self.entries = tuple(entries)
+        self.changed = set()
+        self.probes = 0
+        self._pending = [None] * len(self.entries)  # None: not reached yet
+        self._heaps = [None] * len(self.entries)
+        self._ranks = {}  # degree -> (reached ranks wanting it, _SECONDARY ones)
+        self._two_hop = False  # whether a _SECONDARY entry has been reached
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def _wanting(self, d):
+        ranks = self._ranks.get(d)
+        if ranks is None:
+            near = tuple(
+                r for r, e in enumerate(self.entries)
+                if self._pending[r] is not None and _wants(e, d)
+            )
+            far = tuple(r for r in near if self.entries[r].name in _SECONDARY)
+            ranks = self._ranks[d] = (near, far)
+        return ranks
+
+    def _reach(self, rows, rank):
+        e = self.entries[rank]
+        heap = [v for v, row in enumerate(rows) if row is not None and _wants(e, len(row))]
+        self._heaps[rank] = heap  # ascending, so already a heap
+        self._pending[rank] = set(heap)
+        self._ranks.clear()
+        self._two_hop |= e.name in _SECONDARY
+
+    def _requeue(self, rows, verts, two_hop):
+        for v in verts:
+            for r in self._wanting(len(rows[v]))[two_hop]:
+                pending = self._pending[r]
+                if v not in pending:
+                    pending.add(v)
+                    heapq.heappush(self._heaps[r], v)
+
+    def _reopen(self, rows):
+        ball = set()
+        for x in self.changed:
+            if rows[x] is not None:  # a vertex deleted since is in no row
+                ball.add(x)
+                ball.update(rows[x])
+        self._requeue(rows, ball, False)
+        if self._two_hop:
+            self._requeue(rows, {z for x in ball for z in rows[x]} - ball, True)
+
+    def search(self, rows):
+        if any(p is not None for p in self._pending):
+            self._reopen(rows)
+        self.changed.clear()
+        for rank, e in enumerate(self.entries):
+            if self._pending[rank] is None:
+                self._reach(rows, rank)
+            pending, heap = self._pending[rank], self._heaps[rank]
+            while heap:
+                v = heap[0]
+                row = rows[v]
+                if row is not None and _wants(e, len(row)):
+                    for offset, direction in _alignments(e.family, len(row)):
+                        self.probes += 1
+                        occ = match_at(rows, e, v, offset, direction)
                         if occ is not None:
                             return occ
-    degs = [len(rows[v]) for v in verts]
-    raise CompletenessBreach(
-        f"no configuration matches: {len(verts)} vertices, "
-        f"minimum degree {min(degs) if degs else 0}"
-    )
+                heapq.heappop(heap)
+                pending.discard(v)
+        raise _no_match(rows)

@@ -6,6 +6,9 @@ need a Kempe swap on the way back), and once the minimum degree reaches 5 a
 catalog occurrence as one block.  Every hole is re-triangulated on the
 spot and every mutation is logged, so the ascent can replay the log
 backwards and color each vertex the moment its full neighborhood is back.
+The occurrence search is incremental: the descent records each vertex
+whose row it changes, and a matching.ScanIndex re-probes only the anchors
+near those vertices, with the same result as a scan of the whole graph.
 
 A plain deleted vertex takes a spare color among its at most four colored
 neighbors (a Kempe swap frees one when all four differ).  An occurrence is
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from .catalog import TrialSequence, builtin_catalog, greedy_peel
 from .embedding import face_walks, fill_walk
 from .kempe import BrokenInvariant, free_color
-from .matching import find_reducible
+from .matching import ScanIndex, find_reducible
 
 
 # The reducer scans only once no vertex of degree 4 or less is left, so the
@@ -51,6 +54,7 @@ class RunStats:
     free_color_calls: int = 0
     chain_swaps: int = 0
     chain_verts: int = 0  # summed sizes of the sets kempe.chain returned
+    probes: int = 0  # match_at calls made by the scans
 
 
 def select_fifth(rows, occ, colors):
@@ -120,6 +124,7 @@ class _Work:
         self.n_alive = g.n
         self.heap = []
         self.levels = []
+        self.index = ScanIndex(_SCAN_ENTRIES)
 
     # -- primitives, each returning an undoable op ------------------------
 
@@ -133,6 +138,7 @@ class _Work:
             pos = r.index(v)
             del r[pos]
             undo.append((u, pos))
+        self.index.changed.update(row)
         self.rows[v] = None
         self.n_alive -= 1
         return ("del", v, row, undo)
@@ -183,6 +189,7 @@ class _Work:
         for walk in walks:
             if len(walk) >= 4:
                 fill_walk(rows, walk, lambda a, b: b in rows[a], on_chord=log)
+        self.index.changed |= touched
         return touched
 
     def _fill_holes(self, boundary, ops):
@@ -229,9 +236,10 @@ class _Work:
                 stats.f1_steps += 1
             else:
                 stats.scans += 1
-                occ = find_reducible(self.rows, _SCAN_ENTRIES)
+                occ = find_reducible(self.rows, self.index)
                 self.levels.append(("occ", occ, self._step_occurrence(occ)))
                 stats.occ_steps[occ.entry.family] += 1
+        stats.probes += self.index.probes
 
     def ascend(self, stats):
         colors = {}

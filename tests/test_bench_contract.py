@@ -60,3 +60,13 @@ def test_traced_run_reads_every_layer(spans, g):
     assert calls["matching.find_reducible"] == stats.scans
     if stats.scans:
         assert tracer.counts["matching.match_at.calls"] > 0
+
+
+def test_traced_probes_equal_run_stats(spans):
+    # every probe of the reducer's scans goes through matching.match_at,
+    # where the benchmark counts it
+    tracer = spans.Tracer()
+    stats = RunStats()
+    with tracer.patched():
+        reducer.color_planar(icosphere(2), stats)
+    assert tracer.counts["matching.match_at.calls"] == stats.probes > 0

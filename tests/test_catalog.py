@@ -34,14 +34,14 @@ EXPECTED_NAMES = [
     "fan6-z1",
     "fan6-z2",
     "fan6-z3",
+    "hub",
+    "hub9",
     "ring-m",
     "ring-x",
     "ring-y",
     "ring-p",
     "twin-1",
     "twin-2",
-    "hub",
-    "hub9",
 ]
 
 
@@ -49,8 +49,8 @@ def test_catalog_names_and_families():
     cat = builtin_catalog()
     assert [e.name for e in cat] == EXPECTED_NAMES
     assert [e.family for e in cat] == (
-        ["f1"] + ["f2"] * 2 + ["f3"] * 4 + ["f4"] * 3 + ["f5"] * 4
-        + ["f6"] * 2 + ["f7"] + ["f8"]
+        ["f1"] + ["f2"] * 2 + ["f3"] * 4 + ["f4"] * 3 + ["f7"] + ["f8"]
+        + ["f5"] * 4 + ["f6"] * 2
     )
 
 

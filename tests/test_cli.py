@@ -5,15 +5,17 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import fivecolor
 from fivecolor.cli import main
-from fivecolor.instances import named, read, write
+from fivecolor.instances import GenSpec, generate, icosphere, named, read, write
 from fivecolor.kempe import BrokenInvariant, DiagonalContradiction
 from fivecolor.matching import CompletenessBreach
+from fivecolor.reducer import RunStats, color_planar
 
 SRC = Path(fivecolor.__file__).resolve().parents[1]
 CHECKOUT = SRC.parent
@@ -123,6 +125,44 @@ def test_match_icosahedron(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "f2 wheel-adjacent anchor=0"
     assert lines[1] == "0:0 1:1 2:5 3:4 4:3 5:2"
+
+
+def _shaped(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return generate(GenSpec(seed, 200, 600, shape_min_degree_5=True))
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (icosphere(2), ["f2 wheel-adjacent anchor=0", "0:0 1:42 2:44 3:52 4:59 5:66"]),
+        (_shaped(1), ["f2 wheel-adjacent anchor=12", "0:12 1:153 2:43 3:16 4:49 5:46"]),
+        (_shaped(2), ["f2 wheel-adjacent anchor=5", "0:5 1:98 2:6 3:134 4:152 5:196"]),
+    ],
+    ids=["icosphere-2", "shaped-1", "shaped-2"],
+)
+def test_match_output_pinned(tmp_path, capsys, g, expected):
+    # the catalog's own order is the scan order, and must keep giving
+    # these first occurrences
+    path = tmp_path / "g.pg"
+    with open(path, "w") as fh:
+        write(g, fh)
+    assert main(["match", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_color_stats_count_probes(monkeypatch, capsys):
+    g = icosphere(2)
+    stats = RunStats()
+    color_planar(g, stats)
+    buf = io.StringIO()
+    write(g, buf)
+    monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
+    assert main(["color", "--stats"]) == 0
+    err = capsys.readouterr().err
+    assert stats.probes > 0
+    assert err.rstrip().endswith(f" probes={stats.probes}")
 
 
 def test_match_low_first(tmp_path, capsys):

@@ -16,6 +16,7 @@ from fivecolor.embedding import from_faces, remove_vertices
 from fivecolor.instances import GenSpec, generate
 from fivecolor.matching import (
     CompletenessBreach,
+    ScanIndex,
     find_reducible,
     match_at,
 )
@@ -194,6 +195,30 @@ def test_absent_anchor_gives_none(icosahedron):
 def test_completeness_breach_with_narrow_catalog(icosahedron):
     with pytest.raises(CompletenessBreach, match="minimum degree 5"):
         find_reducible(icosahedron, entries=[get_entry("hub9")])
+
+
+def test_scan_index_breach_reads_like_full_scan(icosahedron):
+    with pytest.raises(CompletenessBreach) as full:
+        find_reducible(icosahedron, entries=[get_entry("hub9")])
+    with pytest.raises(CompletenessBreach) as indexed:
+        find_reducible(icosahedron, ScanIndex([get_entry("hub9")]))
+    assert str(indexed.value) == str(full.value)
+
+
+def test_scan_index_keeps_its_hit_pending():
+    # nothing changed between the searches, so the second one re-probes
+    # only the anchor that hit: its offsets 0-3 both ways, then offset 4
+    # forward.  The anchors below 5 failed the first time and stay dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = generate(GenSpec(2, 200, 600, shape_min_degree_5=True))
+    index = ScanIndex(builtin_catalog())
+    occ = find_reducible(g, index)
+    assert occ == find_reducible(g)
+    assert (occ.anchor, occ.offset, occ.direction) == (5, 4, 1)
+    first = index.probes
+    assert find_reducible(g, index) == occ
+    assert index.probes - first == 9
 
 
 def test_scan_order_is_family_major():
