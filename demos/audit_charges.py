@@ -7,8 +7,6 @@ charge must sit inside a catalog configuration.  That is the
 unavoidability argument, and this script checks it numerically.
 """
 
-import warnings
-
 from fivecolor import GenSpec, audit, find_reducible, generate, named, transfers
 
 ico = named("icosahedron")
@@ -19,9 +17,7 @@ print("positive vertices:", report.positives)
 assert report.total == 12 and len(report.positives) == 12
 
 # A shaped instance: minimum degree 5, so peeling alone cannot start.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    g = generate(GenSpec(seed=4, n=60, flips=120, shape_min_degree_5=True))
+g = generate(GenSpec(seed=4, n=162, flips=324, shape_min_degree_5=True))
 
 ledger = transfers(g)
 moved = sum(ledger.transfers.values())

@@ -144,6 +144,15 @@ def cmd_audit(args):
     return 0
 
 
+def _generate(spec):
+    # generate() raises ValueError only for a size it cannot build, which
+    # on the command line is bad input, not a broken guarantee
+    try:
+        return generate(spec)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def cmd_generate(args):
     if args.named:
         g = named(args.named)
@@ -151,14 +160,7 @@ def cmd_generate(args):
         if args.n is None:
             raise ParseError("generate needs --n (or --named)")
         flips = 2 * args.n if args.flips is None else args.flips
-        g = generate(
-            GenSpec(
-                seed=args.seed,
-                n=args.n,
-                flips=flips,
-                shape_min_degree_5=args.min_degree_5,
-            )
-        )
+        g = _generate(GenSpec(args.seed, args.n, flips, args.min_degree_5))
     write(g, sys.stdout)
     return 0
 
@@ -175,18 +177,19 @@ def cmd_catalog(args):
     return 0
 
 
+def _sizes(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
     points = []
-    for i, n in enumerate(sizes):
-        g = generate(
-            GenSpec(
-                seed=args.seed + i,
-                n=n,
-                flips=2 * n,
-                shape_min_degree_5=args.min_degree_5,
-            )
-        )
+    for i, n in enumerate(args.sizes):
+        g = _generate(GenSpec(args.seed + i, n, 2 * n))
         best = math.inf
         for _ in range(args.repeat):
             t0 = time.perf_counter()
@@ -243,10 +246,9 @@ def _build_parser():
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("bench", help="time the coloring across sizes")
-    p.add_argument("--sizes", default="250,500,1000,2000,4000")
+    p.add_argument("--sizes", type=_sizes, default="250,500,1000,2000,4000")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--min-degree-5", action="store_true")
     p.set_defaults(func=cmd_bench)
 
     return parser

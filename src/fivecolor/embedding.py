@@ -48,14 +48,13 @@ class EmbeddedGraph:
 
     __slots__ = ("rotation", "_m")
 
-    def __init__(self, rotation, _skip_validation=False):
+    def __init__(self, rotation):
         rows = tuple(None if r is None else tuple(r) for r in rotation)
         object.__setattr__(self, "rotation", rows)
         object.__setattr__(
             self, "_m", sum(len(r) for r in rows if r is not None) // 2
         )
-        if not _skip_validation:
-            _validate(self)
+        _validate(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedGraph is immutable")
@@ -163,7 +162,7 @@ def _check_euler(g):
     if not comps:
         return
     faces_per_comp = [0] * len(comps)
-    for walk in _trace(rows):
+    for walk in face_walks(rows, g.vertices()):
         faces_per_comp[comp[walk[0]]] += 1
     for cid, members in enumerate(comps):
         nc = len(members)
@@ -324,8 +323,8 @@ class Triangulation(EmbeddedGraph):
 
     __slots__ = ("faces", "added_edges")
 
-    def __init__(self, rotation, faces, added_edges, _skip_validation=False):
-        super().__init__(rotation, _skip_validation=_skip_validation)
+    def __init__(self, rotation, faces, added_edges):
+        super().__init__(rotation)
         object.__setattr__(self, "faces", tuple(tuple(f) for f in faces))
         object.__setattr__(self, "added_edges", tuple(added_edges))
 
@@ -372,18 +371,3 @@ def triangulate(g):
         if len(face) != 3:
             raise UntriangulatableFace(f"face {face!r} survived filling")
     return tri
-
-
-def remove_vertices(g, doomed):
-    """Delete a set of vertices, tombstoning their ids."""
-    doomed = set(doomed)
-    for v in doomed:
-        if not g.present(v):
-            raise EmbeddingError(f"vertex {v} not present")
-    rows = [
-        None
-        if (r is None or v in doomed)
-        else tuple(w for w in r if w not in doomed)
-        for v, r in enumerate(g.rotation)
-    ]
-    return EmbeddedGraph(rows)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .embedding import EmbeddedGraph, build, from_faces
@@ -208,33 +207,30 @@ class GenSpec:
     shape_min_degree_5: bool = False
 
 
-class _Mesh:
-    """Mutable triangulation under construction: rotations + face list."""
-
-    def __init__(self):
-        self.rows = [list(r) for r in _NAMED_ROTATIONS["k4"]]
-        self.adj = [set(r) for r in self.rows]
-        self.faces = [[0, 1, 2], [3, 1, 0], [0, 2, 3], [3, 2, 1]]
-
-    def deg(self, v):
-        return len(self.rows[v])
-
-    def split_face(self, fi):
-        """Put a new vertex inside face fi, joined to its three corners."""
-        a, b, c = self.faces[fi]
-        v = len(self.rows)
-        self.rows.append([a, b, c])
-        self.adj.append({a, b, c})
+def _grow_k4(rng, n):
+    """K4 with random faces split until it has n vertices, as rotation lists."""
+    rows = [list(r) for r in _NAMED_ROTATIONS["k4"]]
+    faces = [[0, 1, 2], [3, 1, 0], [0, 2, 3], [3, 2, 1]]
+    while len(rows) < n:
+        fi = rng.below(len(faces))
+        a, b, c = faces[fi]
+        v = len(rows)
+        rows.append([a, b, c])
         # each corner gets v between its two face neighbors
-        self.rows[a].insert(self.rows[a].index(c), v)
-        self.rows[b].insert(self.rows[b].index(a), v)
-        self.rows[c].insert(self.rows[c].index(b), v)
-        for w in (a, b, c):
-            self.adj[w].add(v)
-        self.faces[fi] = [a, b, v]
-        self.faces.append([b, c, v])
-        self.faces.append([c, a, v])
-        return v
+        rows[a].insert(rows[a].index(c), v)
+        rows[b].insert(rows[b].index(a), v)
+        rows[c].insert(rows[c].index(b), v)
+        faces[fi] = [a, b, v]
+        faces += [[b, c, v], [c, a, v]]
+    return rows
+
+
+class _Mesh:
+    """Mutable triangulation under edge flips: rotations + adjacency sets."""
+
+    def __init__(self, rows):
+        self.rows = [list(r) for r in rows]
+        self.adj = [set(r) for r in self.rows]
 
     def flip_apexes(self, u, v):
         """The two triangle apexes across edge (u, v)."""
@@ -243,13 +239,14 @@ class _Mesh:
         y = ru[ru.index(v) - 1]
         return x, y
 
-    def can_flip(self, u, v):
+    def can_flip(self, u, v, floor):
+        """Whether flipping (u, v) keeps the graph simple and both ends >= floor."""
         x, y = self.flip_apexes(u, v)
         return (
             x != y
             and y not in self.adj[x]
-            and len(self.rows[u]) >= 4
-            and len(self.rows[v]) >= 4
+            and len(self.rows[u]) > floor
+            and len(self.rows[v]) > floor
         )
 
     def flip(self, u, v):
@@ -269,79 +266,38 @@ class _Mesh:
         return [(u, w) for u in range(len(self.rows)) for w in self.rows[u] if u < w]
 
 
-def _shape_min_degree(mesh, rng, n):
-    """Try to flip away all vertices of degree < 5.
-
-    Raising deg(v) by one means flipping an edge (u, w) opposite v in one of
-    its triangles; the flip is only taken when it does not push u or w below
-    degree 5.  Stalls are shaken with a few random flips.  Gives up after a
-    budget and leaves the mesh valid but possibly unshaped.
-    """
-    budget = 40 * n + 400
-    while budget > 0:
-        low = [v for v in range(len(mesh.rows)) if mesh.deg(v) < 5]
-        if not low:
-            return True
-        progress = False
-        for v in low:
-            if mesh.deg(v) >= 5:
-                continue
-            row = mesh.rows[v]
-            for i in range(len(row)):
-                u, w = row[i], row[(i + 1) % len(row)]
-                budget -= 1
-                if mesh.deg(u) <= 5 or mesh.deg(w) <= 5:
-                    continue
-                if not mesh.can_flip(u, w):
-                    continue
-                x, y = mesh.flip_apexes(u, w)
-                if v not in (x, y):
-                    continue
-                mesh.flip(u, w)
-                progress = True
-                break
-            if budget <= 0:
-                break
-        if not progress:
-            # random shake, then rescan
-            edges = mesh.edge_list()
-            for _ in range(8):
-                u, w = edges[rng.below(len(edges))]
-                budget -= 1
-                if w in mesh.adj[u] and mesh.can_flip(u, w):
-                    mesh.flip(u, w)
-                    edges = mesh.edge_list()
-    return not any(mesh.deg(v) < 5 for v in range(len(mesh.rows)))
-
-
 def generate(spec):
     """Deterministic random triangulation on spec.n vertices.
 
-    Grows K4 by repeated face splits, then applies spec.flips random edge
-    flips (illegal picks are skipped, not retried).  With
-    shape_min_degree_5, follows up with flip passes that try to remove all
-    vertices of degree < 5; failure to reach minimum degree 5 is a warning,
-    not an error.
+    Starts from K4 grown by random face splits, then applies spec.flips
+    random edge flips (illegal picks are skipped, not retried), keeping
+    every degree at 3 or more.  With shape_min_degree_5 it starts instead
+    from icosphere(k), which needs spec.n == 10 * 4**k + 2, and takes only
+    flips that keep both ends at degree 5 or more, so minimum degree 5 holds
+    throughout.
     """
-    if spec.n < 4:
-        raise ValueError("generated instances start from K4; need n >= 4")
     rng = SplitMix64(spec.seed)
-    mesh = _Mesh()
-    while len(mesh.rows) < spec.n:
-        mesh.split_face(rng.below(len(mesh.faces)))
+    if spec.shape_min_degree_5:
+        k = 0
+        while 10 * 4**k + 2 < spec.n:
+            k += 1
+        if 10 * 4**k + 2 != spec.n:
+            raise ValueError(
+                f"min-degree-5 instances start from an icosphere; n = 10 * 4**k + 2,"
+                f" not {spec.n}"
+            )
+        mesh, floor = _Mesh(icosphere(k).rotation), 5
+    else:
+        if spec.n < 4:
+            raise ValueError("generated instances start from K4; need n >= 4")
+        mesh, floor = _Mesh(_grow_k4(rng, spec.n)), 3
     # every flip removes exactly the picked edge and adds its opposite
     # diagonal, so replacing in place keeps `edges` exact
     edges = mesh.edge_list()
     for _ in range(spec.flips):
-        k = rng.below(len(edges))
-        u, w = edges[k]
-        if mesh.can_flip(u, w):
+        i = rng.below(len(edges))
+        u, w = edges[i]
+        if mesh.can_flip(u, w, floor):
             x, y = mesh.flip(u, w)
-            edges[k] = (x, y) if x < y else (y, x)
-    if spec.shape_min_degree_5:
-        if not _shape_min_degree(mesh, rng, spec.n):
-            warnings.warn(
-                f"seed {spec.seed}: could not shape to minimum degree 5",
-                stacklevel=2,
-            )
+            edges[i] = (x, y) if x < y else (y, x)
     return build(mesh.rows)

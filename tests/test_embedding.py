@@ -19,11 +19,12 @@ from fivecolor.embedding import (
     build,
     face_walks,
     from_faces,
-    remove_vertices,
     trace_faces,
     triangulate,
 )
 from fivecolor.instances import named
+
+from conftest import remove_vertices
 
 
 def cycle_rotations(k):

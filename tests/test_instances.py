@@ -4,6 +4,7 @@ splitmix64 reference outputs were computed from the published algorithm
 with an independent throwaway script and frozen here.
 """
 
+import hashlib
 import io
 
 import pytest
@@ -21,6 +22,8 @@ from fivecolor.instances import (
     read,
     write,
 )
+
+from conftest import remove_vertices
 
 
 # -- named solids ------------------------------------------------------------
@@ -93,8 +96,6 @@ def test_read_error_line_numbers():
 
 
 def test_write_rejects_id_gaps(icosahedron):
-    from fivecolor.embedding import remove_vertices
-
     g = remove_vertices(icosahedron, {3})
     with pytest.raises(ValueError, match="deleted"):
         write(g, io.StringIO())
@@ -161,6 +162,18 @@ def test_generate_seeds_differ():
     assert a != b
 
 
+def test_generate_pinned():
+    # the benchmark's random workload is built from generate(); any drift
+    # in the default path changes these rotations
+    grid = [
+        generate(GenSpec(s, n, f)).rotation
+        for s in range(4)
+        for n in (4, 5, 12, 37, 100)
+        for f in (0, n, 3 * n)
+    ]
+    assert hashlib.sha256(repr(grid).encode()).hexdigest()[:16] == "0f4f3f1e135cab22"
+
+
 def test_generate_too_small():
     with pytest.raises(ValueError):
         generate(GenSpec(seed=1, n=3, flips=0))
@@ -173,10 +186,15 @@ def test_generate_no_flips_has_degree_3():
 
 
 def test_generate_shaped_min_degree():
-    g = generate(GenSpec(seed=11, n=60, flips=90, shape_min_degree_5=True))
-    assert g.n == 60
-    assert min(g.degree(v) for v in g.vertices()) >= 5
-    assert all(len(f) == 3 for f in trace_faces(g))
+    for n in (42, 162, 642, 2562):
+        g = generate(GenSpec(seed=11, n=n, flips=n + n // 2, shape_min_degree_5=True))
+        assert g.n == n
+        assert min(g.degree(v) for v in g.vertices()) >= 5
+        assert all(len(f) == 3 for f in trace_faces(g))
+    # shaped instances are flipped icospheres, so no other size exists
+    for n in (4, 11, 13, 60, 161, 163, 200, 2561):
+        with pytest.raises(ValueError, match="icosphere"):
+            generate(GenSpec(seed=11, n=n, flips=n, shape_min_degree_5=True))
 
 
 @settings(deadline=None, max_examples=25)

@@ -5,14 +5,12 @@ staggered ring s0..s(k-1), pole on top.  Hub and pole have degree k, the
 rings degree 5, and the hub's rotation comes out as (1, 2, ..., k).
 """
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivecolor.catalog import builtin_catalog, get_entry
-from fivecolor.embedding import from_faces, remove_vertices
+from fivecolor.embedding import from_faces
 from fivecolor.instances import GenSpec, generate
 from fivecolor.matching import (
     CompletenessBreach,
@@ -20,6 +18,8 @@ from fivecolor.matching import (
     find_reducible,
     match_at,
 )
+
+from conftest import remove_vertices
 
 
 def antiprism_faces(k):
@@ -207,18 +207,17 @@ def test_scan_index_breach_reads_like_full_scan(icosahedron):
 
 def test_scan_index_keeps_its_hit_pending():
     # nothing changed between the searches, so the second one re-probes
-    # only the anchor that hit: its offsets 0-3 both ways, then offset 4
-    # forward.  The anchors below 5 failed the first time and stay dropped
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = generate(GenSpec(2, 200, 600, shape_min_degree_5=True))
+    # only the anchor that hit, where it hit: offset 0 forward.  Anchor 1,
+    # the only smaller one of degree 5, failed the first time and stays
+    # dropped
+    g = generate(GenSpec(2, 642, 1926, shape_min_degree_5=True))
     index = ScanIndex(builtin_catalog())
     occ = find_reducible(g, index)
     assert occ == find_reducible(g)
-    assert (occ.anchor, occ.offset, occ.direction) == (5, 4, 1)
+    assert (occ.anchor, occ.offset, occ.direction) == (2, 0, 1)
     first = index.probes
     assert find_reducible(g, index) == occ
-    assert index.probes - first == 9
+    assert index.probes - first == 1
 
 
 def test_scan_order_is_family_major():
@@ -229,11 +228,10 @@ def test_scan_order_is_family_major():
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.integers(0, 10_000), st.integers(30, 70))
-def test_generated_instances_always_match(seed, n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # shaping may give up; fine here
-        g = generate(GenSpec(seed=seed, n=n, flips=3 * n, shape_min_degree_5=True))
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
+def test_generated_instances_always_match(seed, k):
+    n = 10 * 4**k + 2
+    g = generate(GenSpec(seed=seed, n=n, flips=3 * n, shape_min_degree_5=True))
     occ = find_reducible(g)
     assert occ.recheck(g)
     if min(len(r) for r in g.rotation) >= 5:

@@ -9,15 +9,13 @@ separated variant (rim degrees 8,6,7,6,6 with the 7 not touching the 8).
 Outer arcs o0..o12 are vertices 6..18, the far pole is 19.
 """
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivecolor import matching, reducer
 from fivecolor.catalog import get_entry
-from fivecolor.embedding import build, from_faces, remove_vertices
+from fivecolor.embedding import build, from_faces
 from fivecolor.instances import GenSpec, generate, icosphere, named
 from fivecolor.matching import match_at
 from fivecolor.reducer import (
@@ -28,6 +26,8 @@ from fivecolor.reducer import (
     reduce_once,
     select_fifth,
 )
+
+from conftest import remove_vertices
 
 
 def hub_gadget():
@@ -222,11 +222,11 @@ def test_check_coloring_rejects():
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10_000), st.integers(12, 90), st.booleans())
-def test_color_planar_generated(seed, n, shaped):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # shaping may give up; fine here
-        g = generate(GenSpec(seed=seed, n=n, flips=2 * n, shape_min_degree_5=shaped))
+@given(st.integers(0, 10_000), st.integers(12, 90), st.sampled_from([1, 2]), st.booleans())
+def test_color_planar_generated(seed, n, k, shaped):
+    if shaped:
+        n = 10 * 4**k + 2
+    g = generate(GenSpec(seed=seed, n=n, flips=2 * n, shape_min_degree_5=shaped))
     stats = RunStats()
     colors = color_planar(g, stats)
     sizes = check_coloring(g, colors)
@@ -274,9 +274,7 @@ def test_kempe_work_stays_small(n):
 
 
 def _shaped(seed):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # seed 5 stops short of degree 5
-        return generate(GenSpec(seed, 200, 600, shape_min_degree_5=True))
+    return generate(GenSpec(seed, 642, 1926, shape_min_degree_5=True))
 
 
 def _f2_last(entries):
@@ -289,17 +287,19 @@ def _f2_last(entries):
 @pytest.mark.parametrize(
     "g, runs_with_f2_last",
     [
-        (icosphere(3), {"f3", "f4", "f5", "f7"}),
-        (generate(GenSpec(seed=22, n=400, flips=800)), set()),
+        (icosphere(3), {"f2", "f3", "f4", "f5", "f7"}),
+        (generate(GenSpec(seed=22, n=400, flips=800)), {"f5"}),
     ]
-    + [(_shaped(s), set()) for s in range(1, 6)],
+    + [(_shaped(s), {"f3", "f4", "f5", "f7"}) for s in range(1, 5)]
+    + [(_shaped(5), {"f3", "f4", "f5", "f7", "f8"})],
     ids=["icosphere-3", "random-400"] + [f"shaped-{s}" for s in range(1, 6)],
 )
 def test_incremental_scan_matches_full_scan(monkeypatch, g, runs_with_f2_last, order):
     # the index probes only anchors near what changed since the last scan;
     # at every scan its hit must be the full scan's, in the same order.
-    # With f2 last, icosphere-3 also runs f3, f4, f5 and f7, whose probes
-    # read two hops out (f4's fan6-z2/z3 and f5's ring entries)
+    # With f2 last, icosphere-3 and the shaped graphs also run f3, f4, f5
+    # and f7, whose probes read two hops out (f4's fan6-z2/z3 and f5's ring
+    # entries), and shaped-5 runs f8
     if order == "f2-last":
         monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
     scan = reducer.find_reducible
@@ -318,6 +318,18 @@ def test_incremental_scan_matches_full_scan(monkeypatch, g, runs_with_f2_last, o
     assert len(found) == stats.scans > 0
     if order == "f2-last":
         assert runs_with_f2_last <= set(found)
+
+
+def test_f2_last_runs_hub9(monkeypatch):
+    # a generated host of hub9: with f2 last, the scans run f8 along with
+    # f3, f4, f5 and f7, and select_fifth places a fifth color for each
+    monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
+    g = generate(GenSpec(1, 2562, 5124, shape_min_degree_5=True))
+    stats = RunStats()
+    sizes = check_coloring(g, color_planar(g, stats))
+    assert {"f3", "f4", "f5", "f7", "f8"} <= set(stats.occ_steps)
+    assert 6 * sizes[5] <= g.n
+    assert sizes[5] == stats.fifth_assigned
 
 
 def _icosphere_minus_edge():
