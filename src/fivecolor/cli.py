@@ -19,7 +19,7 @@ import time
 from .catalog import ValidationFailure, builtin_catalog, validate_entry
 from .discharge import SumMismatch
 from .discharge import audit as run_audit
-from .embedding import EmbeddingError
+from .embedding import EmbeddingError, UntriangulatableFace
 from .instances import (
     GenSpec,
     ParseError,
@@ -39,6 +39,7 @@ TRIPWIRES = (
     DiagonalContradiction,
     SchemeExhausted,
     SumMismatch,
+    UntriangulatableFace,
 )
 
 
@@ -179,11 +180,21 @@ def cmd_catalog(args):
 
 def _sizes(text):
     try:
-        return [int(s) for s in text.split(",")]
+        sizes = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+    # the slope fit needs distinct sizes
+    if len(set(sizes)) != len(sizes):
+        raise argparse.ArgumentTypeError(f"sizes repeat in {text!r}")
+    return sizes
+
+
+def _repeat(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def cmd_bench(args):
@@ -248,7 +259,7 @@ def _build_parser():
     p = sub.add_parser("bench", help="time the coloring across sizes")
     p.add_argument("--sizes", type=_sizes, default="250,500,1000,2000,4000")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--repeat", type=_repeat, default=3)
     p.set_defaults(func=cmd_bench)
 
     return parser

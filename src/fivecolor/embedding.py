@@ -258,60 +258,37 @@ def from_faces(n, faces):
 # -- triangulation ---------------------------------------------------------
 
 
-def _insert_chord(rows, walk, i, j):
-    """Add the chord (walk[i], walk[j]) inside the face bounded by walk.
+def fill_walk(rows, walk):
+    """Triangulate one face walk in place; return its chords as (a, pa, b, pb).
 
-    At each endpoint the new neighbor lands between the two walk neighbors
-    of that corner: the face-tracing identity puts walk[i+1] immediately
-    before walk[i-1] in rotation(walk[i]), and the chord goes between them.
-    Returns the two insertion positions (for undo logs).
+    Cuts ears: the chord (w[0], w[2]) goes into the corner at w[1], landing
+    between the walk neighbors of each endpoint, so b is inserted at pa in
+    rows[a] and a at pb in rows[b].  A cut drops w[1]; either way the walk
+    then rotates by one.  Raises UntriangulatableFace if a whole turn finds
+    no ear.
     """
-    a, b = walk[i], walk[j]
-    pa = rows[a].index(walk[i - 1])
-    rows[a].insert(pa, b)
-    pb = rows[b].index(walk[j - 1])
-    rows[b].insert(pb, a)
-    return pa, pb
-
-
-def fill_walk(rows, walk, adjacent, on_chord=None):
-    """Triangulate one face walk in place.
-
-    `rows` are mutable rotation lists, `adjacent(u, v)` answers edge queries
-    against the current graph (must reflect chords as they are added), and
-    `on_chord(u, pos_u, v, pos_v)` observes each insertion.  First-fit scan:
-    spans of 2 first (cutting one corner), widening only if every span-2
-    chord is blocked.  Raises UntriangulatableFace if no legal chord exists
-    on a walk longer than 3.
-    """
-    stack = [list(walk)]
-    while stack:
-        w = stack.pop()
-        k = len(w)
-        if k <= 3:
-            continue
-        placed = False
-        for span in range(2, k - 1):
-            for i in range(k):
-                j = (i + span) % k
-                a, b = w[i], w[j]
-                if a == b or adjacent(a, b):
-                    continue
-                pa, pb = _insert_chord(rows, w, i, j)
-                if on_chord is not None:
-                    on_chord(a, pa, b, pb)
-                if i < j:
-                    first, second = w[i : j + 1], w[j:] + w[: i + 1]
-                else:
-                    first, second = w[i:] + w[: j + 1], w[j : i + 1]
-                stack.append(first)
-                stack.append(second)
-                placed = True
-                break
-            if placed:
-                break
-        if not placed:
-            raise UntriangulatableFace(f"no chord fits face walk {w!r}")
+    # Each face walk of length >= 4 has an ear.  If w[i] == w[i+2], w[i+1] is a leaf
+    # and the next pair is free; else edges w[i]w[i+2], w[i+1]w[i+3] outside the face
+    # cross unless w[i+3] == w[i], and that at every i is period 3: a repeated dart.
+    w = deque(walk)
+    chords = []
+    misses = 0
+    while len(w) > 3:
+        a, b = w[0], w[2]
+        if a == b or b in rows[a]:
+            misses += 1
+            if misses == len(w):
+                raise UntriangulatableFace(f"no chord fits face walk {list(w)!r}")
+        else:
+            pa = rows[a].index(w[-1])
+            rows[a].insert(pa, b)
+            pb = rows[b].index(w[1])
+            rows[b].insert(pb, a)
+            chords.append((a, pa, b, pb))
+            del w[1]
+            misses = 0
+        w.rotate(-1)
+    return chords
 
 
 class Triangulation(EmbeddedGraph):
@@ -351,20 +328,11 @@ def triangulate(g):
         raise EmbeddingError("triangulate requires a connected graph")
 
     rows = [None if r is None else list(r) for r in g.rotation]
-    adj = [None if r is None else set(r) for r in g.rotation]
     added = []
-
-    def adjacent(u, v):
-        return v in adj[u]
-
-    def on_chord(u, _pu, v, _pv):
-        adj[u].add(v)
-        adj[v].add(u)
-        added.append((u, v) if u < v else (v, u))
-
     for walk in _trace(g.rotation):
         if len(walk) >= 4:
-            fill_walk(rows, walk, adjacent, on_chord)
+            for a, _, b, _ in fill_walk(rows, walk):
+                added.append((a, b) if a < b else (b, a))
 
     tri = Triangulation(rows, _trace(rows), added)
     for face in tri.faces:

@@ -178,17 +178,13 @@ class _Work:
 
     def _fill(self, walks, ops):
         """Triangulate each walk, logging every chord; returns its endpoints."""
-        rows = self.rows
         touched = set()
-
-        def log(a, pa, b, pb):
-            ops.append(("fill", a, pa, b, pb))
-            touched.add(a)
-            touched.add(b)
-
         for walk in walks:
             if len(walk) >= 4:
-                fill_walk(rows, walk, lambda a, b: b in rows[a], on_chord=log)
+                for a, pa, b, pb in fill_walk(self.rows, walk):
+                    ops.append(("fill", a, pa, b, pb))
+                    touched.add(a)
+                    touched.add(b)
         self.index.changed |= touched
         return touched
 

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from fivecolor import instances
-from fivecolor.embedding import EmbeddedGraph, EmbeddingError
+from fivecolor.embedding import EmbeddedGraph, EmbeddingError, build
 
 
 def remove_vertices(g, doomed):
@@ -17,6 +19,24 @@ def remove_vertices(g, doomed):
         for v, r in enumerate(g.rotation)
     ]
     return EmbeddedGraph(rows)
+
+
+def plane_subgraph(seed, n):
+    """A seeded triangulation on n vertices with 20-70% of its edges dropped.
+
+    Rows keep their rotation order, so the result is plane; it may be
+    disconnected and have isolated vertices.
+    """
+    rng = random.Random(seed)
+    g = instances.generate(instances.GenSpec(seed, n, n))
+    edges = sorted(g.edges())
+    drop = set(rng.sample(edges, int(rng.uniform(0.2, 0.7) * len(edges))))
+    return build(
+        [
+            tuple(w for w in row if (min(v, w), max(v, w)) not in drop)
+            for v, row in enumerate(g.rotation)
+        ]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import pytest
 
 import fivecolor
 from fivecolor.cli import main
+from fivecolor.embedding import UntriangulatableFace
 from fivecolor.instances import GenSpec, generate, icosphere, named, read, write
 from fivecolor.kempe import BrokenInvariant, DiagonalContradiction
 from fivecolor.matching import CompletenessBreach
@@ -225,7 +226,8 @@ def test_bench_reports_slope(capsys):
 
 
 @pytest.mark.parametrize(
-    "tripwire", [DiagonalContradiction, CompletenessBreach, BrokenInvariant]
+    "tripwire",
+    [DiagonalContradiction, CompletenessBreach, BrokenInvariant, UntriangulatableFace],
 )
 def test_tripwire_exit_code(tmp_path, capsys, monkeypatch, tripwire):
     def boom(*_a, **_k):
@@ -251,6 +253,9 @@ def test_bad_usage_and_inputs(tmp_path, capsys):
         ["generate", "--n", "2"],
         ["generate", "--min-degree-5", "--n", "60"],
         ["bench", "--sizes", "10,x"],
+        # a best-of-0 time is inf, and one size twice leaves no slope to fit
+        ["bench", "--sizes", "30,60", "--repeat", "0"],
+        ["bench", "--sizes", "100,100"],
     ):
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err

@@ -4,8 +4,11 @@ Expected values below (face counts, walk shapes, edge counts) were worked
 out by hand from the rotation systems and Euler's formula, then frozen.
 """
 
+import hashlib
+from dataclasses import asdict
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fivecolor.embedding import (
     AsymmetricAdjacency,
@@ -18,17 +21,27 @@ from fivecolor.embedding import (
     UntriangulatableFace,
     build,
     face_walks,
+    fill_walk,
     from_faces,
     trace_faces,
     triangulate,
 )
 from fivecolor.instances import named
+from fivecolor.reducer import RunStats, color_planar
 
-from conftest import remove_vertices
+from conftest import plane_subgraph, remove_vertices
 
 
 def cycle_rotations(k):
     return [((i - 1) % k, (i + 1) % k) for i in range(k)]
+
+
+def path_rotations(k):
+    return [tuple(w for w in (i - 1, i + 1) if 0 <= w < k) for i in range(k)]
+
+
+def star_rotations(k):
+    return [tuple(range(1, k + 1))] + [(0,)] * k
 
 
 # -- validation --------------------------------------------------------------
@@ -234,6 +247,64 @@ def test_triangulate_cycle(k):
     assert tri.m == 3 * k - 6
     assert len(tri.faces) == 2 * k - 4
     assert all(len(f) == 3 for f in tri.faces)
+
+
+# -- fill_walk ---------------------------------------------------------------
+
+
+def test_fill_walk_raises_without_ear(k4):
+    # every chord of the walk 0 1 2 3 is already an edge of K4
+    rows = [list(r) for r in k4.rotation]
+    with pytest.raises(UntriangulatableFace):
+        fill_walk(rows, [0, 1, 2, 3])
+    assert rows == [list(r) for r in k4.rotation]
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(4, 60))
+def test_fill_walk_triangulates_and_undoes(seed, n):
+    g = plane_subgraph(seed, n)
+    rows = [list(r) for r in g.rotation]
+    chords = []
+    for walk in list(face_walks(rows, g.vertices())):
+        chords += fill_walk(rows, walk)
+    filled = build(rows)
+    # the only faces left that are not triangles bound a lone edge
+    for face in trace_faces(filled):
+        assert len(face) == 3 or all(filled.degree(v) == 1 for v in face)
+    # the reducer's undo: delete each chord where it was logged, last first
+    for a, pa, b, pb in reversed(chords):
+        assert rows[a][pa] == b and rows[b][pb] == a
+        del rows[a][pa]
+        del rows[b][pb]
+    assert rows == [list(r) for r in g.rotation]
+
+
+def filled_and_colored(g):
+    """What triangulate() and color_planar() make of g, as plain data."""
+    try:
+        tri = triangulate(g)
+        filled = (tri.rotation, tri.added_edges)
+    except EmbeddingError as exc:
+        filled = f"{type(exc).__name__}: {exc}"
+    stats = RunStats()
+    colors = color_planar(g, stats)
+    counters = asdict(stats)
+    counters["occ_steps"] = sorted(stats.occ_steps.items())
+    return filled, sorted(colors.items()), sorted(counters.items())
+
+
+def test_fill_pinned():
+    # the chords and their insertion positions decide the colorings and
+    # the undo log; any drift in hole filling changes this digest
+    graphs = [
+        plane_subgraph(s, n) for s in range(5) for n in (6, 9, 14, 25, 50, 100, 300)
+    ]
+    for k in (1, 2, 3, 4, 7, 20):
+        graphs += [build(star_rotations(k)), build(path_rotations(k))]
+    graphs += [build(cycle_rotations(k)) for k in (3, 4, 5, 9, 20)]
+    grid = [filled_and_colored(g) for g in graphs]
+    assert hashlib.sha256(repr(grid).encode()).hexdigest()[:16] == "77542f4367f1b9c0"
 
 
 # -- remove_vertices ---------------------------------------------------------
