@@ -6,7 +6,7 @@ colors each with five colors, and shows where the fifth color went.
 
 from fivecolor import build, check_coloring, color_planar, named, RunStats
 
-# A triangular prism, entered as clockwise neighbor lists.
+# A triangular prism, entered as counterclockwise neighbor lists.
 prism = build([
     (1, 2, 3),
     (2, 0, 4),

@@ -107,12 +107,11 @@ def final_charges(ledger):
     The grand total must come back to the ledger's expected value exactly,
     and every stored fraction must have denominator dividing 360.
     """
-    flow = {v: Fraction(0) for v in ledger.initial}
+    charges = dict(ledger.initial)
     for (s, r), amount in ledger.transfers.items():
-        flow[s] -= amount
-        flow[r] += amount
-    charges = {v: c + flow[v] for v, c in ledger.initial.items()}
-    total = sum(charges.values(), Fraction(0))
+        charges[s] -= amount
+        charges[r] += amount
+    total = sum(charges.values())
     if total != ledger.expected:
         raise SumMismatch(f"charges total {total}, expected {ledger.expected}")
     for v, c in charges.items():
@@ -123,8 +122,8 @@ def final_charges(ledger):
 
 @dataclass(frozen=True)
 class AuditReport:
-    charges: dict  # vertex -> Fraction
-    total: Fraction
+    charges: dict  # vertex -> exact rational: int where no charge moved, Fraction elsewhere
+    total: int | Fraction
     positives: tuple  # vertices with positive final charge, ascending
     min_degree: int
     inconsistent: bool
@@ -142,7 +141,7 @@ def audit(g, matched=True):
     min_degree = min((g.degree(v) for v in g.vertices()), default=0)
     return AuditReport(
         charges=charges,
-        total=sum(charges.values(), Fraction(0)),
+        total=sum(charges.values()),
         positives=positives,
         min_degree=min_degree,
         inconsistent=min_degree >= 5 and not matched,

@@ -138,41 +138,38 @@ def _validate(g):
     _check_euler(g)
 
 
-def _check_euler(g):
-    # Per component: n - m + f = 2.  An isolated vertex has no darts; it
-    # still bounds the one sphere face, hence f := 1 for it.
-    rows = g.rotation
-    comp = {}
-    comps = []
-    for v in g.vertices():
-        if v in comp:
+def _components(rows):
+    """Number of connected components among the present vertices."""
+    seen = set()
+    count = 0
+    for v, row in enumerate(rows):
+        if row is None or v in seen:
             continue
-        cid = len(comps)
-        members = [v]
-        comp[v] = cid
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in rows[u]:
-                if w not in comp:
-                    comp[w] = cid
-                    members.append(w)
-                    queue.append(w)
-        comps.append(members)
-    if not comps:
-        return
-    faces_per_comp = [0] * len(comps)
-    for walk in face_walks(rows, g.vertices()):
-        faces_per_comp[comp[walk[0]]] += 1
-    for cid, members in enumerate(comps):
-        nc = len(members)
-        mc = sum(len(rows[v]) for v in members) // 2
-        fc = faces_per_comp[cid] if mc else 1
-        if nc - mc + fc != 2:
-            raise NotPlanarEmbedding(
-                f"component of vertex {members[0]}: n={nc} m={mc} f={fc}, "
-                f"Euler characteristic {nc - mc + fc} != 2"
-            )
+        count += 1
+        seen.add(v)
+        stack = [v]
+        while stack:
+            for w in rows[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def _check_euler(g):
+    # A rotation system puts each component on an orientable surface, where
+    # n - m + f = 2 - 2 * genus <= 2 (Heffter-Edmonds), so one count over c
+    # components reaches 2c only if every component is planar.  An isolated
+    # vertex has no darts; it still bounds the one sphere face.
+    rows = g.rotation
+    n, m, c = g.n, g.m, _components(rows)
+    f = sum(1 for _ in face_walks(rows, g.vertices()))
+    f += sum(1 for row in rows if row == ())
+    if n - m + f != 2 * c:
+        raise NotPlanarEmbedding(
+            f"n={n} m={m} f={f} over {c} components: "
+            f"Euler characteristic {n - m + f} != {2 * c}"
+        )
 
 
 def face_walks(rows, starts):
@@ -315,16 +312,7 @@ def triangulate(g):
     """
     if g.n < 3:
         raise EmbeddingError(f"need at least 3 vertices, have {g.n}")
-    present = list(g.vertices())
-    reach = {present[0]}
-    queue = deque(reach)
-    while queue:
-        u = queue.popleft()
-        for w in g.rotation[u]:
-            if w not in reach:
-                reach.add(w)
-                queue.append(w)
-    if len(reach) != g.n:
+    if _components(g.rotation) != 1:
         raise EmbeddingError("triangulate requires a connected graph")
 
     rows = [None if r is None else list(r) for r in g.rotation]

@@ -1,5 +1,6 @@
 """End-to-end command behavior through main(argv)."""
 
+import hashlib
 import io
 import os
 import shutil
@@ -186,6 +187,24 @@ def test_audit_icosahedron(tmp_path, capsys):
     assert lines[0] == "sum=12 ok"
     assert lines[1] == "0 1/1"
     assert len(lines) == 13
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (GenSpec(4, 162, 324, True), "1dc725bc8bb0bd6e"),
+        (GenSpec(3, 400, 800), "7816a93a64283249"),
+    ],
+    ids=["shaped-162", "random-400"],
+)
+def test_audit_output_pinned(tmp_path, capsys, spec, digest):
+    # every charge line of an instance with transfers, as printed
+    path = tmp_path / "g.pg"
+    with open(path, "w") as fh:
+        write(generate(spec), fh)
+    assert main(["audit", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_audit_inconsistency_exit_code(tmp_path, capsys, monkeypatch):

@@ -156,6 +156,34 @@ def test_rule_b_non_path_on_sphere():
     assert sum(final_charges(transfers(g)).values()) == 12
 
 
+def fraction_settlement(ledger):
+    charges = {v: F(c) for v, c in ledger.initial.items()}
+    for (s, r), amount in ledger.transfers.items():
+        charges[s] -= amount
+        charges[r] += amount
+    return charges
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GenSpec(s, 400, 800) for s in (1, 2, 3)] + [GenSpec(s, 162, 324, True) for s in (1, 2, 3)],
+    ids=lambda spec: f"seed{spec.seed}-n{spec.n}",
+)
+def test_settlement_matches_fraction_reference(spec):
+    ledger = transfers(generate(spec))
+    assert ledger.transfers
+    initial = dict(ledger.initial)
+    expected = fraction_settlement(ledger)
+    charges = final_charges(ledger)
+    assert charges == expected
+    assert sum(charges.values()) == sum(expected.values()) == ledger.expected
+    assert ledger.initial == initial
+    # a vertex that no transfer reached keeps its int
+    touched = {v for pair in ledger.transfers for v in pair}
+    assert touched < set(charges)
+    assert all(type(c) is int for v, c in charges.items() if v not in touched)
+
+
 def test_sum_mismatch_tripwire(octahedron):
     ledger = transfers(octahedron)
     ledger.initial[0] += 1

@@ -5,6 +5,8 @@ out by hand from the rotation systems and Euler's formula, then frozen.
 """
 
 import hashlib
+import random
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -26,7 +28,7 @@ from fivecolor.embedding import (
     trace_faces,
     triangulate,
 )
-from fivecolor.instances import named
+from fivecolor.instances import GenSpec, generate, named
 from fivecolor.reducer import RunStats, color_planar
 
 from conftest import plane_subgraph, remove_vertices
@@ -81,6 +83,92 @@ def test_tiny_graphs_accepted():
     two_triangles = [(1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4)]
     g = build(two_triangles)
     assert (g.n, g.m) == (6, 6)
+
+
+def euler_per_component(rows):
+    """Whether every component of a valid rotation system has n - m + f = 2."""
+    root = {}
+    for v, row in enumerate(rows):
+        if row is not None and v not in root:
+            root[v] = v
+            todo = [v]
+            while todo:
+                for w in rows[todo.pop()]:
+                    if w not in root:
+                        root[w] = v
+                        todo.append(w)
+    twice_chi = Counter()  # 2(n - m + f), per component root
+    for v, r in root.items():
+        twice_chi[r] += 2 - len(rows[v]) + (2 if not rows[v] else 0)
+    seen = set()
+    for u in root:
+        for w in rows[u]:
+            if (u, w) not in seen:
+                twice_chi[root[u]] += 2
+                a, b = u, w
+                while (a, b) not in seen:
+                    seen.add((a, b))
+                    a, b = b, rows[b][rows[b].index(a) - 1]
+    return all(c == 4 for c in twice_chi.values())
+
+
+def euler_part(kind, seed, n):
+    if kind == "isolated":
+        return [()]
+    if kind == "hole":
+        return [None]
+    if kind == "plane":
+        return list(plane_subgraph(seed, n).rotation)
+    rows = [list(r) for r in generate(GenSpec(seed, n, n)).rotation]
+    if kind == "shuffled":
+        rng = random.Random(seed)
+        for row in rows:
+            rng.shuffle(row)
+    return rows
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    parts=st.lists(
+        st.tuples(
+            st.sampled_from(["plane", "generated", "isolated", "hole", "shuffled"]),
+            st.integers(0, 2**32 - 1),
+            st.integers(4, 30),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    perm_seed=st.integers(0, 2**32 - 1),
+)
+def test_euler_verdict_per_component(parts, perm_seed):
+    # a disjoint union, ids interleaved, is accepted iff each part is planar
+    union = []
+    for kind, seed, n in parts:
+        off = len(union)
+        union += [r if r is None else [w + off for w in r] for r in euler_part(kind, seed, n)]
+    perm = list(range(len(union)))
+    random.Random(perm_seed).shuffle(perm)
+    rows = [None] * len(union)
+    for v, r in enumerate(union):
+        rows[perm[v]] = r if r is None else tuple(perm[w] for w in r)
+    try:
+        build(rows)
+        accepted = True
+    except NotPlanarEmbedding:
+        accepted = False
+    assert accepted == euler_per_component(rows)
+
+
+def test_planar_plus_k5_rejected(icosahedron):
+    # 2 + (-2): a whole-graph sum of 0 is not 2 per component
+    k5 = [tuple(w + 12 for w in range(5) if w != v) for v in range(5)]
+    with pytest.raises(NotPlanarEmbedding):
+        build(list(icosahedron.rotation) + k5)
+
+
+def test_triangles_and_isolated_vertex_accepted():
+    g = build([(1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4), ()])
+    assert (g.n, g.m) == (7, 6)
 
 
 def test_immutability():
