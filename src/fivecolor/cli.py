@@ -88,7 +88,8 @@ def cmd_color(args):
             f"stats: f1={stats.f1_steps} occ={occ or '-'} scans={stats.scans}"
             f" fifth={stats.fifth_assigned} fallback={stats.fallback_peels}"
             f" free_color={stats.free_color_calls} swaps={stats.chain_swaps}"
-            f" chain_verts={stats.chain_verts} probes={stats.probes}",
+            f" chain_verts={stats.chain_verts} walk_darts={stats.walk_darts}"
+            f" probes={stats.probes}",
             file=sys.stderr,
         )
     return 0 if ok else 2

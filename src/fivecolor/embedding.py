@@ -46,11 +46,12 @@ class EmbeddedGraph:
     been deleted.  Edit operations return new objects.
     """
 
-    __slots__ = ("rotation", "_m")
+    __slots__ = ("rotation", "_n", "_m")
 
     def __init__(self, rotation):
         rows = tuple(None if r is None else tuple(r) for r in rotation)
         object.__setattr__(self, "rotation", rows)
+        object.__setattr__(self, "_n", sum(1 for r in rows if r is not None))
         object.__setattr__(
             self, "_m", sum(len(r) for r in rows if r is not None) // 2
         )
@@ -64,7 +65,7 @@ class EmbeddedGraph:
     @property
     def n(self):
         """Number of present vertices."""
-        return sum(1 for r in self.rotation if r is not None)
+        return self._n
 
     @property
     def m(self):
@@ -163,7 +164,7 @@ def _check_euler(g):
     # vertex has no darts; it still bounds the one sphere face.
     rows = g.rotation
     n, m, c = g.n, g.m, _components(rows)
-    f = sum(1 for _ in face_walks(rows, g.vertices()))
+    f = sum(1 for _ in face_walks(rows, all_darts(rows)))
     f += sum(1 for row in rows if row == ())
     if n - m + f != 2 * c:
         raise NotPlanarEmbedding(
@@ -172,26 +173,49 @@ def _check_euler(g):
         )
 
 
-def face_walks(rows, starts):
-    """Yield the face walks through the darts leaving `starts`, as vertex lists.
+def all_darts(rows):
+    """Every dart (u, w), vertex by vertex in id order, each row in order."""
+    return ((u, w) for u, row in enumerate(rows) if row for w in row)
 
-    Walks the darts out of each start vertex in turn, in row order; the dart
-    after (a, b) is (b, w), where w precedes a in the rotation of b.  Each
-    dart lies on one walk, and no walk is yielded twice.
+
+def opened_darts(rows, starts, gone):
+    """The darts out of `starts` that lie on a hole once `gone` is deleted.
+
+    (u, x) is one when x stays and its ccw successor y in u's row is in
+    `gone`: the walk through (u, x) came into u along (y, u), so it runs
+    into the hole.  A corner between two staying neighbors keeps its face.
+    Read before the deletion; listed start by start, each row in order.
+    """
+    darts = []
+    for u in starts:
+        row = rows[u]
+        for x, y in zip(row, row[1:] + row[:1]):
+            if y in gone and x not in gone:
+                darts.append((u, x))
+    return darts
+
+
+def face_walks(rows, darts):
+    """Yield the face walks through `darts`, as vertex lists.
+
+    Each walk starts at the first of `darts` on it, and walks come in that
+    order; the dart after (a, b) is (b, w), where w precedes a in the
+    rotation of b.  Each dart lies on one walk, and no walk is yielded
+    twice.  Pass all_darts(rows) for every face, or the opened_darts of a
+    deletion for just its holes.
     """
     seen = set()
-    for u in starts:
-        for w in rows[u]:
-            if (u, w) in seen:
-                continue
-            walk = []
-            a, b = u, w
-            while (a, b) not in seen:
-                seen.add((a, b))
-                walk.append(a)
-                row = rows[b]
-                a, b = b, row[row.index(a) - 1]
-            yield walk
+    for dart in darts:
+        if dart in seen:
+            continue
+        walk = []
+        while dart not in seen:
+            seen.add(dart)
+            a, b = dart
+            walk.append(a)
+            row = rows[b]
+            dart = (b, row[row.index(a) - 1])
+        yield walk
 
 
 def _trace(rows):
@@ -200,7 +224,7 @@ def _trace(rows):
     Walks start at their lexicographically smallest dart, and come in the
     order their first dart is met, vertex by vertex, in row order.
     """
-    for walk in face_walks(rows, [v for v, row in enumerate(rows) if row]):
+    for walk in face_walks(rows, all_darts(rows)):
         k = len(walk)
         best = min(range(k), key=lambda i: (walk[i], walk[(i + 1) % k]))
         yield walk[best:] + walk[:best]

@@ -6,6 +6,9 @@ need a Kempe swap on the way back), and once the minimum degree reaches 5 a
 catalog occurrence as one block.  Every hole is re-triangulated on the
 spot and every mutation is logged, so the ascent can replay the log
 backwards and color each vertex the moment its full neighborhood is back.
+Only walks that can need chords are traced: the input's faces only when
+its edge count shows a face longer than a triangle, and after an
+occurrence only the holes, from the darts its deletion opens.
 The occurrence search is incremental: the descent records each vertex
 whose row it changes, and a matching.ScanIndex re-probes only the anchors
 near those vertices, with the same result as a scan of the whole graph.
@@ -30,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .catalog import TrialSequence, builtin_catalog, greedy_peel
-from .embedding import face_walks, fill_walk
+from .embedding import all_darts, face_walks, fill_walk, opened_darts
 from .kempe import BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
 
@@ -55,6 +58,7 @@ class RunStats:
     chain_swaps: int = 0
     chain_verts: int = 0  # summed sizes of the sets kempe.chain returned
     probes: int = 0  # match_at calls made by the scans
+    walk_darts: int = 0  # darts on the face walks the descent traced for holes
 
 
 def select_fifth(rows, occ, colors):
@@ -122,6 +126,15 @@ class _Work:
     def __init__(self, g):
         self.rows = [None if r is None else list(r) for r in g.rotation]
         self.n_alive = g.n
+        # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
+        # so the initial fill has nothing to do.  A component on k vertices
+        # has at most 3k - 3 edges, equality only at k = 1, so over c
+        # components m <= 3n - 3c, and m = 3n - 6 with n >= 3 forces c = 1.
+        # Connected, it has f = 2 - n + m = 2n - 4 faces, every walk has
+        # length at least 3 (a walk of 2 is a lone edge), and 2m = 3f forces
+        # every face to be a triangle.  With n <= 2 no walk is longer than 2.
+        self.triangulated = g.m == 3 * self.n_alive - 6
+        self.walk_darts = 0
         self.heap = []
         self.levels = []
         self.index = ScanIndex(_SCAN_ENTRIES)
@@ -188,10 +201,12 @@ class _Work:
         self.index.changed |= touched
         return touched
 
-    def _fill_holes(self, boundary, ops):
-        """Re-triangulate every face touching the boundary vertices."""
+    def _fill_from(self, darts, ops):
+        """Re-triangulate the face walks through `darts`, counting their darts."""
         # walk first: filling changes the rows the walks are read from
-        return self._fill(list(face_walks(self.rows, boundary)), ops)
+        walks = list(face_walks(self.rows, darts))
+        self.walk_darts += sum(map(len, walks))
+        return self._fill(walks, ops)
 
     # -- descent steps -----------------------------------------------------
 
@@ -206,21 +221,23 @@ class _Work:
         return ops
 
     def _step_occurrence(self, occ):
-        doomed = sorted(occ.vertices)
+        gone = occ.vertices
+        doomed = sorted(gone)
         boundary = set()
         for v in doomed:
             boundary.update(self.rows[v])
-        boundary -= set(doomed)
+        boundary -= gone
+        darts = opened_darts(self.rows, boundary, gone)
         ops = [self._remove_vertex(v) for v in doomed]
-        touched = self._fill_holes(boundary, ops)
+        touched = self._fill_from(darts, ops)
         for u in boundary | touched:
             self._push_if_low(u)
         return ops
 
     def descend(self, stats):
         ops = []
-        seeds = [v for v in range(len(self.rows)) if self.rows[v] is not None]
-        self._fill_holes(seeds, ops)
+        if not self.triangulated:
+            self._fill_from(all_darts(self.rows), ops)
         self.levels.append(("init", None, ops))
         for v in range(len(self.rows)):
             if self.rows[v] is not None:
@@ -236,6 +253,7 @@ class _Work:
                 self.levels.append(("occ", occ, self._step_occurrence(occ)))
                 stats.occ_steps[occ.entry.family] += 1
         stats.probes += self.index.probes
+        stats.walk_darts += self.walk_darts
 
     def ascend(self, stats):
         colors = {}

@@ -21,6 +21,11 @@ def remove_vertices(g, doomed):
     return EmbeddedGraph(rows)
 
 
+def least_rotation(walk):
+    """A walk's least cyclic rotation, as a tuple: the same for every start."""
+    return min(tuple(walk[i:] + walk[:i]) for i in range(len(walk)))
+
+
 def plane_subgraph(seed, n):
     """A seeded triangulation on n vertices with 20-70% of its edges dropped.
 

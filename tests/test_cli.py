@@ -160,8 +160,8 @@ def test_color_stats_count_probes(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
     assert main(["color", "--stats"]) == 0
     err = capsys.readouterr().err
-    assert stats.probes > 0
-    assert err.rstrip().endswith(f" probes={stats.probes}")
+    assert stats.probes > 0 and stats.walk_darts > 0
+    assert err.rstrip().endswith(f" walk_darts={stats.walk_darts} probes={stats.probes}")
 
 
 def test_match_low_first(tmp_path, capsys):

@@ -9,13 +9,27 @@ separated variant (rim degrees 8,6,7,6,6 with the 7 not touching the 8).
 Outer arcs o0..o12 are vertices 6..18, the far pole is 19.
 """
 
+import hashlib
+import random
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivecolor import matching, reducer
 from fivecolor.catalog import get_entry
-from fivecolor.embedding import build, from_faces
+from fivecolor.embedding import (
+    _components,
+    all_darts,
+    build,
+    face_walks,
+    fill_walk,
+    from_faces,
+    opened_darts,
+    trace_faces,
+    triangulate,
+)
 from fivecolor.instances import GenSpec, generate, icosphere, named
 from fivecolor.matching import match_at
 from fivecolor.reducer import (
@@ -27,7 +41,7 @@ from fivecolor.reducer import (
     select_fifth,
 )
 
-from conftest import remove_vertices
+from conftest import least_rotation, plane_subgraph, remove_vertices
 
 
 def hub_gadget():
@@ -378,3 +392,167 @@ def test_scan_probes_stay_linear(k):
     stats = RunStats()
     check_coloring(g, color_planar(g, stats))
     assert 0 < stats.probes <= 4 * g.n
+
+
+# -- tracing only the holes ----------------------------------------------------
+
+
+def _holes_traced(rows, gone):
+    """Check that the darts deleting `gone` opens trace exactly its holes.
+
+    The holes are the walks through every boundary dart, after the
+    deletion, that were no face before it.  The opened darts must give
+    the same walks, from the same starts, in the same order.  Returns the
+    number of holes.
+    """
+    before = {least_rotation(w) for w in face_walks(rows, all_darts(rows))}
+    boundary = set()
+    for v in sorted(gone):
+        boundary.update(rows[v])
+    boundary -= gone
+    opened = opened_darts(rows, boundary, gone)
+    after = [
+        None if r is None or v in gone else [w for w in r if w not in gone]
+        for v, r in enumerate(rows)
+    ]
+    every = [(u, w) for u in boundary for w in after[u]]
+    holes = [w for w in face_walks(after, every) if least_rotation(w) not in before]
+    assert list(face_walks(after, opened)) == holes
+    return len(holes)
+
+
+@pytest.mark.parametrize("order", ["default", "f2-last"])
+@pytest.mark.parametrize(
+    "g", [icosphere(3), _shaped(1)], ids=["icosphere-3", "shaped-1"]
+)
+def test_opened_darts_trace_occurrence_holes(monkeypatch, g, order):
+    # at every occurrence of the descent, before its vertices go
+    if order == "f2-last":
+        monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
+    scan = reducer.find_reducible
+    seen = []
+
+    def recorded(rows, index):
+        occ = scan(rows, index)
+        seen.append(([None if r is None else tuple(r) for r in rows], occ.vertices))
+        return occ
+
+    monkeypatch.setattr(reducer, "find_reducible", recorded)
+    color_planar(g)
+    assert seen
+    assert all(_holes_traced(rows, gone) >= 1 for rows, gone in seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "icosphere", "shaped"]),
+    st.integers(0, 2),
+)
+def test_opened_darts_trace_ball_holes(seed, kind, radius):
+    rng = random.Random(seed)
+    if kind == "random":
+        n = rng.randint(12, 200)
+        g = generate(GenSpec(seed, n, 2 * n))
+    elif kind == "icosphere":
+        g = icosphere(2)
+    else:
+        g = generate(GenSpec(seed, 162, 324, shape_min_degree_5=True))
+    ball = {rng.choice(list(g.vertices()))}
+    frontier = list(ball)
+    for _ in range(radius):
+        frontier = [w for v in frontier for w in g.rotation[v] if w not in ball]
+        ball.update(frontier)
+    _holes_traced(g.rotation, frozenset(ball))
+
+
+def _guard(g):
+    """The reducer skips the initial fill; check that nothing needed it."""
+    skip = reducer._Work(g).triangulated
+    assert skip == (g.m == 3 * g.n - 6)
+    triangles = all(len(f) == 3 for f in trace_faces(g))
+    if skip:
+        assert triangles
+    if g.n >= 3 and _components(g.rotation) == 1:
+        assert skip == triangles
+    return skip
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60))
+def test_triangulation_guard(seed, n):
+    # for n >= 3, m = 3n - 6 holds exactly for the connected graphs whose
+    # every face walk is a triangle, so skipping the trace then fills nothing
+    g = plane_subgraph(seed, n)
+    _guard(g)
+    rows = [list(r) for r in g.rotation]
+    for walk in list(face_walks(rows, all_darts(rows))):
+        fill_walk(rows, walk)
+    _guard(build(rows))  # every component filled, lone edges left
+    if _components(g.rotation) == 1:
+        assert _guard(triangulate(g))
+
+
+def test_triangulation_guard_tiny_graphs():
+    triangle = [(1, 2), (2, 0), (0, 1)]
+    two = triangle + [(4, 5), (5, 3), (3, 4)]
+    cases = {
+        "empty": ([], False),
+        "one vertex": ([()], False),
+        "two vertices": ([(), ()], True),  # m = 3n - 6 = 0, and no walk at all
+        "K2": ([(1,), (0,)], False),
+        "triangle": (triangle, True),
+        "two triangles": (two, False),  # all triangles, but traced: m = 6 < 12
+    }
+    assert {k: _guard(build(rows)) for k, (rows, _) in cases.items()} == {
+        k: skip for k, (_, skip) in cases.items()
+    }
+
+
+@pytest.mark.parametrize("order", ["default", "f2-last"])
+@pytest.mark.parametrize(
+    "g",
+    [icosphere(3), icosphere(4)] + [_shaped(s) for s in (1, 2, 3)],
+    ids=["icosphere-3", "icosphere-4", "shaped-1", "shaped-2", "shaped-3"],
+)
+def test_walk_darts_stay_linear(monkeypatch, g, order):
+    # counters, not time.  Tracing from the darts each deletion opens gave
+    # 0.91n to 1.13n; tracing every face around the boundary gave about 16n
+    if order == "f2-last":
+        monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert 0 < stats.walk_darts <= 2 * g.n
+
+
+def test_walk_darts_zero_on_triangulated_input():
+    # m = 3n - 6 skips the initial trace, and low peels fill their link
+    stats = RunStats()
+    g = generate(GenSpec(1, 800, 1600))
+    check_coloring(g, color_planar(g, stats))
+    assert stats.f1_steps > 0 and stats.walk_darts == 0
+
+
+def _descent_digest(graphs):
+    h = hashlib.sha256()
+    for g in graphs:
+        stats = RunStats()
+        colors = color_planar(g, stats)
+        counters = asdict(stats)
+        del counters["walk_darts"]  # newer than the digest
+        counters["occ_steps"] = sorted(stats.occ_steps.items())
+        h.update(repr((sorted(colors.items()), sorted(counters.items()))).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "order, digest",
+    [("default", "358c481f4aae9280"), ("f2-last", "fd5ff7a05d4feae9")],
+)
+def test_occurrence_descents_pinned(monkeypatch, order, digest):
+    # colorings and counters of descents made of occurrences, taken while
+    # the reducer traced every face around each hole's boundary; any drift
+    # in which walks get filled, or from where, changes them
+    if order == "f2-last":
+        monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
+    assert _descent_digest([icosphere(3), _shaped(1), _shaped(2)]) == digest
