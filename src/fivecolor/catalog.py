@@ -1,10 +1,9 @@
 """The built-in catalog of reducible local configurations.
 
 Each entry describes a small pattern H that can appear around a vertex of a
-triangulation: per-vertex degree caps, which caps are exact, the edges of H,
-and a rotation template for every vertex.  Template items are neighbor ids
-or ("h", k) for a run of k halfedges leaving the pattern; by construction
-cap(v) = (H-degree of v) + (sum of the runs of v).
+triangulation by one rotation template per vertex, the only hand-entered
+statement of H; ConfigurationSpec derives its degree caps, edges, layout
+and secondary hook from the templates.
 
 A scheme tells the reducer how to spend the fifth color on an occurrence:
 
@@ -24,7 +23,7 @@ the peel by one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 
@@ -74,43 +73,114 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ConfigurationSpec:
+    """A pattern H, stated once as rotation templates.
+
+    Pattern vertices are 0 .. len(rotations) - 1, and vertex 0 is the
+    anchor, the vertex a match is placed at.  rotations[v] is v's link in
+    cyclic order, one slot per item: a pattern id, or ("h", k) for a run of
+    k slots holding halfedges that leave H.  exact names the vertices whose
+    cap is their degree rather than a bound on it.
+
+    Construction checks the templates (a ValidationFailure with scenario
+    "shape") and derives the rest of the pattern from them:
+
+    * caps[v]: the slot count of v's template.
+    * edges: the pairs (v, w), v < w, with w named in v's template.
+    * layout: the anchor's template with its runs written out as Nones, or
+      None when it names no pattern vertex.
+    * secondary: (s, host, ref, sign) for the one pattern vertex s outside
+      the anchor's link, or None.  host is a link vertex adjacent to s,
+      one with an exact cap first, then the lowest id; ref is the link
+      vertex next to the anchor in host's template.  There s sits two
+      slots from the anchor: on ref's side for sign +1, on the other side
+      for sign -1.
+    """
+
     name: str
     family: str
-    caps: tuple
     exact: frozenset
-    edges: frozenset
     rotations: tuple
     scheme: object
-    anchor: int = 0
-    layout: tuple = None
+    caps: tuple = field(init=False)
+    edges: frozenset = field(init=False)
+    layout: tuple = field(init=False)
+    secondary: tuple = field(init=False)
 
-    def pattern_neighbors(self, v):
-        return sorted(
-            b if a == v else a for a, b in self.edges if v in (a, b)
-        )
+    def __post_init__(self):
+        slots = [_slots(t) for t in self.rotations]
+        link = tuple(slots[0]) if slots else ()
+        named = [(v, w) for v, row in enumerate(slots) for w in row if w is not None]
+        edges = frozenset((min(p), max(p)) for p in named)
+        object.__setattr__(self, "caps", tuple(map(len, slots)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "layout", link if set(link) - {None} else None)
+        _check_entry(self, slots)
+        object.__setattr__(self, "secondary", _secondary(self, slots))
 
     def pattern_degree(self, v):
-        return len(self.pattern_neighbors(v))
+        return sum(1 for x in self.rotations[v] if not isinstance(x, tuple))
 
     def halfedges(self, v):
         return self.caps[v] - self.pattern_degree(v)
 
 
+def _slots(template):
+    """A rotation template with each run ("h", k) written out as k Nones."""
+    out = []
+    for item in template:
+        out.extend([None] * item[1] if isinstance(item, tuple) else [item])
+    return out
+
+
+def _need(e, ok, what):
+    if not ok:
+        raise ValidationFailure(e.name, "shape", what)
+
+
+def _check_entry(e, slots):
+    """Check what the derivation cannot make true: see ConfigurationSpec."""
+    ids = range(len(slots))
+    for v, row in enumerate(slots):
+        for w in row:
+            if w is not None:
+                _need(e, w in ids and w != v, f"template of {v} names {w!r}")
+                _need(e, v in slots[w], f"{v} names {w}, but {w} does not name {v}")
+    if isinstance(e.scheme, TrialSequence):
+        _need(e, all(v in ids for v in e.scheme.order), "trial vertex out of range")
+    if e.layout is not None:
+        occupied = [v for v in e.layout if v is not None]
+        _need(e, len(occupied) == len(set(occupied)), "layout repeats a vertex")
+        for a, b in zip(e.layout, e.layout[1:] + e.layout[:1]):
+            if a is not None and b is not None:
+                _need(e, (min(a, b), max(a, b)) in e.edges, f"layout gap {a}-{b}")
+
+
+def _secondary(e, slots):
+    """The (s, host, ref, sign) hook of ConfigurationSpec, or None."""
+    link = set(e.layout or ()) - {None}
+    outside = [v for v in range(1, len(slots)) if v not in link]
+    if e.layout is None or not outside:
+        return None
+    _need(e, len(outside) == 1, f"vertices {outside} all outside the anchor's link")
+    s = outside[0]
+    hosts = [w for w in slots[s] if w in link]
+    _need(e, hosts, f"outside vertex {s} touches no link vertex")
+    host = min(hosts, key=lambda w: (w not in e.exact, w))
+    row = slots[host]
+    k, a = len(row), row.index(0)
+    side = next((t for t in (1, -1) if row[(a + t) % k] in link), None)
+    _need(e, side is not None, f"no link vertex beside the anchor in {host}'s template")
+    for sign in (1, -1):
+        if row[(a + 2 * sign * side) % k] == s:
+            return (s, host, row[(a + side) % k], sign)
+    raise ValidationFailure(
+        e.name, "shape", f"{s} is not two slots from the anchor in {host}'s template"
+    )
+
+
 def _h(k):
     return ("h", k)
 
-
-def _edges(*pairs):
-    return frozenset(tuple(sorted(p)) for p in pairs)
-
-
-def _spokes(center, others):
-    return [(center, v) for v in others]
-
-
-_WHEEL_EDGES = _edges(
-    *_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)
-)
 
 # In scan order: find_reducible tries entries in the order it is given them,
 # so this order (f1, f2, f3, f4, f7, f8, f5, f6) is the default one.
@@ -119,9 +189,7 @@ _CATALOG = (
     ConfigurationSpec(
         name="low",
         family="f1",
-        caps=(4,),
         exact=frozenset(),
-        edges=frozenset(),
         rotations=((_h(4),),),
         scheme=PlainZero(),
     ),
@@ -130,9 +198,7 @@ _CATALOG = (
     ConfigurationSpec(
         name="wheel-adjacent",
         family="f2",
-        caps=(5, 8, 7, 6, 6, 6),
         exact=frozenset({0}),
-        edges=_WHEEL_EDGES,
         rotations=(
             (1, 2, 3, 4, 5),
             (0, 5, _h(5), 2),
@@ -142,14 +208,11 @@ _CATALOG = (
             (0, 4, _h(3), 1),
         ),
         scheme=TrialSequence((1, 2, 3, 0)),
-        layout=(1, 2, 3, 4, 5),
     ),
     ConfigurationSpec(
         name="wheel-separated",
         family="f2",
-        caps=(5, 8, 6, 7, 6, 6),
         exact=frozenset({0}),
-        edges=_WHEEL_EDGES,
         rotations=(
             (1, 2, 3, 4, 5),
             (0, 5, _h(5), 2),
@@ -159,18 +222,13 @@ _CATALOG = (
             (0, 4, _h(3), 1),
         ),
         scheme=TrialSequence((1, 3, 2, 0)),
-        layout=(1, 2, 3, 4, 5),
     ),
     # Degree-7 anchor: an 8-cap link vertex flanked by two 5-caps, plus two
     # more 5-caps; variants by where the extra pair sits in the link.
     ConfigurationSpec(
         name="fan8-23",
         family="f3",
-        caps=(7, 8, 5, 5, 5, 5),
         exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 4), (4, 5), (1, 3)
-        ),
         rotations=(
             (1, 2, 4, 5, _h(2), 3),
             (0, 3, _h(5), 2),
@@ -180,14 +238,11 @@ _CATALOG = (
             (0, 4, _h(3)),
         ),
         scheme=TrialSequence((1, 0, 2)),
-        layout=(1, 2, 4, 5, None, None, 3),
     ),
     ConfigurationSpec(
         name="fan8-24",
         family="f3",
-        caps=(7, 8, 5, 5, 5, 5),
         exact=frozenset({0}),
-        edges=_edges(*_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 4), (1, 3)),
         rotations=(
             (1, 2, 4, _h(1), 5, _h(1), 3),
             (0, 3, _h(5), 2),
@@ -197,16 +252,11 @@ _CATALOG = (
             (0, _h(4)),
         ),
         scheme=TrialSequence((1, 0, 2)),
-        layout=(1, 2, 4, None, 5, None, 3),
     ),
     ConfigurationSpec(
         name="fan8-25",
         family="f3",
-        caps=(7, 8, 5, 5, 5, 5),
         exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 4), (3, 5), (1, 3)
-        ),
         rotations=(
             (1, 2, 4, _h(2), 5, 3),
             (0, 3, _h(5), 2),
@@ -216,14 +266,11 @@ _CATALOG = (
             (0, _h(3), 3),
         ),
         scheme=TrialSequence((1, 0, 2)),
-        layout=(1, 2, 4, None, None, 5, 3),
     ),
     ConfigurationSpec(
         name="fan8-34",
         family="f3",
-        caps=(7, 8, 5, 5, 5, 5),
         exact=frozenset({0}),
-        edges=_edges(*_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (4, 5), (1, 3)),
         rotations=(
             (1, 2, _h(1), 4, 5, _h(1), 3),
             (0, 3, _h(5), 2),
@@ -233,7 +280,6 @@ _CATALOG = (
             (0, 4, _h(3)),
         ),
         scheme=TrialSequence((1, 0, 4)),
-        layout=(1, 2, None, 4, 5, None, 3),
     ),
     # Degree-7 anchor with four consecutive 5-caps and one helper z; the
     # helper either precedes the run in the link (z1) or hangs off the first
@@ -241,11 +287,7 @@ _CATALOG = (
     ConfigurationSpec(
         name="fan6-z1",
         family="f4",
-        caps=(7, 5, 5, 5, 5, 7),
         exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 3), (3, 4), (1, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(2), 5),
             (0, 5, _h(2), 2),
@@ -255,16 +297,11 @@ _CATALOG = (
             (0, _h(5), 1),
         ),
         scheme=TrialSequence((5, 0, 1)),
-        layout=(1, 2, 3, 4, None, None, 5),
     ),
     ConfigurationSpec(
         name="fan6-z2",
         family="f4",
-        caps=(7, 5, 5, 5, 5, 6),
         exact=frozenset({0, 1}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4)), (1, 2), (2, 3), (3, 4), (1, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(3)),
             (0, _h(1), 5, _h(1), 2),
@@ -274,16 +311,11 @@ _CATALOG = (
             (1, _h(5)),
         ),
         scheme=TrialSequence((5, 0, 1)),
-        layout=(1, 2, 3, 4, None, None, None),
     ),
     ConfigurationSpec(
         name="fan6-z3",
         family="f4",
-        caps=(7, 5, 5, 5, 5, 7),
         exact=frozenset({0, 1}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4)), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(3)),
             (0, _h(2), 5, 2),
@@ -293,7 +325,6 @@ _CATALOG = (
             (2, 1, _h(5)),
         ),
         scheme=TrialSequence((5, 0, 1)),
-        layout=(1, 2, 3, 4, None, None, None),
     ),
     # Parametric hub of degree d >= 8 whose link is all 5-caps except three
     # separator slots.  Concrete shape depends on d and the slot positions,
@@ -302,9 +333,7 @@ _CATALOG = (
     ConfigurationSpec(
         name="hub",
         family="f7",
-        caps=(),
         exact=frozenset(),
-        edges=frozenset(),
         rotations=(),
         scheme=VirtualHub(),
     ),
@@ -312,11 +341,7 @@ _CATALOG = (
     ConfigurationSpec(
         name="hub9",
         family="f8",
-        caps=(9, 5, 5, 5, 5, 5),
         exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4, 5)), (1, 2), (2, 3), (4, 5)
-        ),
         rotations=(
             (1, 2, 3, _h(2), 4, 5, _h(2)),
             (0, _h(3), 2),
@@ -326,18 +351,13 @@ _CATALOG = (
             (0, 4, _h(3)),
         ),
         scheme=NinePattern(),
-        layout=(1, 2, 3, None, None, 4, 5, None, None),
     ),
     # Degree-5 anchor with four consecutive link vertices m, x, y, p (one of
     # them 7-cap, the rest 6-cap) and a second 5-cap B behind m.
     ConfigurationSpec(
         name="ring-m",
         family="f5",
-        caps=(5, 7, 6, 6, 6, 5),
         exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4)), (1, 2), (2, 3), (3, 4), (1, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(1)),
             (0, _h(1), 5, _h(3), 2),
@@ -347,16 +367,11 @@ _CATALOG = (
             (1, _h(4)),
         ),
         scheme=TrialSequence((1, 2, 0)),
-        layout=(1, 2, 3, 4, None),
     ),
     ConfigurationSpec(
         name="ring-x",
         family="f5",
-        caps=(5, 6, 7, 6, 6, 5),
         exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4)), (1, 2), (2, 3), (3, 4), (1, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(1)),
             (0, _h(1), 5, _h(2), 2),
@@ -366,16 +381,11 @@ _CATALOG = (
             (1, _h(4)),
         ),
         scheme=TrialSequence((2, 1, 0)),
-        layout=(1, 2, 3, 4, None),
     ),
     ConfigurationSpec(
         name="ring-y",
         family="f5",
-        caps=(5, 6, 6, 7, 6, 5),
         exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4)), (1, 2), (2, 3), (3, 4), (1, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(1)),
             (0, _h(1), 5, _h(2), 2),
@@ -385,16 +395,11 @@ _CATALOG = (
             (1, _h(4)),
         ),
         scheme=TrialSequence((3, 2, 0)),
-        layout=(1, 2, 3, 4, None),
     ),
     ConfigurationSpec(
         name="ring-p",
         family="f5",
-        caps=(5, 6, 6, 6, 7, 5),
         exact=frozenset({0}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4)), (1, 2), (2, 3), (3, 4), (1, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(1)),
             (0, _h(1), 5, _h(2), 2),
@@ -404,18 +409,13 @@ _CATALOG = (
             (1, _h(4)),
         ),
         scheme=TrialSequence((4, 3, 0)),
-        layout=(1, 2, 3, 4, None),
     ),
     # Two adjacent degree-5 vertices A and B with 6-cap company; q hangs off
     # B, either sharing an edge with o2 (twin-1) or not (twin-2).
     ConfigurationSpec(
         name="twin-1",
         family="f6",
-        caps=(5, 6, 6, 6, 5, 6),
         exact=frozenset({0, 4}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4)), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(1)),
             (0, _h(4), 2),
@@ -425,16 +425,11 @@ _CATALOG = (
             (3, _h(4), 4),
         ),
         scheme=TrialSequence((5, 0)),
-        layout=(1, 2, 3, 4, None),
     ),
     ConfigurationSpec(
         name="twin-2",
         family="f6",
-        caps=(5, 6, 6, 6, 5, 6),
         exact=frozenset({0, 4}),
-        edges=_edges(
-            *_spokes(0, (1, 2, 3, 4)), (1, 2), (2, 3), (3, 4), (4, 5)
-        ),
         rotations=(
             (1, 2, 3, 4, _h(1)),
             (0, _h(4), 2),
@@ -444,7 +439,6 @@ _CATALOG = (
             (4, _h(5)),
         ),
         scheme=TrialSequence((5, 0)),
-        layout=(1, 2, 3, 4, None),
     ),
 )
 
@@ -460,46 +454,6 @@ def get_entry(name):
         return _BY_NAME[name]
     except KeyError:
         raise KeyError(f"no catalog entry named {name!r}") from None
-
-
-def _check_entry(e):
-    """Check a hand-entered entry against its own rotation templates."""
-
-    def need(ok, what):
-        if not ok:
-            raise ValidationFailure(e.name, "shape", what)
-
-    ids = range(len(e.caps))
-    need(len(e.rotations) == len(e.caps), "one rotation template per vertex")
-    for a, b in e.edges:
-        need(a < b and a in ids and b in ids, f"bad edge {(a, b)}")
-    if isinstance(e.scheme, TrialSequence):
-        need(all(v in ids for v in e.scheme.order), "trial vertex out of range")
-    for v in ids:
-        run = 0
-        members = []
-        for item in e.rotations[v]:
-            if isinstance(item, tuple):
-                run += item[1]
-            else:
-                members.append(item)
-        need(sorted(members) == e.pattern_neighbors(v), f"template of {v} vs edges")
-        need(e.caps[v] == len(members) + run, f"cap of {v} vs its template")
-    if e.layout is not None:
-        k = len(e.layout)
-        occupied = [v for v in e.layout if v is not None]
-        need(len(occupied) == len(set(occupied)), "layout repeats a vertex")
-        for v in occupied:
-            need(tuple(sorted((e.anchor, v))) in e.edges, f"layout {v} off anchor")
-        for i in range(k):
-            a, b = e.layout[i], e.layout[(i + 1) % k]
-            if a is not None and b is not None:
-                need(tuple(sorted((a, b))) in e.edges, f"layout gap {a}-{b}")
-
-
-for _e in _CATALOG:
-    _check_entry(_e)
-del _e
 
 
 # -- replay validation -------------------------------------------------------
@@ -663,7 +617,7 @@ def _validate_virtual_hub(e):
 
 
 def _validate_nine(e):
-    _hub_scenarios(e.name, "d=9", e.caps, e.anchor, e.layout)
+    _hub_scenarios(e.name, "d=9", e.caps, 0, e.layout)
     runs = _run_count(e.layout)
     return [ScenarioResult("d=9 fixed layout", "ok", f"{runs} leaf runs")]
 

@@ -9,8 +9,10 @@ in a link are taken to be adjacent without an explicit edge check.
 Occurrence.recheck re-verifies a match without that shortcut.
 
 Caps are matched exactly where the entry says so and as upper bounds
-elsewhere.  Offsets cover the cyclic alignments of the anchor's link,
-direction -1 the mirror images.
+elsewhere.  An entry's layout is laid on the anchor's link; offsets cover
+its cyclic alignments, direction -1 the mirror images.  An entry with a
+secondary hook places its one vertex outside that link by stepping through
+the host's row (see catalog.ConfigurationSpec).
 
 A search tries the entries in the order given (the catalog's own order by
 default), anchors ascending, and stops at the first hit.  find_reducible
@@ -27,23 +29,6 @@ from dataclasses import dataclass
 from functools import cache
 
 from .catalog import builtin_catalog
-from .kempe import BrokenInvariant
-
-# entry name -> (host pid, reference pid, walk sign) for the one pattern
-# vertex that lives outside the anchor's link.  Stand in the host's link at
-# the anchor's position and step twice: toward the reference neighbor for
-# sign +1, away from it for sign -1.  The step widths are pinned by the
-# triangles at the host, so the host's actual degree does not matter.
-_SECONDARY = {
-    "fan6-z2": (1, 2, -1),
-    "fan6-z3": (1, 2, 1),
-    "ring-m": (1, 2, -1),
-    "ring-x": (1, 2, -1),
-    "ring-y": (1, 2, -1),
-    "ring-p": (1, 2, -1),
-    "twin-1": (4, 3, 1),
-    "twin-2": (4, 3, -1),
-}
 
 
 class CompletenessBreach(RuntimeError):
@@ -101,9 +86,9 @@ def _fits(rows, w, cap, exact):
 def _match_layout(rows, entry, anchor, offset, direction):
     link = rows[anchor]
     d = len(link)
-    if d != entry.caps[entry.anchor]:
+    if d != entry.caps[0]:
         return None
-    mapping = {entry.anchor: anchor}
+    mapping = {0: anchor}
     for i, pid in enumerate(entry.layout):
         if pid is None:
             continue
@@ -111,9 +96,10 @@ def _match_layout(rows, entry, anchor, offset, direction):
         if not _fits(rows, w, entry.caps[pid], pid in entry.exact):
             return None
         mapping[pid] = w
-    hook = _SECONDARY.get(entry.name)
-    if hook is not None:
-        host_pid, ref_pid, sign = hook
+    if entry.secondary is not None:
+        # two steps from the anchor in the host's row, signed against ref's
+        # side; the triangles at the host pin both, whatever its degree
+        out_pid, host_pid, ref_pid, sign = entry.secondary
         lh = rows[mapping[host_pid]]
         dh = len(lh)
         pa = lh.index(anchor)
@@ -127,11 +113,9 @@ def _match_layout(rows, entry, anchor, offset, direction):
         z = lh[(pa + sign * 2 * side) % dh]
         if z in mapping.values():
             return None
-        if not _fits(rows, z, entry.caps[5], 5 in entry.exact):
+        if not _fits(rows, z, entry.caps[out_pid], out_pid in entry.exact):
             return None
-        mapping[5] = z
-    if len(mapping) != len(entry.caps):
-        raise BrokenInvariant(f"{entry.name}: match misses a pattern vertex")
+        mapping[out_pid] = z
     return Occurrence(entry, mapping, anchor, offset, direction, entry.edges)
 
 
@@ -188,7 +172,7 @@ def _wants(entry, d):
         return d <= entry.caps[0]
     if entry.family == "f7":
         return d in entry.scheme.degrees
-    return d == entry.caps[entry.anchor]
+    return d == entry.caps[0]
 
 
 @cache
@@ -246,10 +230,11 @@ class ScanIndex:
 
     The owner adds to `changed` every vertex whose row changes between
     searches.  The next search puts the 1-ball of each one back in pending
-    for every entry reached so far, and its 2-ball for the _SECONDARY
-    entries, whose probe also reads the host's row and the degree of a
-    vertex behind it.  Every anchor left out therefore still fails, and a
-    search returns exactly what find_reducible(rows, entries) would.
+    for every entry reached so far, and its 2-ball for the entries with a
+    secondary hook (a pattern vertex outside the anchor's link), whose
+    probe also reads the host's row and the degree of a vertex behind it.
+    Every anchor left out therefore still fails, and a search returns
+    exactly what find_reducible(rows, entries) would.
     `probes` counts the match_at calls made so far.
     """
 
@@ -259,8 +244,8 @@ class ScanIndex:
         self.probes = 0
         self._pending = [None] * len(self.entries)  # None: not reached yet
         self._heaps = [None] * len(self.entries)
-        self._ranks = {}  # degree -> (reached ranks wanting it, _SECONDARY ones)
-        self._two_hop = False  # whether a _SECONDARY entry has been reached
+        self._ranks = {}  # degree -> (reached ranks wanting it, hooked ones)
+        self._two_hop = False  # whether a hooked entry has been reached
 
     def __iter__(self):
         return iter(self.entries)
@@ -272,7 +257,7 @@ class ScanIndex:
                 r for r, e in enumerate(self.entries)
                 if self._pending[r] is not None and _wants(e, d)
             )
-            far = tuple(r for r in near if self.entries[r].name in _SECONDARY)
+            far = tuple(r for r in near if self.entries[r].secondary is not None)
             ranks = self._ranks[d] = (near, far)
         return ranks
 
@@ -282,7 +267,7 @@ class ScanIndex:
         self._heaps[rank] = heap  # ascending, so already a heap
         self._pending[rank] = set(heap)
         self._ranks.clear()
-        self._two_hop |= e.name in _SECONDARY
+        self._two_hop |= e.secondary is not None
 
     def _requeue(self, rows, verts, two_hop):
         for v in verts:

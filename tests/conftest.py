@@ -21,6 +21,28 @@ def remove_vertices(g, doomed):
     return EmbeddedGraph(rows)
 
 
+# The RunStats counters the pinned digests cover, by name, so that a counter
+# added later leaves every digest as it is.
+PINNED_COUNTERS = (
+    "chain_swaps",
+    "chain_verts",
+    "f1_steps",
+    "fallback_peels",
+    "fifth_assigned",
+    "free_color_calls",
+    "occ_steps",
+    "probes",
+    "scans",
+)
+
+
+def pinned_counters(stats):
+    """The PINNED_COUNTERS of a RunStats as sorted (name, value) pairs."""
+    counters = {name: getattr(stats, name) for name in PINNED_COUNTERS}
+    counters["occ_steps"] = sorted(stats.occ_steps.items())
+    return sorted(counters.items())
+
+
 def least_rotation(walk):
     """A walk's least cyclic rotation, as a tuple: the same for every start."""
     return min(tuple(walk[i:] + walk[:i]) for i in range(len(walk)))

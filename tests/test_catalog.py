@@ -5,6 +5,10 @@ and frozen.  Run-count distributions for separator placements on a cycle
 come from the standard count of k non-consecutive choices, n/(n-k)*C(n-k,k).
 """
 
+import contextlib
+import hashlib
+import io
+
 import pytest
 
 from fivecolor.catalog import (
@@ -14,13 +18,13 @@ from fivecolor.catalog import (
     TrialSequence,
     ValidationFailure,
     VirtualHub,
-    _check_entry,
     blocked_peel,
     builtin_catalog,
     get_entry,
     validate_catalog,
     validate_entry,
 )
+from fivecolor.cli import main
 
 
 EXPECTED_NAMES = [
@@ -61,14 +65,10 @@ def test_get_entry():
 
 
 def test_template_invariant():
-    # cap(v) = H-degree(v) + total halfedge run length, and the named
-    # neighbors in the template are exactly the H-neighbors
+    # a vertex's halfedges are the runs of its template
     for e in builtin_catalog():
-        for v in range(len(e.caps)):
-            members = [x for x in e.rotations[v] if not isinstance(x, tuple)]
-            runs = sum(x[1] for x in e.rotations[v] if isinstance(x, tuple))
-            assert sorted(members) == e.pattern_neighbors(v)
-            assert e.caps[v] == len(members) + runs
+        for v, template in enumerate(e.rotations):
+            runs = sum(x[1] for x in template if isinstance(x, tuple))
             assert e.halfedges(v) == runs
 
 
@@ -79,15 +79,47 @@ def test_exact_vertices_are_capped_to_their_degree():
 
 
 def test_layout_consistency():
-    # layout vertices hang off the anchor, and consecutive occupied slots
-    # are H-edges
-    for e in builtin_catalog():
-        if e.layout is None:
-            continue
-        occupied = [v for v in e.layout if v is not None]
-        assert len(set(occupied)) == len(occupied)
-        for v in occupied:
-            assert tuple(sorted((e.anchor, v))) in e.edges
+    # only the low and hub entries leave the anchor's link unlaid, and only
+    # the entries with a vertex outside that link carry a secondary hook
+    cat = builtin_catalog()
+    assert [e.name for e in cat if e.layout is None] == ["low", "hub"]
+    for e in cat:
+        if e.layout is not None:
+            assert len(e.layout) == e.caps[0]
+    hooked = {e.name: e.secondary for e in cat if e.secondary is not None}
+    assert hooked == {
+        "fan6-z2": (5, 1, 2, -1),
+        "fan6-z3": (5, 1, 2, 1),
+        "ring-m": (5, 1, 2, -1),
+        "ring-x": (5, 1, 2, -1),
+        "ring-y": (5, 1, 2, -1),
+        "ring-p": (5, 1, 2, -1),
+        "twin-1": (5, 4, 3, 1),
+        "twin-2": (5, 4, 3, -1),
+    }
+
+
+def test_catalog_data_pinned():
+    # everything derived from the rotation templates, as it was when it was
+    # entered by hand beside them
+    data = [
+        (e.name, e.family, e.caps, sorted(e.edges), e.layout, e.secondary, sorted(e.exact))
+        for e in builtin_catalog()
+    ]
+    assert hashlib.sha256(repr(data).encode()).hexdigest()[:16] == "3c4cdf479aa1bfe6"
+
+
+def test_catalog_validate_pinned():
+    # `fivecolor catalog validate` and every scenario's label, status and detail
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["catalog", "validate"]) == 0
+    reports = [
+        (r.entry, [(s.label, s.status, s.detail) for s in r.scenarios])
+        for r in validate_catalog()
+    ]
+    digest = hashlib.sha256(repr((out.getvalue(), reports)).encode()).hexdigest()
+    assert digest[:16] == "0535d79214501bb4"
 
 
 # -- blocked_peel ------------------------------------------------------------
@@ -182,9 +214,7 @@ def test_validation_catches_bad_entry():
     bad = ConfigurationSpec(
         name="bad",
         family="f2",
-        caps=(6, 6),
         exact=frozenset(),
-        edges=frozenset(),
         rotations=((("h", 6),), (("h", 6),)),
         scheme=TrialSequence((0,)),
     )
@@ -192,20 +222,21 @@ def test_validation_catches_bad_entry():
         validate_entry(bad)
 
 
-def test_shape_check_catches_bad_cap():
-    # cap 5, but no pattern neighbors and a single run of 4 halfedges
-    bad = ConfigurationSpec(
-        name="bad-cap",
-        family="f2",
-        caps=(5,),
-        exact=frozenset(),
-        edges=frozenset(),
-        rotations=((("h", 4),),),
-        scheme=TrialSequence((0,)),
-    )
-    with pytest.raises(ValidationFailure, match="bad-cap: shape: cap of 0") as info:
-        _check_entry(bad)
-    assert info.value.scenario == "shape"
+def test_shape_check_catches_bad_template():
+    # a spec is checked when it is built, so a bad one cannot exist
+    ring = get_entry("ring-m").rotations
+    assert ring[1] == (0, ("h", 1), 5, ("h", 3), 2)
+    cases = {
+        # 0 names 1, but 1 does not name 0
+        "1 does not name 0": ((1, ("h", 4)), (("h", 5),)),
+        "template of 0 names 7": ((7, ("h", 4)),),
+        # ring-m with its outside vertex 5 three slots from the anchor
+        "5 is not two slots": ring[:1] + ((0, ("h", 2), 5, ("h", 2), 2),) + ring[2:],
+    }
+    for match, rotations in cases.items():
+        with pytest.raises(ValidationFailure, match=match) as info:
+            ConfigurationSpec("bad", "f5", frozenset({0}), rotations, PlainZero())
+        assert info.value.scenario == "shape"
 
 
 def test_scheme_types():

@@ -7,7 +7,6 @@ out by hand from the rotation systems and Euler's formula, then frozen.
 import hashlib
 import random
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +31,7 @@ from fivecolor.embedding import (
 from fivecolor.instances import GenSpec, generate, named
 from fivecolor.reducer import RunStats, color_planar
 
-from conftest import least_rotation, plane_subgraph, remove_vertices
+from conftest import least_rotation, pinned_counters, plane_subgraph, remove_vertices
 
 
 def cycle_rotations(k):
@@ -386,10 +385,7 @@ def filled_and_colored(g):
         filled = f"{type(exc).__name__}: {exc}"
     stats = RunStats()
     colors = color_planar(g, stats)
-    counters = asdict(stats)
-    del counters["walk_darts"]  # newer than the digest; see test_walk_darts_stay_linear
-    counters["occ_steps"] = sorted(stats.occ_steps.items())
-    return filled, sorted(colors.items()), sorted(counters.items())
+    return filled, sorted(colors.items()), pinned_counters(stats)
 
 
 def test_fill_pinned():

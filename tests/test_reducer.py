@@ -11,7 +11,6 @@ Outer arcs o0..o12 are vertices 6..18, the far pole is 19.
 
 import hashlib
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +40,7 @@ from fivecolor.reducer import (
     select_fifth,
 )
 
-from conftest import least_rotation, plane_subgraph, remove_vertices
+from conftest import least_rotation, pinned_counters, plane_subgraph, remove_vertices
 
 
 def hub_gadget():
@@ -538,10 +537,7 @@ def _descent_digest(graphs):
     for g in graphs:
         stats = RunStats()
         colors = color_planar(g, stats)
-        counters = asdict(stats)
-        del counters["walk_darts"]  # newer than the digest
-        counters["occ_steps"] = sorted(stats.occ_steps.items())
-        h.update(repr((sorted(colors.items()), sorted(counters.items()))).encode())
+        h.update(repr((sorted(colors.items()), pinned_counters(stats))).encode())
     return h.hexdigest()[:16]
 
 
