@@ -1,13 +1,15 @@
 """Audit the discharging argument on real instances.
 
 Every vertex starts with charge 6 - deg(v); over a whole triangulation
-these sum to exactly 12.  The transfer rules move charge around with
-exact rationals, and afterwards any vertex still holding positive
-charge must sit inside a catalog configuration.  That is the
-unavoidability argument, and this script checks it numerically.
+these sum to exactly 12.  The transfer rules move charge around in
+whole units of 1/360 (exact ints), and afterwards any vertex still
+holding positive charge must sit inside a catalog configuration.  That
+is the unavoidability argument, and this script checks it numerically.
 """
 
-from fivecolor import GenSpec, audit, find_reducible, generate, named, transfers
+from fractions import Fraction
+
+from fivecolor import UNIT, GenSpec, audit, find_reducible, generate, named, transfers
 
 ico = named("icosahedron")
 report = audit(ico)
@@ -20,9 +22,9 @@ assert report.total == 12 and len(report.positives) == 12
 g = generate(GenSpec(seed=4, n=162, flips=324, shape_min_degree_5=True))
 
 ledger = transfers(g)
-moved = sum(ledger.transfers.values())
+moved = sum(ledger.transfers.values())  # in units of 1/UNIT
 print()
-print(f"shaped n={g.n}: {len(ledger.transfers)} transfers moving {moved} charge")
+print(f"shaped n={g.n}: {len(ledger.transfers)} transfers moving {Fraction(moved, UNIT)} charge")
 
 report = audit(g)
 print("total =", report.total, "positives =", list(report.positives)[:8], "...")

@@ -28,7 +28,7 @@ from .catalog import (
     validate_catalog,
     validate_entry,
 )
-from .discharge import AuditReport, ChargeLedger, SumMismatch, audit, final_charges, transfers
+from .discharge import UNIT, AuditReport, ChargeLedger, SumMismatch, audit, final_charges, transfers
 from .embedding import (
     AsymmetricAdjacency,
     DuplicateNeighbor,
@@ -73,6 +73,7 @@ __all__ = [
     "SumMismatch",
     "TrialSequence",
     "Triangulation",
+    "UNIT",
     "UnknownName",
     "UntriangulatableFace",
     "ValidationFailure",

@@ -19,8 +19,10 @@ degree-5 vertices (rule B): if those four sit consecutively, the two ends
 of the run receive 1/6 each; otherwise each 9-or-more link member whose
 two link flanks are both degree-5 receives 1/3.
 
-All amounts are fractions with denominators dividing 360; the arithmetic
-is exact and the sum is checked, never trusted.
+Every amount is a whole number of units of 1/360 (UNIT = 360 per unit of
+charge), so transfers are counted and settled in ints; Fractions are made
+only for the final charges of vertices a transfer reached.  The sum is
+checked, never trusted.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-THIRD = Fraction(1, 3)
-HALF = Fraction(1, 2)
-SIXTH = Fraction(1, 6)
+UNIT = 360  # units per unit of charge
+THIRD = UNIT // 3
+HALF = UNIT // 2
+SIXTH = UNIT // 6
 
 
 class SumMismatch(RuntimeError):
@@ -39,18 +42,22 @@ class SumMismatch(RuntimeError):
 
 @dataclass
 class ChargeLedger:
-    """Initial charges, the transfer map, and the expected grand total."""
+    """Initial charges, the transfer map, and the expected grand total.
+
+    Charges are whole units of charge; transfers are ints in units of
+    1/UNIT, so an amount of 120 moves a third.
+    """
 
     initial: dict  # vertex -> int, 6 - deg
-    transfers: dict  # (sender, receiver) -> Fraction, nonzero entries only
+    transfers: dict  # (sender, receiver) -> int units of 1/UNIT, nonzero entries only
     expected: int  # 6n - 2m
 
 
 def _shares_from_five(degrees):
-    """Rule A shares, keyed by link position, for one degree-5 sender."""
+    """Rule A shares in units, keyed by link position, for one degree-5 sender."""
     shares = {}
     heavy = []
-    r = Fraction(1)
+    r = UNIT
     for i, d in enumerate(degrees):
         if d == 7:
             shares[i] = THIRD
@@ -61,14 +68,18 @@ def _shares_from_five(degrees):
         elif d >= 9:
             heavy.append(i)
     if heavy:
-        each = max(THIRD, r / len(heavy))
+        # r is a multiple of SIXTH.  A share above THIRD needs r > THIRD *
+        # len(heavy) with r <= UNIT, so len(heavy) <= 2 and r // len(heavy)
+        # is exact (a multiple of UNIT / 12); otherwise the floor is at most
+        # THIRD and max() picks THIRD, as the exact quotient would.
+        each = max(THIRD, r // len(heavy))
         for i in heavy:
             shares[i] = each
     return shares
 
 
 def _shares_from_seven(degrees):
-    """Rule B shares, keyed by link position, for one degree-7 sender."""
+    """Rule B shares in units, keyed by link position, for one degree-7 sender."""
     k = len(degrees)
     fives = {i for i, d in enumerate(degrees) if d == 5}
     if len(fives) != 4:
@@ -104,26 +115,30 @@ def transfers(g):
 def final_charges(ledger):
     """Settle the ledger: charge minus sent plus received, per vertex.
 
-    The grand total must come back to the ledger's expected value exactly,
-    and every stored fraction must have denominator dividing 360.
+    Net flows are summed in units of 1/UNIT.  The grand total must come
+    back to the ledger's expected value exactly, and every net flow must
+    be a whole number of units.  A vertex no transfer reached keeps its
+    int charge; every other vertex gets a Fraction.
     """
+    flow = {}
+    for (s, r), units in ledger.transfers.items():
+        flow[s] = flow.get(s, 0) - units
+        flow[r] = flow.get(r, 0) + units
+    total = UNIT * sum(ledger.initial.values()) + sum(flow.values())
+    if total != UNIT * ledger.expected:
+        raise SumMismatch(f"charges total {Fraction(total, UNIT)}, expected {ledger.expected}")
     charges = dict(ledger.initial)
-    for (s, r), amount in ledger.transfers.items():
-        charges[s] -= amount
-        charges[r] += amount
-    total = sum(charges.values())
-    if total != ledger.expected:
-        raise SumMismatch(f"charges total {total}, expected {ledger.expected}")
-    for v, c in charges.items():
-        if 360 % c.denominator:
-            raise SumMismatch(f"vertex {v}: denominator of {c} does not divide 360")
+    for v, units in flow.items():
+        if units % 1:
+            raise SumMismatch(f"vertex {v}: net flow {units} is off the 1/{UNIT} grid")
+        charges[v] = Fraction(UNIT * charges[v] + units, UNIT)
     return charges
 
 
 @dataclass(frozen=True)
 class AuditReport:
     charges: dict  # vertex -> exact rational: int where no charge moved, Fraction elsewhere
-    total: int | Fraction
+    total: int  # 6n - 2m, which final_charges checked the charges sum to
     positives: tuple  # vertices with positive final charge, ascending
     min_degree: int
     inconsistent: bool
@@ -136,12 +151,13 @@ def audit(g, matched=True):
     vertex of a min-degree-5 triangulation a configuration must occur.  So
     a failed match on such a graph flags the report as inconsistent.
     """
-    charges = final_charges(transfers(g))
+    ledger = transfers(g)
+    charges = final_charges(ledger)
     positives = tuple(sorted(v for v, c in charges.items() if c > 0))
     min_degree = min((g.degree(v) for v in g.vertices()), default=0)
     return AuditReport(
         charges=charges,
-        total=sum(charges.values()),
+        total=ledger.expected,
         positives=positives,
         min_degree=min_degree,
         inconsistent=min_degree >= 5 and not matched,

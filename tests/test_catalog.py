@@ -72,10 +72,13 @@ def test_template_invariant():
             assert e.halfedges(v) == runs
 
 
-def test_exact_vertices_are_capped_to_their_degree():
+def test_exact_set_names_pattern_vertices_and_the_laid_anchor():
+    # _match_layout compares the anchor's degree with caps[0] exactly, so an
+    # entry with a layout must list its anchor as exact
     for e in builtin_catalog():
-        for v in e.exact:
-            assert e.caps[v] >= e.pattern_degree(v)
+        assert e.exact <= set(range(len(e.rotations)))
+        if e.layout is not None:
+            assert 0 in e.exact
 
 
 def test_layout_consistency():

@@ -6,6 +6,8 @@ share a corner, and a pole closes the outer ring.  It is the smallest
 honest way to put a chosen degree vector on a hub's link.
 """
 
+import hashlib
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivecolor.discharge import (
+    UNIT,
     AuditReport,
     ChargeLedger,
     SumMismatch,
@@ -52,41 +55,107 @@ def seven_wheel(rim_degrees):
     return g
 
 
+def in_charge(units_by_key):
+    return {k: F(u, UNIT) for k, u in units_by_key.items()}
+
+
+def five(degrees):
+    return in_charge(_shares_from_five(degrees))
+
+
+def seven(degrees):
+    return in_charge(_shares_from_seven(degrees))
+
+
 def test_five_shares_split_to_heavy():
-    assert _shares_from_five((7, 7, 7, 9, 9)) == {i: F(1, 3) for i in range(5)}
-    assert _shares_from_five((5, 5, 5, 5, 9)) == {4: F(1)}
-    assert _shares_from_five((7, 5, 5, 5, 9)) == {0: F(1, 3), 4: F(2, 3)}
-    assert _shares_from_five((7, 8, 9, 9, 9)) == {
+    assert five((7, 7, 7, 9, 9)) == {i: F(1, 3) for i in range(5)}
+    assert five((5, 5, 5, 5, 9)) == {4: F(1)}
+    assert five((7, 5, 5, 5, 9)) == {0: F(1, 3), 4: F(2, 3)}
+    assert five((7, 8, 9, 9, 9)) == {
         0: F(1, 3), 1: F(1, 2), 2: F(1, 3), 3: F(1, 3), 4: F(1, 3)
     }
 
 
 def test_five_shares_floor_and_absences():
     # pledges can exceed 1; heavy neighbors still get the 1/3 floor
-    assert _shares_from_five((8, 8, 8, 9, 5)) == {
+    assert five((8, 8, 8, 9, 5)) == {
         0: F(1, 2), 1: F(1, 2), 2: F(1, 2), 3: F(1, 3)
     }
-    assert _shares_from_five((8, 8, 8, 5, 5)) == {
+    assert five((8, 8, 8, 5, 5)) == {
         0: F(1, 2), 1: F(1, 2), 2: F(1, 2)
     }
-    assert _shares_from_five((5, 5, 5, 5, 5)) == {}
-    assert _shares_from_five((6, 6, 6, 6, 6)) == {}
+    assert five((5, 5, 5, 5, 5)) == {}
+    assert five((6, 6, 6, 6, 6)) == {}
 
 
 def test_seven_shares_path_endpoints():
-    assert _shares_from_seven((5, 5, 5, 5, 9, 6, 9)) == {0: F(1, 6), 3: F(1, 6)}
+    assert seven((5, 5, 5, 5, 9, 6, 9)) == {0: F(1, 6), 3: F(1, 6)}
     # the run may wrap around the cycle
-    assert _shares_from_seven((5, 9, 6, 9, 5, 5, 5)) == {4: F(1, 6), 0: F(1, 6)}
+    assert seven((5, 9, 6, 9, 5, 5, 5)) == {4: F(1, 6), 0: F(1, 6)}
 
 
 def test_seven_shares_non_path():
-    assert _shares_from_seven((5, 5, 9, 5, 5, 9, 6)) == {2: F(1, 3)}
-    assert _shares_from_seven((5, 5, 6, 5, 5, 6, 6)) == {}
+    assert seven((5, 5, 9, 5, 5, 9, 6)) == {2: F(1, 3)}
+    assert seven((5, 5, 6, 5, 5, 6, 6)) == {}
 
 
 def test_seven_shares_need_exactly_four_fives():
-    assert _shares_from_seven((5, 5, 5, 6, 6, 6, 6)) == {}
-    assert _shares_from_seven((5, 5, 5, 5, 5, 6, 6)) == {}
+    assert seven((5, 5, 5, 6, 6, 6, 6)) == {}
+    assert seven((5, 5, 5, 5, 5, 6, 6)) == {}
+
+
+def fraction_shares_from_five(degrees):
+    """Rule A in Fractions of a unit of charge: the reference for the int rule."""
+    shares = {}
+    heavy = []
+    r = F(1)
+    for i, d in enumerate(degrees):
+        if d == 7:
+            shares[i] = F(1, 3)
+            r -= F(1, 3)
+        elif d == 8:
+            shares[i] = F(1, 2)
+            r -= F(1, 2)
+        elif d >= 9:
+            heavy.append(i)
+    if heavy:
+        each = max(F(1, 3), r / len(heavy))
+        for i in heavy:
+            shares[i] = each
+    return shares
+
+
+def fraction_shares_from_seven(degrees):
+    """Rule B in Fractions of a unit of charge: the reference for the int rule."""
+    k = len(degrees)
+    fives = {i for i, d in enumerate(degrees) if d == 5}
+    if len(fives) != 4:
+        return {}
+    for start in range(k):
+        if all((start + j) % k in fives for j in range(4)):
+            return {start: F(1, 6), (start + 3) % k: F(1, 6)}
+    shares = {}
+    for i, d in enumerate(degrees):
+        if d >= 9 and (i - 1) % k in fives and (i + 1) % k in fives:
+            shares[i] = F(1, 3)
+    return shares
+
+
+def test_int_rules_match_fraction_reference():
+    # every degree bucket of rule A (<7, 7, 8, 9+) at every link position,
+    # and every rule B link over {5, 6, 9}
+    cases = [
+        (_shares_from_five, fraction_shares_from_five, itertools.product(range(5, 11), repeat=5)),
+        (_shares_from_seven, fraction_shares_from_seven, itertools.product((5, 6, 9), repeat=7)),
+    ]
+    count = 0
+    for rule, reference, links in cases:
+        for degrees in links:
+            shares = rule(degrees)
+            assert all(type(u) is int for u in shares.values())
+            assert in_charge(shares) == reference(degrees), degrees
+            count += 1
+    assert count == 6**5 + 3**7
 
 
 def test_octahedron_charges(octahedron):
@@ -112,7 +181,7 @@ def test_cube_charges(cube):
 def test_wheel_gadget_ledger():
     g, _ = wheel_gadget()
     ledger = transfers(g)
-    assert ledger.transfers == {
+    assert in_charge(ledger.transfers) == {
         (0, 1): F(1, 2), (0, 3): F(1, 3),
         (6, 1): F(1, 2), (6, 19): F(1, 2),
         (10, 1): F(1, 2), (10, 19): F(1, 2),
@@ -139,10 +208,10 @@ def test_hub_gadget_charges():
 def test_rule_b_path_on_sphere():
     g = seven_wheel((5, 5, 5, 5, 9, 6, 9))
     moved = transfers(g).transfers
-    assert moved[(0, 1)] == F(1, 6) and moved[(0, 4)] == F(1, 6)
+    assert F(moved[(0, 1)], UNIT) == F(1, 6) and F(moved[(0, 4)], UNIT) == F(1, 6)
     assert not any(s == 0 and r not in (1, 4) for (s, r) in moved)
     # the path-degree-5 rims also feed the hub under the degree-5 rule
-    assert moved[(2, 0)] == F(1, 3)
+    assert F(moved[(2, 0)], UNIT) == F(1, 3)
     assert sum(final_charges(transfers(g)).values()) == 12
 
 
@@ -151,7 +220,7 @@ def test_rule_b_non_path_on_sphere():
     moved = transfers(g).transfers
     # only the 9 flanked by two 5s gets the hub's 1/3; the other 9 has a
     # degree-6 flank
-    assert moved[(0, 3)] == F(1, 3)
+    assert F(moved[(0, 3)], UNIT) == F(1, 3)
     assert not any(s == 0 and r != 3 for (s, r) in moved)
     assert sum(final_charges(transfers(g)).values()) == 12
 
@@ -159,8 +228,8 @@ def test_rule_b_non_path_on_sphere():
 def fraction_settlement(ledger):
     charges = {v: F(c) for v, c in ledger.initial.items()}
     for (s, r), amount in ledger.transfers.items():
-        charges[s] -= amount
-        charges[r] += amount
+        charges[s] -= F(amount, UNIT)
+        charges[r] += F(amount, UNIT)
     return charges
 
 
@@ -192,8 +261,8 @@ def test_sum_mismatch_tripwire(octahedron):
 
 
 def test_denominator_tripwire():
-    # a 1/7 transfer keeps the total but leaves the 360 grid
-    ledger = ChargeLedger({0: 1, 1: -1}, {(0, 1): F(1, 7)}, 0)
+    # a 1/7 transfer (360/7 units) keeps the total but leaves the 360 grid
+    ledger = ChargeLedger({0: 1, 1: -1}, {(0, 1): F(UNIT, 7)}, 0)
     with pytest.raises(SumMismatch, match="360"):
         final_charges(ledger)
 
@@ -207,6 +276,25 @@ def test_audit_reports(icosahedron, octahedron):
     assert not report.inconsistent
     assert audit(icosahedron, matched=False).inconsistent
     assert not audit(octahedron, matched=False).inconsistent
+
+
+def test_audit_reports_pinned():
+    # every report field, charge types included, as the Fraction settlement
+    # produced them
+    digest = hashlib.sha256()
+    specs = [GenSpec(s, 400, 800) for s in range(1, 6)]
+    specs += [GenSpec(s, 162, 324, True) for s in range(1, 4)]
+    for spec in specs:
+        report = audit(generate(spec))
+        data = (
+            sorted((v, str(c), type(c).__name__) for v, c in report.charges.items()),
+            str(report.total),
+            report.positives,
+            report.min_degree,
+            report.inconsistent,
+        )
+        digest.update(repr(data).encode())
+    assert digest.hexdigest()[:16] == "b96fa709586aae97"
 
 
 @settings(max_examples=20, deadline=None)
