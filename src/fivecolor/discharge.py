@@ -96,19 +96,20 @@ def _shares_from_seven(degrees):
 
 def transfers(g):
     """Apply both rules across g and return the resulting ledger."""
+    rows = g.rotation
+    degree = [None if row is None else len(row) for row in rows]
     moved = {}
-    for v in g.vertices():
-        link = g.rotation[v]
-        d = len(link)
+    for v, link in enumerate(rows):
+        d = degree[v]
         if d == 5:
-            shares = _shares_from_five([g.degree(u) for u in link])
+            shares = _shares_from_five([degree[u] for u in link])
         elif d == 7:
-            shares = _shares_from_seven([g.degree(u) for u in link])
+            shares = _shares_from_seven([degree[u] for u in link])
         else:
             continue
         for i, amount in shares.items():
             moved[(v, link[i])] = amount
-    initial = {v: 6 - g.degree(v) for v in g.vertices()}
+    initial = {v: 6 - d for v, d in enumerate(degree) if d is not None}
     return ChargeLedger(initial, moved, 6 * g.n - 2 * g.m)
 
 

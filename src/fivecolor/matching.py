@@ -16,10 +16,20 @@ the host's row (see catalog.ConfigurationSpec).
 
 A search tries the entries in the order given (the catalog's own order by
 default), anchors ascending, and stops at the first hit.  find_reducible
-without a ScanIndex scans every live vertex; the reducer, which searches
-again after every reduction, passes a ScanIndex instead, which probes only
-the anchors whose surroundings changed since they last failed and returns
-the same first hit.
+without a ScanIndex scans every live vertex and probes every alignment; it
+is the reference the indexed search is tested against.  The reducer, which
+searches again after every reduction, passes a ScanIndex instead, which
+visits only the anchors whose surroundings changed since they last failed
+and returns the same first hit.
+
+At each anchor it visits, the indexed search first reads the link degrees
+once and asks a degree test which alignments they allow (see _kernel):
+every layout vertex sits on its own link vertex, so the link's k smallest
+degrees must each fit the entry's k smallest caps, and each placed vertex
+must fit its cap.  Only the alignments that pass are handed to match_at,
+which still runs the secondary hook and builds the Occurrence.  A test
+never rejects an alignment match_at would accept, so the first hit is
+unchanged.
 """
 
 from __future__ import annotations
@@ -183,6 +193,74 @@ def _alignments(family, d):
     return tuple((offset, direction) for offset in range(d) for direction in (1, -1))
 
 
+@cache
+def _kernel(entry):
+    """The degree test of one entry, as fits(rows, row) -> alignments.
+
+    fits gives, in scan order, the (offset, direction) pairs that the link
+    degrees allow at an anchor whose link is row; none for an anchor of a
+    degree the entry does not want.  Each pair it leaves out fails in
+    match_at.  For f1 and f7 it gives exactly the pairs that match; for a
+    layout entry without a secondary hook too, since only the hook's vertex
+    goes untested.
+    """
+    if entry.family == "f1":
+        cap = entry.caps[0]
+        return lambda rows, row: _alignments("f1", len(row)) if len(row) <= cap else ()
+    if entry.family == "f7":
+        degrees = entry.scheme.degrees
+
+        def fits(rows, row):
+            k = len(row)
+            if k not in degrees:
+                return ()
+            # the hub takes the first k - 3 link vertices of degree <= 5
+            low = sum(1 for w in row if len(rows[w]) <= 5)
+            return _alignments("f7", k) if low >= k - 3 else ()
+
+        return fits
+
+    d = entry.caps[0]
+    # (position, cap, exact) per layout vertex, ordered so that the slot
+    # likeliest to fail is tested first: exact ones, then the lowest caps
+    slots = sorted(
+        (
+            (i, entry.caps[p], p in entry.exact)
+            for i, p in enumerate(entry.layout)
+            if p is not None
+        ),
+        key=lambda s: (not s[2], s[1]),
+    )
+    ascending = sorted(cap for _, cap, _ in slots)
+    plan = tuple(
+        (
+            (offset, direction),
+            tuple(((offset + direction * i) % d, cap, exact) for i, cap, exact in slots),
+        )
+        for offset, direction in _alignments(entry.family, d)
+    )
+
+    def fits(rows, row):
+        if len(row) != d:
+            return ()
+        degs = [len(rows[w]) for w in row]
+        # the layout puts its capped vertices on distinct link vertices
+        for x, cap in zip(sorted(degs), ascending):
+            if x > cap:
+                return ()
+        out = []
+        for alignment, checks in plan:
+            for j, cap, exact in checks:
+                x = degs[j]
+                if x > cap or exact and x != cap:
+                    break
+            else:
+                out.append(alignment)
+        return out
+
+    return fits
+
+
 def _no_match(rows):
     degs = [len(row) for row in rows if row is not None]
     return CompletenessBreach(
@@ -225,8 +303,10 @@ class ScanIndex:
     pending anchors: live vertices of a wanted degree not yet known to fail
     it, as a set with a min-heap beside it.  The first search to reach an
     entry makes every such vertex pending.  A search pops them in ascending
-    order and probes them as the full scan does; a failing anchor is
-    dropped, the first hit is returned and stays pending.
+    order.  At each one it reads the link degrees once and runs the entry's
+    degree test (_kernel), then calls match_at on the alignments the test
+    allows, in the full scan's order; a failing anchor is dropped, the
+    first hit is returned and stays pending.
 
     The owner adds to `changed` every vertex whose row changes between
     searches.  The next search puts the 1-ball of each one back in pending
@@ -235,7 +315,9 @@ class ScanIndex:
     probe also reads the host's row and the degree of a vertex behind it.
     Every anchor left out therefore still fails, and a search returns
     exactly what find_reducible(rows, entries) would.
-    `probes` counts the match_at calls made so far.
+    `probes` counts the match_at calls made so far, which are made only
+    for the alignments that pass the degree test; on an entry without a
+    secondary hook every one of them hits.
     """
 
     def __init__(self, entries):
@@ -244,6 +326,7 @@ class ScanIndex:
         self.probes = 0
         self._pending = [None] * len(self.entries)  # None: not reached yet
         self._heaps = [None] * len(self.entries)
+        self._fits = [_kernel(e) for e in self.entries]
         self._ranks = {}  # degree -> (reached ranks wanting it, hooked ones)
         self._two_hop = False  # whether a hooked entry has been reached
 
@@ -270,12 +353,14 @@ class ScanIndex:
         self._two_hop |= e.secondary is not None
 
     def _requeue(self, rows, verts, two_hop):
+        ranks, pendings, heaps = self._ranks, self._pending, self._heaps
         for v in verts:
-            for r in self._wanting(len(rows[v]))[two_hop]:
-                pending = self._pending[r]
+            d = len(rows[v])
+            for r in (ranks.get(d) or self._wanting(d))[two_hop]:
+                pending = pendings[r]
                 if v not in pending:
                     pending.add(v)
-                    heapq.heappush(self._heaps[r], v)
+                    heapq.heappush(heaps[r], v)
 
     def _reopen(self, rows):
         ball = set()
@@ -294,12 +379,12 @@ class ScanIndex:
         for rank, e in enumerate(self.entries):
             if self._pending[rank] is None:
                 self._reach(rows, rank)
-            pending, heap = self._pending[rank], self._heaps[rank]
+            pending, heap, fits = self._pending[rank], self._heaps[rank], self._fits[rank]
             while heap:
                 v = heap[0]
                 row = rows[v]
-                if row is not None and _wants(e, len(row)):
-                    for offset, direction in _alignments(e.family, len(row)):
+                if row is not None:
+                    for offset, direction in fits(rows, row):
                         self.probes += 1
                         occ = match_at(rows, e, v, offset, direction)
                         if occ is not None:

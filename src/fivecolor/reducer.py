@@ -57,7 +57,7 @@ class RunStats:
     free_color_calls: int = 0
     chain_swaps: int = 0
     chain_verts: int = 0  # summed sizes of the sets kempe.chain returned
-    probes: int = 0  # match_at calls made by the scans
+    probes: int = 0  # match_at calls by the scans, on the alignments degrees allow
     walk_darts: int = 0  # darts on the face walks the descent traced for holes
 
 

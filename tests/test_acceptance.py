@@ -5,7 +5,8 @@ instances (seeds 1..200, sizes cycling through SIZES) are generated,
 colored, checked, and audited; 50 min-degree-5 instances (seeds 1..50,
 n = 162) are generated and colored, and their positive-charge vertices
 searched for nearby catalog occurrences.  Criterion tests then assert
-over the recorded results.
+over the recorded results.  Criterion 8 colors one min-degree-5 flip
+instance at n = 10242 under both scan orders.
 
 Lines are printed on the real stdout so they survive pytest's capture.
 """
@@ -13,16 +14,19 @@ Lines are printed on the real stdout so they survive pytest's capture.
 import math
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fivecolor import reducer
 from fivecolor.catalog import TrialSequence, builtin_catalog, get_entry, validate_entry
 from fivecolor.discharge import audit
 from fivecolor.instances import GenSpec, generate, named
 from fivecolor.kempe import DiagonalContradiction
 from fivecolor.matching import CompletenessBreach, find_reducible, match_at
 from fivecolor.reducer import RunStats, check_coloring, color_planar
+from test_reducer import _f2_last
 
 SIZES = (10, 50, 100, 500, 1000, 2000)
 BENCH_SIZES = (250, 500, 1000, 2000, 4000)
@@ -250,4 +254,47 @@ def test_criterion_7_named_instances():
         7, "named-instances", not problems,
         "k4 and octahedron avoid color 5; icosahedron within 2, wheel first"
         if not problems else "; ".join(problems),
+    )
+
+
+@pytest.fixture(scope="module")
+def flips():
+    return generate(GenSpec(1, 10242, 20484, shape_min_degree_5=True))
+
+
+@pytest.mark.parametrize("order", ["default", "f2-last"])
+def test_criterion_8_flips_at_scale(monkeypatch, flips, order):
+    # with f2 last the descent runs f3, f4, f5, f7 and f8 as well; each
+    # family's fallback peels (no candidate could take color 5) are counted
+    # where the ascent applies its occurrences
+    if order == "f2-last":
+        monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
+    fallbacks = Counter()
+    apply = reducer.reduce_once
+
+    def counted(rows, occ, colors, stats=None):
+        fifth, peel = apply(rows, occ, colors, stats)
+        if fifth is None:
+            fallbacks[occ.entry.family] += 1
+        return fifth, peel
+
+    monkeypatch.setattr(reducer, "reduce_once", counted)
+    g = flips
+    stats = RunStats()
+    sizes = check_coloring(g, color_planar(g, stats))
+    report = audit(g)
+    ok = (
+        report.min_degree >= 5
+        and 6 * sizes[5] <= g.n
+        and sizes[5] == stats.fifth_assigned
+        and report.total == 12
+    )
+    families = " ".join(
+        f"{f}:{stats.occ_steps[f]}/{fallbacks[f]}" for f in sorted(stats.occ_steps)
+    )
+    _report(
+        8, f"flips-at-scale-{order}", ok,
+        f"n={g.n} min degree {report.min_degree}, |V5|={sizes[5]},"
+        f" fifth assigned {stats.fifth_assigned}, charge total {report.total};"
+        f" occurrences/fallback peels by family {families}",
     )

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from fivecolor.catalog import builtin_catalog, get_entry
 from fivecolor.embedding import from_faces
-from fivecolor.instances import GenSpec, generate
+from fivecolor.instances import GenSpec, generate, icosphere
 from fivecolor.matching import (
     CompletenessBreach,
     ScanIndex,
+    _alignments,
+    _fits,
+    _kernel,
     find_reducible,
     match_at,
 )
@@ -218,6 +221,49 @@ def test_scan_index_keeps_its_hit_pending():
     first = index.probes
     assert find_reducible(g, index) == occ
     assert index.probes - first == 1
+
+
+def _layout_fits(rows, e, v, offset, direction):
+    """Whether every layout vertex of e fits its cap at this alignment."""
+    link = rows[v]
+    return len(link) == e.caps[0] and all(
+        _fits(rows, link[(offset + direction * i) % len(link)], e.caps[p], p in e.exact)
+        for i, p in enumerate(e.layout)
+        if p is not None
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [icosphere(3), antiprism(7), antiprism(8), antiprism(9), split_nine()]
+    + [
+        generate(GenSpec(s, n, 3 * n, shape_min_degree_5=True))
+        for n in (162, 642)
+        for s in (1, 2, 3)
+    ]
+    + [generate(GenSpec(1, 400, 800))],
+    ids=["icosphere-3", "antiprism-7", "antiprism-8", "antiprism-9", "split-nine"]
+    + [f"flips-{n}-{s}" for n in (162, 642) for s in (1, 2, 3)]
+    + ["random-400"],
+)
+def test_degree_kernel_keeps_every_hit(g):
+    # the indexed search probes only the alignments an entry's degree test
+    # lets through, so the test must let through every alignment of the
+    # full scan that hits.  It tests every layout vertex against its cap,
+    # exact ones included, and only a secondary hook's vertex goes
+    # untested, so without a hook it lets through nothing else
+    rows = g.rotation
+    for e in builtin_catalog():
+        fits = _kernel(e)
+        for v in g.vertices():
+            order = _alignments(e.family, len(rows[v]))
+            hits = [a for a in order if match_at(g, e, v, *a) is not None]
+            allowed = list(fits(rows, rows[v]))
+            assert set(hits) <= set(allowed), (e.name, v)
+            if e.secondary is None:
+                assert allowed == hits, (e.name, v)
+            else:
+                assert allowed == [a for a in order if _layout_fits(rows, e, v, *a)], (e.name, v)
 
 
 def test_scan_order_is_family_major():

@@ -393,6 +393,28 @@ def test_scan_probes_stay_linear(k):
     assert 0 < stats.probes <= 4 * g.n
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_scan_probes_equal_scans(k):
+    # counters, not time.  The wheels have no secondary hook, so the degree
+    # test passes exactly the alignments that hit, and each scan probes
+    # once; probing every alignment of each visited anchor gave 13 to 26
+    # probes per scan
+    g = icosphere(k)
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert stats.probes == stats.scans > 0
+
+
+def test_scan_probes_f2_last(monkeypatch):
+    # counters, not time.  With f2 last every entry is probed; the degree
+    # test gave 1.65 probes per vertex, against 50 without it
+    monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
+    g = icosphere(4)
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert 0 < stats.probes <= 3 * g.n
+
+
 # -- tracing only the holes ----------------------------------------------------
 
 
@@ -543,7 +565,7 @@ def _descent_digest(graphs):
 
 @pytest.mark.parametrize(
     "order, digest",
-    [("default", "358c481f4aae9280"), ("f2-last", "fd5ff7a05d4feae9")],
+    [("default", "46ab9dd2c532ba1b"), ("f2-last", "1456121e0881ced8")],
 )
 def test_occurrence_descents_pinned(monkeypatch, order, digest):
     # colorings and counters of descents made of occurrences, taken while
