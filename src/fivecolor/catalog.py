@@ -539,34 +539,36 @@ def _validate_trial(e):
     return results
 
 
-def _hub_scenarios(entry_name, tag, caps, hub, layout):
-    """Replay one hub pattern: layout maps link position -> leaf id or None."""
+def hub_edges(layout):
+    """Spokes from hub 0 plus edges between leaves at neighboring positions.
+
+    layout maps each position of the hub's link to a leaf id or None.
+    """
     d = len(layout)
-    leaf_at = {p: v for p, v in enumerate(layout) if v is not None}
-    leaves = sorted(leaf_at.values())
-    edges = set()
-    for v in leaves:
-        edges.add(tuple(sorted((hub, v))))
-    for p, v in leaf_at.items():
+    edges = {(0, v) for v in layout if v is not None}
+    for p, v in enumerate(layout):
         w = layout[(p + 1) % d]
-        if w is not None:
-            edges.add(tuple(sorted((v, w))))
-    edges = frozenset(edges)
+        if v is not None and w is not None:
+            edges.add((min(v, w), max(v, w)))
+    return frozenset(edges)
+
+
+def _hub_scenarios(entry_name, tag, caps, layout):
+    """Replay one hub pattern, hub 0, laid out as hub_edges reads it."""
+    d = len(layout)
+    leaves = sorted(v for v in layout if v is not None)
+    edges = hub_edges(layout)
 
     # the hub takes the fifth color
-    _require_full_peel(entry_name, f"{tag} fifth=hub", caps, edges, {hub}, {})
+    _require_full_peel(entry_name, f"{tag} fifth=hub", caps, edges, {0}, {})
 
     # a separator carries color 5: the hub and the separator's link-adjacent
     # leaves are blocked; some other leaf must take the fifth color
     for p in range(d):
         if layout[p] is not None:
             continue
-        flanks = {
-            leaf_at[q]
-            for q in ((p - 1) % d, (p + 1) % d)
-            if q in leaf_at
-        }
-        blocked = {hub: 1, **{v: 1 for v in flanks}}
+        flanks = {layout[p - 1], layout[(p + 1) % d]} - {None}
+        blocked = {0: 1, **{v: 1 for v in flanks}}
         label = f"{tag} separator@{p}"
         for cand in leaves:
             if cand in flanks:
@@ -578,7 +580,7 @@ def _hub_scenarios(entry_name, tag, caps, hub, layout):
             raise ValidationFailure(entry_name, label, "no leaf peels the rest")
 
     # every candidate blocked: no fifth vertex, the whole pattern peels
-    blocked = {hub: 1, **{v: 1 for v in leaves}}
+    blocked = {0: 1, **{v: 1 for v in leaves}}
     _require_full_peel(entry_name, f"{tag} all-blocked", caps, edges, set(), blocked)
 
 
@@ -605,7 +607,7 @@ def _validate_virtual_hub(e):
                     nleaf += 1
                     layout[p] = nleaf
             caps = (d,) + (5,) * nleaf
-            _hub_scenarios(e.name, f"d={d} sep={seps}", caps, 0, tuple(layout))
+            _hub_scenarios(e.name, f"d={d} sep={seps}", caps, tuple(layout))
             runs = _run_count(layout)
             by_runs[runs] = by_runs.get(runs, 0) + 1
         detail = ", ".join(
@@ -617,7 +619,7 @@ def _validate_virtual_hub(e):
 
 
 def _validate_nine(e):
-    _hub_scenarios(e.name, "d=9", e.caps, 0, e.layout)
+    _hub_scenarios(e.name, "d=9", e.caps, e.layout)
     runs = _run_count(e.layout)
     return [ScenarioResult("d=9 fixed layout", "ok", f"{runs} leaf runs")]
 

@@ -146,15 +146,6 @@ def cmd_audit(args):
     return 0
 
 
-def _generate(spec):
-    # generate() raises ValueError only for a size it cannot build, which
-    # on the command line is bad input, not a broken guarantee
-    try:
-        return generate(spec)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
 def cmd_generate(args):
     if args.named:
         g = named(args.named)
@@ -162,7 +153,12 @@ def cmd_generate(args):
         if args.n is None:
             raise ParseError("generate needs --n (or --named)")
         flips = 2 * args.n if args.flips is None else args.flips
-        g = _generate(GenSpec(args.seed, args.n, flips, args.min_degree_5))
+        # generate() raises ValueError only for a size it cannot build,
+        # which on the command line is bad input, not a broken guarantee
+        try:
+            g = generate(GenSpec(args.seed, args.n, flips, args.min_degree_5))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     write(g, sys.stdout)
     return 0
 
@@ -186,37 +182,55 @@ def _sizes(text):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+    # the generator starts from K4
+    if min(sizes) < 4:
+        raise argparse.ArgumentTypeError(f"sizes below 4 in {text!r}")
     # the slope fit needs distinct sizes
     if len(set(sizes)) != len(sizes):
         raise argparse.ArgumentTypeError(f"sizes repeat in {text!r}")
     return sizes
 
 
-def _repeat(text):
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _at_least(low):
+    def count(text):
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return count
+
+
+def time_ladder(sizes, seed, repeat):
+    """Yield (n, seconds) per size: the best of `repeat` color_planar runs.
+
+    The i-th size n is timed on generate(GenSpec(seed + i, n, 2 * n)).
+    """
+    for i, n in enumerate(sizes):
+        g = generate(GenSpec(seed + i, n, 2 * n))
+        best = math.inf
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            color_planar(g)
+            best = min(best, time.perf_counter() - t0)
+        yield n, best
+
+
+def loglog_slope(points):
+    """Least-squares slope of log(seconds) against log(n) over (n, seconds)."""
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(max(t, 1e-6)) for _, t in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return sxy / sum((x - mx) ** 2 for x in xs)
 
 
 def cmd_bench(args):
     points = []
-    for i, n in enumerate(args.sizes):
-        g = _generate(GenSpec(args.seed + i, n, 2 * n))
-        best = math.inf
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            color_planar(g)
-            best = min(best, time.perf_counter() - t0)
+    for n, best in time_ladder(args.sizes, args.seed, args.repeat):
         points.append((n, best))
         print(f"{n} {best:.4f}")
     if len(points) >= 2:
-        xs = [math.log(n) for n, _ in points]
-        ys = [math.log(max(t, 1e-6)) for _, t in points]
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        sxx = sum((x - mx) ** 2 for x in xs)
-        sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        print(f"slope={sxy / sxx:.3f}")
+        print(f"slope={loglog_slope(points):.3f}")
     return 0
 
 
@@ -248,7 +262,7 @@ def _build_parser():
     p = sub.add_parser("generate", help="emit a test graph as pg/1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int)
-    p.add_argument("--flips", type=int)
+    p.add_argument("--flips", type=_at_least(0))
     p.add_argument("--min-degree-5", action="store_true")
     p.add_argument("--named", help="emit a named instance instead")
     p.set_defaults(func=cmd_generate)
@@ -260,7 +274,7 @@ def _build_parser():
     p = sub.add_parser("bench", help="time the coloring across sizes")
     p.add_argument("--sizes", type=_sizes, default="250,500,1000,2000,4000")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeat", type=_repeat, default=3)
+    p.add_argument("--repeat", type=_at_least(1), default=3)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -226,11 +226,10 @@ def _grow_k4(rng, n):
 
 
 class _Mesh:
-    """Mutable triangulation under edge flips: rotations + adjacency sets."""
+    """Mutable triangulation under edge flips, as rotation lists."""
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
-        self.adj = [set(r) for r in self.rows]
 
     def flip_apexes(self, u, v):
         """The two triangle apexes across edge (u, v)."""
@@ -244,7 +243,7 @@ class _Mesh:
         x, y = self.flip_apexes(u, v)
         return (
             x != y
-            and y not in self.adj[x]
+            and y not in self.rows[x]
             and len(self.rows[u]) > floor
             and len(self.rows[v]) > floor
         )
@@ -254,12 +253,8 @@ class _Mesh:
         x, y = self.flip_apexes(u, v)
         self.rows[u].remove(v)
         self.rows[v].remove(u)
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
         self.rows[x].insert(self.rows[x].index(v), y)
         self.rows[y].insert(self.rows[y].index(u), x)
-        self.adj[x].add(y)
-        self.adj[y].add(x)
         return x, y
 
     def edge_list(self):

@@ -9,10 +9,12 @@ in a link are taken to be adjacent without an explicit edge check.
 Occurrence.recheck re-verifies a match without that shortcut.
 
 Caps are matched exactly where the entry says so and as upper bounds
-elsewhere.  An entry's layout is laid on the anchor's link; offsets cover
-its cyclic alignments, direction -1 the mirror images.  An entry with a
-secondary hook places its one vertex outside that link by stepping through
-the host's row (see catalog.ConfigurationSpec).
+elsewhere, the anchor's included (_degrees).  An entry's layout is laid on
+the anchor's link; offsets cover its cyclic alignments, direction -1 the
+mirror images, and an entry with no layout needs one alignment.  An entry
+with a secondary hook places its one vertex outside that link by stepping
+through the host's row (see catalog.ConfigurationSpec).  Only the hub
+(VirtualHub) has its own rule: the first d - 3 link vertices of degree <= 5.
 
 A search tries the entries in the order given (the catalog's own order by
 default), anchors ascending, and stops at the first hit.  find_reducible
@@ -38,7 +40,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cache
 
-from .catalog import builtin_catalog
+from .catalog import VirtualHub, builtin_catalog, hub_edges
 
 
 class CompletenessBreach(RuntimeError):
@@ -94,12 +96,12 @@ def _fits(rows, w, cap, exact):
 
 
 def _match_layout(rows, entry, anchor, offset, direction):
+    if not _fits(rows, anchor, entry.caps[0], 0 in entry.exact):
+        return None
     link = rows[anchor]
     d = len(link)
-    if d != entry.caps[0]:
-        return None
     mapping = {0: anchor}
-    for i, pid in enumerate(entry.layout):
+    for i, pid in enumerate(entry.layout or ()):
         if pid is None:
             continue
         w = link[(offset + direction * i) % d]
@@ -148,12 +150,7 @@ def _match_hub(rows, entry, anchor, offset, direction):
         return None
     mapping = {0: anchor}
     mapping.update(enumerate(leaves, start=1))
-    edges = {(0, k) for k in range(1, need + 1)}
-    for p in range(d):
-        a, b = placed[p], placed[(p + 1) % d]
-        if a is not None and b is not None:
-            edges.add((min(a, b), max(a, b)))
-    return Occurrence(entry, mapping, anchor, offset, direction, frozenset(edges))
+    return Occurrence(entry, mapping, anchor, offset, direction, hub_edges(placed))
 
 
 def match_at(tri, entry, anchor, offset=0, direction=1):
@@ -168,27 +165,22 @@ def match_at(tri, entry, anchor, offset=0, direction=1):
     rows = _rows_view(tri)
     if not (0 <= anchor < len(rows)) or rows[anchor] is None:
         return None
-    if entry.family == "f1":
-        if len(rows[anchor]) > entry.caps[0]:
-            return None
-        return Occurrence(entry, {0: anchor}, anchor, offset, direction, frozenset())
-    if entry.family == "f7":
+    if isinstance(entry.scheme, VirtualHub):
         return _match_hub(rows, entry, anchor, offset, direction)
     return _match_layout(rows, entry, anchor, offset, direction)
 
 
-def _wants(entry, d):
-    if entry.family == "f1":
-        return d <= entry.caps[0]
-    if entry.family == "f7":
-        return d in entry.scheme.degrees
-    return d == entry.caps[0]
+def _degrees(entry):
+    """The anchor degrees `entry` can match at, as a frozenset."""
+    if isinstance(entry.scheme, VirtualHub):
+        return frozenset(entry.scheme.degrees)
+    cap = entry.caps[0]
+    return frozenset({cap} if 0 in entry.exact else range(cap + 1))
 
 
-@cache
-def _alignments(family, d):
+def _alignments(entry, d):
     """(offset, direction) pairs to probe at an anchor of degree d, in order."""
-    if family in ("f1", "f7"):  # alignment never changes the verdict
+    if entry.layout is None:  # nothing is laid on the link: one probe decides
         return ((0, 1),)
     return tuple((offset, direction) for offset in range(d) for direction in (1, -1))
 
@@ -200,15 +192,12 @@ def _kernel(entry):
     fits gives, in scan order, the (offset, direction) pairs that the link
     degrees allow at an anchor whose link is row; none for an anchor of a
     degree the entry does not want.  Each pair it leaves out fails in
-    match_at.  For f1 and f7 it gives exactly the pairs that match; for a
-    layout entry without a secondary hook too, since only the hook's vertex
-    goes untested.
+    match_at.  For the entries with no layout (the hub among them) it gives
+    exactly the pairs that match; for a layout entry without a secondary
+    hook too, since only the hook's vertex goes untested.
     """
-    if entry.family == "f1":
-        cap = entry.caps[0]
-        return lambda rows, row: _alignments("f1", len(row)) if len(row) <= cap else ()
-    if entry.family == "f7":
-        degrees = entry.scheme.degrees
+    degrees = _degrees(entry)
+    if isinstance(entry.scheme, VirtualHub):
 
         def fits(rows, row):
             k = len(row)
@@ -216,32 +205,35 @@ def _kernel(entry):
                 return ()
             # the hub takes the first k - 3 link vertices of degree <= 5
             low = sum(1 for w in row if len(rows[w]) <= 5)
-            return _alignments("f7", k) if low >= k - 3 else ()
+            return _alignments(entry, k) if low >= k - 3 else ()
 
         return fits
 
-    d = entry.caps[0]
     # (position, cap, exact) per layout vertex, ordered so that the slot
     # likeliest to fail is tested first: exact ones, then the lowest caps
     slots = sorted(
         (
             (i, entry.caps[p], p in entry.exact)
-            for i, p in enumerate(entry.layout)
+            for i, p in enumerate(entry.layout or ())
             if p is not None
         ),
         key=lambda s: (not s[2], s[1]),
     )
     ascending = sorted(cap for _, cap, _ in slots)
-    plan = tuple(
-        (
-            (offset, direction),
-            tuple(((offset + direction * i) % d, cap, exact) for i, cap, exact in slots),
+    plans = {
+        d: tuple(
+            (
+                (offset, direction),
+                tuple(((offset + direction * i) % d, cap, exact) for i, cap, exact in slots),
+            )
+            for offset, direction in _alignments(entry, d)
         )
-        for offset, direction in _alignments(entry.family, d)
-    )
+        for d in degrees
+    }
 
     def fits(rows, row):
-        if len(row) != d:
+        plan = plans.get(len(row))
+        if plan is None:
             return ()
         degs = [len(rows[w]) for w in row]
         # the layout puts its capped vertices on distinct link vertices
@@ -285,11 +277,9 @@ def find_reducible(tri, entries=None):
         entries = builtin_catalog()
     verts = [v for v in range(len(rows)) if rows[v] is not None]
     for e in entries:
+        alignments = {d: _alignments(e, d) for d in _degrees(e)}
         for v in verts:
-            d = len(rows[v])
-            if not _wants(e, d):
-                continue
-            for offset, direction in _alignments(e.family, d):
+            for offset, direction in alignments.get(len(rows[v]), ()):
                 occ = match_at(tri, e, v, offset, direction)
                 if occ is not None:
                     return occ
@@ -299,22 +289,26 @@ def find_reducible(tri, entries=None):
 class ScanIndex:
     """Incremental state for repeated scans of one changing triangulation.
 
-    Iterates as its entries, in scan order.  For each entry it keeps the
-    pending anchors: live vertices of a wanted degree not yet known to fail
-    it, as a set with a min-heap beside it.  The first search to reach an
-    entry makes every such vertex pending.  A search pops them in ascending
-    order.  At each one it reads the link degrees once and runs the entry's
-    degree test (_kernel), then calls match_at on the alignments the test
-    allows, in the full scan's order; a failing anchor is dropped, the
-    first hit is returned and stays pending.
+    Iterates as its entries, in scan order.  A search reaches the entries
+    in that order and stops at its hit, so the entries reached so far are
+    always a prefix; the index keeps its per-entry state in lists as long
+    as that prefix.  For each reached entry it keeps the pending anchors:
+    live vertices of a wanted degree not yet known to fail it, as a set
+    with a min-heap beside it.  Reaching an entry makes every such vertex
+    pending.  A search pops them in ascending order.  At each one it reads
+    the link degrees once and runs the entry's degree test (_kernel), then
+    calls match_at on the alignments the test allows, in the full scan's
+    order; a failing anchor is dropped, the first hit is returned and stays
+    pending.
 
     The owner adds to `changed` every vertex whose row changes between
     searches.  The next search puts the 1-ball of each one back in pending
-    for every entry reached so far, and its 2-ball for the entries with a
-    secondary hook (a pattern vertex outside the anchor's link), whose
-    probe also reads the host's row and the degree of a vertex behind it.
-    Every anchor left out therefore still fails, and a search returns
-    exactly what find_reducible(rows, entries) would.
+    for every reached entry that wants its degree, and its 2-ball for those
+    with a secondary hook (a pattern vertex outside the anchor's link),
+    whose probe also reads the host's row and the degree of a vertex behind
+    it.  Two rank lists per degree, filled as entries are reached, name
+    those entries.  Every anchor left out therefore still fails, and a
+    search returns exactly what find_reducible(rows, entries) would.
     `probes` counts the match_at calls made so far, which are made only
     for the alignments that pass the degree test; on an entry without a
     secondary hook every one of them hits.
@@ -324,39 +318,30 @@ class ScanIndex:
         self.entries = tuple(entries)
         self.changed = set()
         self.probes = 0
-        self._pending = [None] * len(self.entries)  # None: not reached yet
-        self._heaps = [None] * len(self.entries)
+        self._pending = []  # per reached entry
+        self._heaps = []
         self._fits = [_kernel(e) for e in self.entries]
-        self._ranks = {}  # degree -> (reached ranks wanting it, hooked ones)
-        self._two_hop = False  # whether a hooked entry has been reached
+        self._near = {}  # degree -> ranks of the reached entries wanting it
+        self._far = {}  # degree -> those of them with a secondary hook
 
     def __iter__(self):
         return iter(self.entries)
 
-    def _wanting(self, d):
-        ranks = self._ranks.get(d)
-        if ranks is None:
-            near = tuple(
-                r for r, e in enumerate(self.entries)
-                if self._pending[r] is not None and _wants(e, d)
-            )
-            far = tuple(r for r in near if self.entries[r].secondary is not None)
-            ranks = self._ranks[d] = (near, far)
-        return ranks
-
     def _reach(self, rows, rank):
         e = self.entries[rank]
-        heap = [v for v, row in enumerate(rows) if row is not None and _wants(e, len(row))]
-        self._heaps[rank] = heap  # ascending, so already a heap
-        self._pending[rank] = set(heap)
-        self._ranks.clear()
-        self._two_hop |= e.secondary is not None
+        degrees = _degrees(e)
+        heap = [v for v, row in enumerate(rows) if row is not None and len(row) in degrees]
+        self._heaps.append(heap)  # ascending, so already a heap
+        self._pending.append(set(heap))
+        for d in degrees:
+            self._near.setdefault(d, []).append(rank)
+            if e.secondary is not None:
+                self._far.setdefault(d, []).append(rank)
 
-    def _requeue(self, rows, verts, two_hop):
-        ranks, pendings, heaps = self._ranks, self._pending, self._heaps
+    def _requeue(self, rows, verts, ranks):
+        pendings, heaps = self._pending, self._heaps
         for v in verts:
-            d = len(rows[v])
-            for r in (ranks.get(d) or self._wanting(d))[two_hop]:
+            for r in ranks.get(len(rows[v]), ()):
                 pending = pendings[r]
                 if v not in pending:
                     pending.add(v)
@@ -368,16 +353,15 @@ class ScanIndex:
             if rows[x] is not None:  # a vertex deleted since is in no row
                 ball.add(x)
                 ball.update(rows[x])
-        self._requeue(rows, ball, False)
-        if self._two_hop:
-            self._requeue(rows, {z for x in ball for z in rows[x]} - ball, True)
+        self._requeue(rows, ball, self._near)
+        if self._far:
+            self._requeue(rows, {z for x in ball for z in rows[x]} - ball, self._far)
 
     def search(self, rows):
-        if any(p is not None for p in self._pending):
-            self._reopen(rows)
+        self._reopen(rows)
         self.changed.clear()
         for rank, e in enumerate(self.entries):
-            if self._pending[rank] is None:
+            if rank == len(self._heaps):
                 self._reach(rows, rank)
             pending, heap, fits = self._pending[rank], self._heaps[rank], self._fits[rank]
             while heap:

@@ -11,7 +11,6 @@ instance at n = 10242 under both scan orders.
 Lines are printed on the real stdout so they survive pytest's capture.
 """
 
-import math
 import sys
 import time
 from collections import Counter
@@ -21,10 +20,11 @@ import pytest
 
 from fivecolor import reducer
 from fivecolor.catalog import TrialSequence, builtin_catalog, get_entry, validate_entry
+from fivecolor.cli import loglog_slope, time_ladder
 from fivecolor.discharge import audit
 from fivecolor.instances import GenSpec, generate, named
 from fivecolor.kempe import DiagonalContradiction
-from fivecolor.matching import CompletenessBreach, find_reducible, match_at
+from fivecolor.matching import CompletenessBreach, _alignments, find_reducible, match_at
 from fivecolor.reducer import RunStats, check_coloring, color_planar
 from test_reducer import _f2_last
 
@@ -46,11 +46,9 @@ def _witness_near(g, v):
         ball.update(g.rotation[u])
     for a in sorted(ball, key=lambda u: (u != v, u)):
         for entry in ENTRIES:
-            offsets = (0,) if entry.family in ("f1", "f7") else range(g.degree(a))
-            for off in offsets:
-                for dr in (1, -1):
-                    if match_at(g, entry, a, off, dr) is not None:
-                        return True
+            for off, dr in _alignments(entry, g.degree(a)):
+                if match_at(g, entry, a, off, dr) is not None:
+                    return True
     return False
 
 
@@ -215,21 +213,8 @@ def test_criterion_5_kempe_invariants(corpus):
 
 
 def test_criterion_6_quadratic_scaling():
-    points = []
-    for i, n in enumerate(BENCH_SIZES):
-        g = generate(GenSpec(seed=100 + i, n=n, flips=2 * n))
-        best = math.inf
-        for _ in range(2):
-            t0 = time.perf_counter()
-            color_planar(g)
-            best = min(best, time.perf_counter() - t0)
-        points.append((n, best))
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(max(t, 1e-6)) for _, t in points]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
-        (x - mx) ** 2 for x in xs
-    )
+    points = list(time_ladder(BENCH_SIZES, seed=100, repeat=2))
+    slope = loglog_slope(points)
     ok = slope <= 2.3
     times = " ".join(f"{n}:{t:.3f}s" for n, t in points)
     _report(6, "quadratic-scaling", ok, f"slope={slope:.2f} [{times}]")

@@ -21,6 +21,7 @@ from fivecolor.catalog import (
     blocked_peel,
     builtin_catalog,
     get_entry,
+    hub_edges,
     validate_catalog,
     validate_entry,
 )
@@ -210,6 +211,13 @@ def test_virtual_hub_run_distribution():
 def test_nine_pattern_report():
     report = validate_entry(get_entry("hub9"))
     assert report.scenarios[0].detail == "2 leaf runs"
+
+
+def test_hub_edges_match_the_templates():
+    # the hub rule the matcher and the replay share gives hub9, whose link is
+    # laid like a hub's, the edges its rotation templates name
+    hub9 = get_entry("hub9")
+    assert hub_edges(hub9.layout) == hub9.edges
 
 
 def test_validation_catches_bad_entry():

@@ -275,9 +275,14 @@ def test_bad_usage_and_inputs(tmp_path, capsys):
         # a best-of-0 time is inf, and one size twice leaves no slope to fit
         ["bench", "--sizes", "30,60", "--repeat", "0"],
         ["bench", "--sizes", "100,100"],
+        # rejected before any size is timed or any flip is made
+        ["bench", "--sizes", "5,0"],
+        ["generate", "--n", "10", "--flips", "-3"],
     ):
         assert main(argv) == 1
-        assert "error:" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "error:" in err
+        assert out == ""
 
 
 # The body of the wrapper that an installer writes for a [project.scripts] entry.

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fivecolor.catalog import builtin_catalog, get_entry
-from fivecolor.embedding import from_faces
+from fivecolor.embedding import build, from_faces
 from fivecolor.instances import GenSpec, generate, icosphere
 from fivecolor.matching import (
     CompletenessBreach,
@@ -235,16 +235,28 @@ def _layout_fits(rows, e, v, offset, direction):
 
 @pytest.mark.parametrize(
     "g",
-    [icosphere(3), antiprism(7), antiprism(8), antiprism(9), split_nine()]
+    [icosphere(3)]
+    + [antiprism(k) for k in (7, 8, 9, 10, 11)]
+    + [split_nine()]
     + [
         generate(GenSpec(s, n, 3 * n, shape_min_degree_5=True))
         for n in (162, 642)
         for s in (1, 2, 3)
     ]
-    + [generate(GenSpec(1, 400, 800))],
-    ids=["icosphere-3", "antiprism-7", "antiprism-8", "antiprism-9", "split-nine"]
+    + [generate(GenSpec(1, 400, 800))]
+    # anchors of degree 0 to 2, and hubs of every degree, on graphs that
+    # are not triangulated
+    + [
+        build([tuple(range(1, 10))] + [(0,)] * 9),
+        build([tuple(w for w in (i - 1, i + 1) if 0 <= w < 12) for i in range(12)]),
+        build([((i - 1) % 12, (i + 1) % 12) for i in range(12)]),
+        build([(1, 2), (2, 0), (0, 1), ()]),
+    ],
+    ids=["icosphere-3"]
+    + [f"antiprism-{k}" for k in (7, 8, 9, 10, 11)]
+    + ["split-nine"]
     + [f"flips-{n}-{s}" for n in (162, 642) for s in (1, 2, 3)]
-    + ["random-400"],
+    + ["random-400", "star-9", "path-12", "cycle-12", "isolated"],
 )
 def test_degree_kernel_keeps_every_hit(g):
     # the indexed search probes only the alignments an entry's degree test
@@ -256,7 +268,7 @@ def test_degree_kernel_keeps_every_hit(g):
     for e in builtin_catalog():
         fits = _kernel(e)
         for v in g.vertices():
-            order = _alignments(e.family, len(rows[v]))
+            order = _alignments(e, len(rows[v]))
             hits = [a for a in order if match_at(g, e, v, *a) is not None]
             allowed = list(fits(rows, rows[v]))
             assert set(hits) <= set(allowed), (e.name, v)

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and asserts nothing."""
 
 import ast
 import sys
@@ -24,3 +24,11 @@ def test_stdlib_only(path):
         for name in names:
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {name}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert(path):
+    # python -O strips assert statements; an invariant must raise for real
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts on lines {lines}"
