@@ -1,9 +1,11 @@
 """Kempe chains and the guaranteed pick of a spare color.
 
 Works on plain rotation rows (indexable: rows[v] iterates neighbors) and a
-plain dict of colors.  Uncolored vertices (missing or None) are
-invisible to chains: a chain is a connected piece of the subgraph induced
-by the colored vertices whose colors lie in a two-color pair.
+vertex-indexed color store: a list with one entry per vertex id, or any
+mapping that has every vertex id, holding 1..5 or 0 for uncolored.
+Uncolored vertices are invisible to chains: a chain is a connected piece
+of the subgraph induced by the colored vertices whose colors lie in a
+two-color pair.
 
 A chain search can run from two ends at once, one vertex from each in
 turn, and stops as soon as one end's chain is complete or the two
@@ -34,7 +36,7 @@ class BrokenInvariant(RuntimeError):
 
     Raised where a correct run cannot get: a swap that breaks an edge, a
     vertex with five blockers, an undo that does not match its log, a
-    match that misses a pattern vertex, a rotation not restored.
+    rotation not restored.
     """
 
 
@@ -48,16 +50,17 @@ def _check_pair(pair):
 def chain(rows, colors, start, pair, end=None):
     """The Kempe chain through `start` on `pair`, as a set of vertices.
 
-    With `end`, searches from both vertices, one expansion each in turn.
-    Whichever search runs out first returns its complete chain, which
-    then misses the other end; if the searches meet, the set returned
-    holds both ends (and is not a complete chain).
+    `colors` is indexed by vertex (0 for uncolored); both ends must be
+    colored from `pair`.  With `end`, searches from both vertices, one
+    expansion each in turn.  Whichever search runs out first returns its
+    complete chain, which then misses the other end; if the searches
+    meet, the set returned holds both ends (and is not a complete chain).
     """
     a, b = _check_pair(pair)
     ends = (start,) if end is None else (start, end)
     for v in ends:
-        if colors.get(v) not in (a, b):
-            raise BadColorPair(f"vertex {v} has color {colors.get(v)!r}, not in {pair!r}")
+        if colors[v] not in (a, b):
+            raise BadColorPair(f"vertex {v} has color {colors[v]!r}, not in {pair!r}")
     sides = [({v}, deque([v])) for v in ends]
     k = 0
     while True:
@@ -66,7 +69,7 @@ def chain(rows, colors, start, pair, end=None):
             return seen
         other = sides[k - 1][0]  # seen itself when searching from one end
         for w in rows[queue.popleft()]:
-            if w not in seen and colors.get(w) in (a, b):
+            if w not in seen and colors[w] in (a, b):
                 if w in other:
                     return seen | other
                 seen.add(w)
@@ -75,37 +78,43 @@ def chain(rows, colors, start, pair, end=None):
 
 
 def swap(rows, colors, members, pair):
-    """Exchange the two colors of `pair` on every chain member.
+    """Exchange the two colors of `pair` on every chain member, in place.
 
-    A maximal chain stays proper by construction; the neighborhood check
-    guards against swapping something that is not a maximal chain.
+    `colors` is indexed by vertex (0 for uncolored).  A maximal chain
+    stays proper by construction; the neighborhood check guards against
+    swapping something that is not a maximal chain.
     """
     a, b = pair
     for v in members:
         colors[v] = b if colors[v] == a else a
     for v in members:
+        c = colors[v]
         for w in rows[v]:
-            if colors.get(w) == colors[v]:
-                raise BrokenInvariant(
-                    f"swap broke edge {v}-{w} (color {colors[v]})"
-                )
+            if colors[w] == c:
+                raise BrokenInvariant(f"swap broke edge {v}-{w} (color {c})")
 
 
 def free_color(rows, colors, v, stats=None):
     """A color of 1..4 that v can take, swapping one chain if necessary.
 
-    Requires at most 4 neighbors colored 1..4 (vertices with color 5 and
-    uncolored ones do not block).  When all four colors appear, the four
-    blocking neighbors w1..w4 sit in rotation order around v; by planarity
-    the (c1, c3) chains at w1 and w3 differ, or the (c2, c4) chains at w2
-    and w4 do.  Each diagonal is searched from both ends; the first side
-    to run out is swapped, which frees the color its end had.  `stats`, a
-    RunStats, counts the calls, the swaps and the chain vertices returned.
+    `colors` is indexed by vertex, 0 for uncolored; a swap rewrites it in
+    place.  Requires at most 4 neighbors colored 1..4 (vertices with color
+    5 and uncolored ones do not block).  When all four colors appear, the
+    four blocking neighbors w1..w4 sit in rotation order around v; by
+    planarity the (c1, c3) chains at w1 and w3 differ, or the (c2, c4)
+    chains at w2 and w4 do.  Each diagonal is searched from both ends; the
+    first side to run out is swapped, which frees the color its end had.
+    `stats`, a RunStats, counts the calls, the swaps and the chain
+    vertices returned.
     """
     if stats is not None:
         stats.free_color_calls += 1
-    blockers = [w for w in rows[v] if colors.get(w) not in (None, 5)]
-    palette = [colors[w] for w in blockers]
+    blockers, palette = [], []
+    for w in rows[v]:
+        c = colors[w]
+        if 0 < c < 5:
+            blockers.append(w)
+            palette.append(c)
     if len(blockers) > 4:
         raise BrokenInvariant(
             f"vertex {v} has {len(blockers)} neighbors colored 1..4"

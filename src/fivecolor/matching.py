@@ -289,17 +289,16 @@ def find_reducible(tri, entries=None):
 class ScanIndex:
     """Incremental state for repeated scans of one changing triangulation.
 
-    Iterates as its entries, in scan order.  A search reaches the entries
-    in that order and stops at its hit, so the entries reached so far are
-    always a prefix; the index keeps its per-entry state in lists as long
-    as that prefix.  For each reached entry it keeps the pending anchors:
-    live vertices of a wanted degree not yet known to fail it, as a set
-    with a min-heap beside it.  Reaching an entry makes every such vertex
-    pending.  A search pops them in ascending order.  At each one it reads
-    the link degrees once and runs the entry's degree test (_kernel), then
-    calls match_at on the alignments the test allows, in the full scan's
-    order; a failing anchor is dropped, the first hit is returned and stays
-    pending.
+    A search reaches its entries in scan order and stops at its hit, so
+    the entries reached so far are always a prefix; the index keeps its
+    per-entry state in lists as long as that prefix.  For each reached
+    entry it keeps the pending anchors: live vertices of a wanted degree
+    not yet known to fail it, as a set with a min-heap beside it.
+    Reaching an entry makes every such vertex pending.  A search pops them
+    in ascending order.  At each one it reads the link degrees once and
+    runs the entry's degree test (_kernel), then calls match_at on the
+    alignments the test allows, in the full scan's order; a failing anchor
+    is dropped, the first hit is returned and stays pending.
 
     The owner adds to `changed` every vertex whose row changes between
     searches.  The next search puts the 1-ball of each one back in pending
@@ -323,9 +322,6 @@ class ScanIndex:
         self._fits = [_kernel(e) for e in self.entries]
         self._near = {}  # degree -> ranks of the reached entries wanting it
         self._far = {}  # degree -> those of them with a secondary hook
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def _reach(self, rows, rank):
         e = self.entries[rank]

@@ -71,7 +71,9 @@ def select_fifth(rows, occ, colors):
     take the lowest vertex with at most 4 live neighbors (not peeled, not
     the candidate, not colored 5).  Members not yet peeled count although
     uncolored: the ascent colors the peel in reverse, so they get their
-    colors first.  Returns (candidate or None, peel order).
+    colors first.  `colors` is indexed by vertex, 0 for uncolored (a list,
+    or a mapping that has every vertex id).  Returns (candidate or None,
+    peel order).
     """
     scheme = occ.entry.scheme
     if isinstance(scheme, TrialSequence):
@@ -81,10 +83,10 @@ def select_fifth(rows, occ, colors):
         cands += [occ.mapping[k] for k in sorted(occ.mapping) if k != 0]
 
     def live(v, gone):
-        return sum(1 for w in rows[v] if w not in gone and colors.get(w) != 5)
+        return sum(1 for w in rows[v] if w not in gone and colors[w] != 5)
 
     for cand in cands + [None]:
-        if cand is not None and any(colors.get(w) == 5 for w in rows[cand]):
+        if cand is not None and any(colors[w] == 5 for w in rows[cand]):
             continue
         gone = set() if cand is None else {cand}
         order, stuck = greedy_peel(occ.vertices - gone, gone, live)
@@ -105,9 +107,10 @@ def reinsert(rows, colors, peel, stats=None):
 def reduce_once(rows, occ, colors, stats=None):
     """Apply one occurrence's scheme against an outside coloring.
 
-    Expects every vertex of the pattern uncolored and its surroundings
-    colored; afterwards the whole pattern is properly colored with at most
-    one new 5.  Returns (fifth vertex or None, peel order).
+    Expects every vertex of the pattern uncolored (0 in the vertex-indexed
+    `colors`) and its surroundings colored; afterwards the whole pattern
+    is properly colored with at most one new 5.  Returns (fifth vertex or
+    None, peel order).
     """
     fifth, peel = select_fifth(rows, occ, colors)
     if fifth is not None:
@@ -174,10 +177,12 @@ class _Work:
     # changes is pushed again, so an entry whose degree no longer matches
     # its vertex's is stale and dropped.
 
-    def _push_if_low(self, v):
-        row = self.rows[v]
-        if row is not None and len(row) <= 4:
-            heapq.heappush(self.heap, (len(row), v))
+    def _push_low(self, verts):
+        rows, heap = self.rows, self.heap
+        for v in verts:
+            row = rows[v]
+            if row is not None and len(row) <= 4:
+                heapq.heappush(heap, (len(row), v))
 
     def _pop_low(self):
         while self.heap:
@@ -211,13 +216,12 @@ class _Work:
     # -- descent steps -----------------------------------------------------
 
     def _step_low(self, v):
-        link = list(self.rows[v])
+        link = self.rows[v]  # kept unchanged in the op that deletes v
         ops = [self._remove_vertex(v)]
         if len(link) == 4:
             # the hole runs along the link in rotation order
             self._fill([link], ops)
-        for u in link:
-            self._push_if_low(u)
+        self._push_low(link)
         return ops
 
     def _step_occurrence(self, occ):
@@ -230,8 +234,7 @@ class _Work:
         darts = opened_darts(self.rows, boundary, gone)
         ops = [self._remove_vertex(v) for v in doomed]
         touched = self._fill_from(darts, ops)
-        for u in boundary | touched:
-            self._push_if_low(u)
+        self._push_low(boundary | touched)
         return ops
 
     def descend(self, stats):
@@ -239,9 +242,7 @@ class _Work:
         if not self.triangulated:
             self._fill_from(all_darts(self.rows), ops)
         self.levels.append(("init", None, ops))
-        for v in range(len(self.rows)):
-            if self.rows[v] is not None:
-                self._push_if_low(v)
+        self._push_low(range(len(self.rows)))
         while self.n_alive > 3:
             v = self._pop_low()
             if v is not None:
@@ -256,9 +257,10 @@ class _Work:
         stats.walk_darts += self.walk_darts
 
     def ascend(self, stats):
-        colors = {}
+        """Replay the log backwards; returns colors indexed by vertex, 0 if absent."""
+        colors = [0] * len(self.rows)
         base = [v for v in range(len(self.rows)) if self.rows[v] is not None]
-        for c, v in enumerate(sorted(base), start=1):
+        for c, v in enumerate(base, start=1):
             colors[v] = c
         for kind, payload, ops in reversed(self.levels):
             for op in reversed(ops):
@@ -284,7 +286,7 @@ def color_planar(g, stats=None):
     colors = work.ascend(stats)
     if [None if r is None else tuple(r) for r in work.rows] != list(g.rotation):
         raise BrokenInvariant("the ascent did not restore the rotation system")
-    return colors
+    return {v: colors[v] for v in g.vertices()}
 
 
 def check_coloring(g, colors):

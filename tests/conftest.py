@@ -21,6 +21,11 @@ def remove_vertices(g, doomed):
     return EmbeddedGraph(rows)
 
 
+def color_list(colors, n):
+    """A vertex-indexed color list on ids 0..n-1: `colors` where given, 0 elsewhere."""
+    return [colors.get(v, 0) for v in range(n)]
+
+
 # The RunStats counters the pinned digests cover, by name, so that a counter
 # added later leaves every digest as it is.
 PINNED_COUNTERS = (

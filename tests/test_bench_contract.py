@@ -17,6 +17,8 @@ from fivecolor.embedding import from_faces
 from fivecolor.instances import GenSpec, generate, icosphere
 from fivecolor.reducer import RunStats, check_coloring
 
+from conftest import color_list
+
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -37,7 +39,7 @@ def test_every_patch_point_exists(spans):
 
 def test_chain_result_has_a_length():
     g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
-    colors = {1: 1, 2: 3, 3: 4, 4: 2}
+    colors = color_list({1: 1, 2: 3, 3: 4, 4: 2}, 5)
     assert len(kempe.chain(g.rotation, colors, 1, (1, 3))) == 2  # {1, 2}
 
 

@@ -28,6 +28,8 @@ from fivecolor.kempe import (
 )
 from fivecolor.reducer import RunStats
 
+from conftest import color_list
+
 
 def double_fan():
     g = from_faces(
@@ -41,13 +43,13 @@ def double_fan():
             (1, 4, 3, 6, 5),
         ],
     )
-    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 6: 1}
+    colors = color_list({1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 6: 1}, 7)
     return g.rotation, colors
 
 
 def wheel4():
     g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
-    colors = {1: 1, 2: 2, 3: 3, 4: 4}
+    colors = color_list({1: 1, 2: 2, 3: 3, 4: 4}, 5)
     return g.rotation, colors
 
 
@@ -56,7 +58,7 @@ def long_start():
     # the one at 3 is {3}
     rows = {0: (1, 2, 3, 4), 1: (0, 5), 5: (1, 7), 7: (5,),
             2: (0,), 3: (0,), 4: (0,)}
-    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1}
+    colors = color_list({1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1}, 8)
     return rows, colors
 
 
@@ -65,7 +67,7 @@ def long_closed():
     # along 8-9-10; the (2,4) chains at 2 and 4 are singletons
     rows = {0: (1, 2, 3, 4), 1: (0, 5), 5: (1, 6), 6: (5, 3), 3: (0, 6, 8),
             8: (3, 9), 9: (8, 10), 10: (9,), 2: (0,), 4: (0,)}
-    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 6: 1, 8: 1, 9: 3, 10: 1}
+    colors = color_list({1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 6: 1, 8: 1, 9: 3, 10: 1}, 11)
     return rows, colors
 
 
@@ -101,7 +103,7 @@ def test_two_ended_end_runs_out():
     assert chain(rows, colors, 1, (1, 3), 3) == {3}
     stats = RunStats()
     assert free_color(rows, colors, 0, stats) == 3  # pair[1]: 3's side flipped
-    assert colors == {1: 1, 2: 2, 3: 1, 4: 4, 5: 3, 7: 1}
+    assert colors == color_list({1: 1, 2: 2, 3: 1, 4: 4, 5: 3, 7: 1}, 8)
     assert stats.chain_swaps == 1 and stats.chain_verts == 1
 
 
@@ -111,7 +113,7 @@ def test_two_ended_searches_meet():
     assert full == {1, 5, 6, 3, 8, 9, 10}
     # one step from each end, then 5 finds 6 on the other side
     assert chain(rows, colors, 1, (1, 3), 3) == {1, 5, 3, 6, 8}
-    before = dict(colors)
+    before = dict(enumerate(colors))
     stats = RunStats()
     assert free_color(rows, colors, 0, stats) == 2  # the (2,4) diagonal
     assert [v for v in before if colors[v] != before[v]] == [2]
@@ -131,15 +133,16 @@ def test_two_ended_bad_end():
 @given(st.integers(0, 10_000), st.integers(4, 60), st.randoms(use_true_random=False))
 def test_two_ended_chain_agrees_with_one_ended(seed, n, rnd):
     rows = generate(GenSpec(seed=seed, n=n, flips=n)).rotation
-    colors = {}  # a random proper coloring in 1..4, some vertices left out
+    partial = {}  # a random proper coloring in 1..4, some vertices left out
     for v in rnd.sample(range(n), n):
-        free = [c for c in (1, 2, 3, 4) if all(colors.get(w) != c for w in rows[v])]
+        free = [c for c in (1, 2, 3, 4) if all(partial.get(w) != c for w in rows[v])]
         if free:
-            colors[v] = rnd.choice(free)
-    start, end = rnd.choice(sorted(colors)), rnd.choice(sorted(colors))
-    pair = (colors[start], colors[end])
+            partial[v] = rnd.choice(free)
+    start, end = rnd.choice(sorted(partial)), rnd.choice(sorted(partial))
+    pair = (partial[start], partial[end])
     if pair[0] == pair[1]:
         pair = (pair[0], rnd.choice([c for c in (1, 2, 3, 4) if c != pair[0]]))
+    colors = color_list(partial, n)
     both = chain(rows, colors, start, pair, end)
     from_start = chain(rows, colors, start, pair)
     from_end = chain(rows, colors, end, pair)
@@ -170,14 +173,13 @@ def test_free_color_missing_color():
     rows, colors = wheel4()
     colors[3] = 1
     assert free_color(rows, colors, 0) == 3
-    colors.update({1: 1, 2: 1, 3: 1, 4: 1})
+    colors[1:5] = [1, 1, 1, 1]
     assert free_color(rows, colors, 0) == 2
 
 
 def test_free_color_ignores_fives_and_uncolored():
     rows, colors = wheel4()
-    colors.update({1: 5, 2: 5, 3: 4})
-    del colors[4]
+    colors[1:5] = [5, 5, 4, 0]  # 4 uncolored
     assert free_color(rows, colors, 0) == 1
 
 
@@ -208,7 +210,7 @@ def test_free_color_second_swap():
 
 def test_too_many_blockers_asserts():
     rows = {0: (1, 2, 3, 4, 5)}
-    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 1}
+    colors = color_list({1: 1, 2: 2, 3: 3, 4: 4, 5: 1}, 6)
     with pytest.raises(BrokenInvariant, match="5 neighbors"):
         free_color(rows, colors, 0)  # five neighbors colored 1..4
 
@@ -222,8 +224,8 @@ from fivecolor.kempe import BrokenInvariant, free_color, swap
 
 g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
 cases = (
-    lambda: swap(g.rotation, {1: 1, 2: 2, 3: 3, 4: 4}, {2}, (2, 3)),
-    lambda: free_color({0: (1, 2, 3, 4, 5)}, {1: 1, 2: 2, 3: 3, 4: 4, 5: 1}, 0),
+    lambda: swap(g.rotation, [0, 1, 2, 3, 4], {2}, (2, 3)),
+    lambda: free_color({0: (1, 2, 3, 4, 5)}, [0, 1, 2, 3, 4, 1], 0),
 )
 print("optimize:", sys.flags.optimize)
 for case in cases:
@@ -264,7 +266,7 @@ def test_diagonal_contradiction_on_crossing_chains():
         8: (6, 4),
         4: (0, 8),
     }
-    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1, 6: 4, 8: 2}
+    colors = color_list({1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1, 6: 4, 8: 2}, 9)
     assert 3 in chain(rows, colors, 1, (1, 3))
     assert 4 in chain(rows, colors, 2, (2, 4))
     with pytest.raises(DiagonalContradiction):

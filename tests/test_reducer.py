@@ -40,7 +40,13 @@ from fivecolor.reducer import (
     select_fifth,
 )
 
-from conftest import least_rotation, pinned_counters, plane_subgraph, remove_vertices
+from conftest import (
+    color_list,
+    least_rotation,
+    pinned_counters,
+    plane_subgraph,
+    remove_vertices,
+)
 
 
 def hub_gadget():
@@ -69,7 +75,7 @@ def wheel_gadget():
 
 def test_select_fifth_hub_free():
     g, occ = hub_gadget()
-    colors = {4: 1, 7: 1, 8: 2, 9: 3}
+    colors = color_list({4: 1, 7: 1, 8: 2, 9: 3}, 10)
     fifth, peel = select_fifth(g.rotation, occ, colors)
     assert fifth == 0
     assert peel == (1, 2, 3, 5, 6)
@@ -79,7 +85,7 @@ def test_select_fifth_blocked_cascade():
     # vertex 4 colored 5 blocks the hub and the first four leaves; leaf 6
     # is the survivor and the hub then peels mid-sequence
     g, occ = hub_gadget()
-    colors = {4: 5, 7: 1, 8: 2, 9: 3}
+    colors = color_list({4: 5, 7: 1, 8: 2, 9: 3}, 10)
     fifth, peel = select_fifth(g.rotation, occ, colors)
     assert fifth == 6
     assert peel == (1, 2, 0, 3, 5)
@@ -87,7 +93,7 @@ def test_select_fifth_blocked_cascade():
 
 def test_select_fifth_all_blocked():
     g, occ = hub_gadget()
-    colors = {4: 5, 7: 5, 8: 1, 9: 2}
+    colors = color_list({4: 5, 7: 5, 8: 1, 9: 2}, 10)
     fifth, peel = select_fifth(g.rotation, occ, colors)
     assert fifth is None
     assert peel == (1, 2, 0, 3, 5, 6)
@@ -95,18 +101,19 @@ def test_select_fifth_all_blocked():
 
 def test_reduce_once_on_hub_gadget():
     g, occ = hub_gadget()
-    colors = {4: 1, 7: 1, 8: 2, 9: 3}
+    colors = color_list({4: 1, 7: 1, 8: 2, 9: 3}, 10)
     stats = RunStats()
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth == 0 and colors[0] == 5
     assert stats.fifth_assigned == 1 and stats.fallback_peels == 0
-    assert check_coloring(g, colors)[5] == 1
+    assert check_coloring(g, dict(enumerate(colors)))[5] == 1
 
 
 def test_reduce_once_wheel_first_candidate():
     g, occ = wheel_gadget()
-    colors = {6 + j: 1 + j % 2 for j in range(12)}
-    colors.update({18: 3, 19: 4})
+    outside = {6 + j: 1 + j % 2 for j in range(12)}
+    outside.update({18: 3, 19: 4})
+    colors = color_list(outside, 20)
     stats = RunStats()
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth == 1  # trial order starts at the degree-8 rim vertex
@@ -115,7 +122,7 @@ def test_reduce_once_wheel_first_candidate():
     # coloring 5 ran out of plain colors; the (4,3) chain swap freed one
     assert stats.chain_swaps == 1
     assert (colors[3], colors[4], colors[5]) == (4, 3, 4)
-    assert check_coloring(g, colors)[5] == 1
+    assert check_coloring(g, dict(enumerate(colors)))[5] == 1
 
 
 def test_reduce_once_wheel_hub_fallback():
@@ -124,7 +131,7 @@ def test_reduce_once_wheel_hub_fallback():
     g, occ = wheel_gadget()
     outside = {6: 1, 7: 2, 8: 5, 9: 1, 10: 2, 11: 5, 12: 1, 13: 5, 14: 1,
                15: 2, 16: 1, 17: 2, 18: 3, 19: 4}
-    colors = dict(outside)
+    colors = color_list(outside, 20)
     stats = RunStats()
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth == 0 and colors[0] == 5
@@ -135,7 +142,7 @@ def test_reduce_once_wheel_hub_fallback():
     assert [v for v in outside if colors[v] != outside[v]] == [12]
     assert colors[12] == 3
     assert {v: colors[v] for v in range(6)} == {0: 5, 1: 3, 2: 1, 3: 4, 4: 3, 5: 4}
-    sizes = check_coloring(g, colors)
+    sizes = check_coloring(g, dict(enumerate(colors)))
     assert sizes[5] == 4  # three seeded outside plus the hub
 
 
@@ -147,8 +154,7 @@ def test_select_fifth_exhausted():
     rows[0] = rows[0] + [10, 11, 12, 13]  # hub sees four phantom blockers
     for v in (10, 11, 12, 13):
         rows.append([0])
-    colors = {4: 5, 7: 5, 8: 1, 9: 2}
-    colors.update({10: 1, 11: 2, 12: 3, 13: 4})
+    colors = color_list({4: 5, 7: 5, 8: 1, 9: 2, 10: 1, 11: 2, 12: 3, 13: 4}, 14)
     with pytest.raises(SchemeExhausted, match="hub"):
         select_fifth(rows, occ, colors)
 
@@ -220,6 +226,24 @@ def test_color_planar_with_tombstones(icosahedron):
     assert 0 not in colors
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        remove_vertices(named("icosahedron"), {0, 7}),
+        build([[1, 2], [2, 0], [0, 1], None, []]),  # a deleted id, an isolated vertex
+        build([]),
+    ],
+    ids=["icosahedron-minus-2", "tombstone-and-isolated", "empty"],
+)
+def test_color_planar_keys_are_the_present_vertices(g):
+    # the ascent colors a vertex-indexed list; the dict handed back must
+    # leave out deleted ids instead of carrying their 0
+    colors = color_planar(g)
+    assert type(colors) is dict
+    assert set(colors) == set(g.vertices())
+    assert check_coloring(g, colors)
+
+
 def test_color_planar_deterministic(icosahedron):
     a = color_planar(icosahedron)
     b = color_planar(icosahedron)
@@ -260,7 +284,7 @@ def test_scan_skips_f1(monkeypatch, g):
     found = []
 
     def checked(rows, entries=None):
-        assert all(e.family != "f1" for e in entries)
+        assert all(e.family != "f1" for e in entries.entries)
         assert all(row is None or len(row) > 4 for row in rows)
         occ = scan(rows, entries)
         assert occ == scan(rows)
