@@ -88,9 +88,6 @@ class EmbeddedGraph:
     def neighbors(self, v):
         return self.rotation[v]
 
-    def has_edge(self, u, v):
-        return self.present(u) and v in self.rotation[u]
-
     def edges(self):
         for u in self.vertices():
             for w in self.rotation[u]:
@@ -113,13 +110,24 @@ def build(rotations):
     Accepts any sequence of neighbor sequences (None rows mark deleted ids).
     Raises LoopEdge / DuplicateNeighbor / AsymmetricAdjacency on malformed
     adjacency and NotPlanarEmbedding when any component violates Euler's
-    formula.
+    formula.  The check takes O(m) time: one dict lookup per dart gives
+    both the reverse of the dart and its face successor.
     """
     return EmbeddedGraph(rotations)
 
 
 def _validate(g):
     rows = g.rotation
+    succ = _face_successors(rows)
+    if succ is None:
+        _check_rows(rows)
+        # _check_rows raises on every int input the table rejects
+        raise EmbeddingError("vertex ids must be ints")
+    _check_euler(g, succ)
+
+
+def _check_rows(rows):
+    """Raise on the first malformed row, rows in id order, each in row order."""
     n_rows = len(rows)
     for v, row in enumerate(rows):
         if row is None:
@@ -136,7 +144,37 @@ def _validate(g):
         for w in row:
             if v not in rows[w]:
                 raise AsymmetricAdjacency(f"edge {v}->{w} has no reverse")
-    _check_euler(g)
+
+
+def _face_successors(rows):
+    """The face successor of every dart over int ids, or None if a row is bad.
+
+    Dart (v, rows[v][i]) has id offset[v] + i, where offset[v] counts the
+    darts of the rows before v.  Encodes the rule of face_walks: the dart
+    after (a, b) is (b, w), where w precedes a in the rotation of b.  Runs
+    in O(m) and only detects a fault; _check_rows names it.
+    """
+    # before[b][a]: the id of the dart (b, w) with w just before a in b's row
+    before = [None] * len(rows)
+    offset = 0
+    try:
+        for v, row in enumerate(rows):
+            if row is None:
+                continue
+            k = len(row)
+            p = dict(zip(row, range(offset - 1, offset + k - 1)))
+            if k:
+                # a negative id would read a row from the end
+                if len(p) != k or v in p or min(row) < 0:
+                    return None
+                p[row[0]] = offset + k - 1
+            before[v] = p
+            offset += k
+        # a missing reverse is a KeyError, a deleted neighbor a TypeError,
+        # an id past the last row an IndexError
+        return [before[w][v] for v, row in enumerate(rows) if row for w in row]
+    except (KeyError, TypeError, IndexError):
+        return None
 
 
 def _components(rows):
@@ -157,20 +195,35 @@ def _components(rows):
     return count
 
 
-def _check_euler(g):
+def _check_euler(g, succ):
     # A rotation system puts each component on an orientable surface, where
     # n - m + f = 2 - 2 * genus <= 2 (Heffter-Edmonds), so one count over c
     # components reaches 2c only if every component is planar.  An isolated
     # vertex has no darts; it still bounds the one sphere face.
     rows = g.rotation
     n, m, c = g.n, g.m, _components(rows)
-    f = sum(1 for _ in face_walks(rows, all_darts(rows)))
+    f = _count_cycles(succ)
     f += sum(1 for row in rows if row == ())
     if n - m + f != 2 * c:
         raise NotPlanarEmbedding(
             f"n={n} m={m} f={f} over {c} components: "
             f"Euler characteristic {n - m + f} != {2 * c}"
         )
+
+
+def _count_cycles(succ):
+    """Number of cycles of the permutation succ of 0..len(succ) - 1."""
+    seen = bytearray(len(succ))
+    count = 0
+    for start in range(len(succ)):
+        if seen[start]:
+            continue
+        count += 1
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            d = succ[d]
+    return count
 
 
 def all_darts(rows):

@@ -147,7 +147,7 @@ def read(stream):
         if rows[v] is not None:
             raise ParseError(f"vertex {v} given twice", line_no)
         try:
-            rows[v] = tuple(int(tok) for tok in tail.split())
+            rows[v] = tuple(map(int, tail.split()))
         except ValueError:
             raise ParseError(f"bad neighbor list {tail.strip()!r}", line_no) from None
         filled += 1

@@ -1,9 +1,21 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from fivecolor import instances
-from fivecolor.embedding import EmbeddedGraph, EmbeddingError, build
+from fivecolor.embedding import (
+    AsymmetricAdjacency,
+    DuplicateNeighbor,
+    EmbeddedGraph,
+    EmbeddingError,
+    LoopEdge,
+    NotPlanarEmbedding,
+    _components,
+    all_darts,
+    build,
+    face_walks,
+)
 
 
 def remove_vertices(g, doomed):
@@ -19,6 +31,63 @@ def remove_vertices(g, doomed):
         for v, r in enumerate(g.rotation)
     ]
     return EmbeddedGraph(rows)
+
+
+def has_edge(g, u, v):
+    """Whether u is a present vertex of g whose row lists v."""
+    return g.present(u) and v in g.rotation[u]
+
+
+def reference_build(rotations):
+    """Reference oracle for build(): raise what it raises, else return None.
+
+    Runs the row-by-row check that build() used before its dart table,
+    with the face count traced by face_walks, on unvalidated rows.
+    """
+    rows = tuple(None if r is None else tuple(r) for r in rotations)
+    g = SimpleNamespace(
+        rotation=rows,
+        n=sum(1 for r in rows if r is not None),
+        m=sum(len(r) for r in rows if r is not None) // 2,
+    )
+    _validate(g)
+
+
+def _validate(g):
+    rows = g.rotation
+    n_rows = len(rows)
+    for v, row in enumerate(rows):
+        if row is None:
+            continue
+        seen = set()
+        for w in row:
+            if w == v:
+                raise LoopEdge(f"vertex {v} lists itself")
+            if not (0 <= w < n_rows) or rows[w] is None:
+                raise AsymmetricAdjacency(f"vertex {v} lists missing vertex {w}")
+            if w in seen:
+                raise DuplicateNeighbor(f"vertex {v} lists {w} twice")
+            seen.add(w)
+        for w in row:
+            if v not in rows[w]:
+                raise AsymmetricAdjacency(f"edge {v}->{w} has no reverse")
+    _check_euler(g)
+
+
+def _check_euler(g):
+    # A rotation system puts each component on an orientable surface, where
+    # n - m + f = 2 - 2 * genus <= 2 (Heffter-Edmonds), so one count over c
+    # components reaches 2c only if every component is planar.  An isolated
+    # vertex has no darts; it still bounds the one sphere face.
+    rows = g.rotation
+    n, m, c = g.n, g.m, _components(rows)
+    f = sum(1 for _ in face_walks(rows, all_darts(rows)))
+    f += sum(1 for row in rows if row == ())
+    if n - m + f != 2 * c:
+        raise NotPlanarEmbedding(
+            f"n={n} m={m} f={f} over {c} components: "
+            f"Euler characteristic {n - m + f} != {2 * c}"
+        )
 
 
 def color_list(colors, n):

@@ -22,6 +22,7 @@ from fivecolor import reducer
 from fivecolor.catalog import TrialSequence, builtin_catalog, get_entry, validate_entry
 from fivecolor.cli import loglog_slope, time_ladder
 from fivecolor.discharge import audit
+from fivecolor.embedding import build
 from fivecolor.instances import GenSpec, generate, named
 from fivecolor.kempe import DiagonalContradiction
 from fivecolor.matching import CompletenessBreach, _alignments, find_reducible, match_at
@@ -218,6 +219,25 @@ def test_criterion_6_quadratic_scaling():
     ok = slope <= 2.3
     times = " ".join(f"{n}:{t:.3f}s" for n, t in points)
     _report(6, "quadratic-scaling", ok, f"slope={slope:.2f} [{times}]")
+
+
+def test_criterion_6_hub_build_scaling():
+    # checking a star's rows costs O(m), not O(sum of deg^2).  The 16-fold
+    # size range and the interleaved rounds keep wall-clock noise, which
+    # favors the smallest build, from moving the fitted slope much.
+    sizes = (4000, 16000, 64000)
+    stars = {n: [tuple(range(1, n + 1))] + [(0,)] * n for n in sizes}
+    best = dict.fromkeys(sizes, float("inf"))
+    for _ in range(3):
+        for n in sizes:
+            t0 = time.perf_counter()
+            build(stars[n])
+            best[n] = min(best[n], time.perf_counter() - t0)
+    points = sorted(best.items())
+    slope = loglog_slope(points)
+    ok = slope <= 1.3
+    times = " ".join(f"{n}:{t:.3f}s" for n, t in points)
+    _report(6, "hub-build-scaling", ok, f"slope={slope:.2f} [{times}]")
 
 
 def test_criterion_7_named_instances():

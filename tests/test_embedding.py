@@ -20,6 +20,8 @@ from fivecolor.embedding import (
     NotPlanarEmbedding,
     Triangulation,
     UntriangulatableFace,
+    _count_cycles,
+    _face_successors,
     all_darts,
     build,
     face_walks,
@@ -31,7 +33,14 @@ from fivecolor.embedding import (
 from fivecolor.instances import GenSpec, generate, named
 from fivecolor.reducer import RunStats, color_planar
 
-from conftest import least_rotation, pinned_counters, plane_subgraph, remove_vertices
+from conftest import (
+    has_edge,
+    least_rotation,
+    pinned_counters,
+    plane_subgraph,
+    reference_build,
+    remove_vertices,
+)
 
 
 def cycle_rotations(k):
@@ -67,6 +76,17 @@ def test_missing_reverse_rejected():
 def test_out_of_range_neighbor_rejected():
     with pytest.raises(AsymmetricAdjacency):
         build([(1,), (0, 5)])
+
+
+def test_negative_neighbor_rejected():
+    # -1 is a missing vertex, not another name for the last row
+    with pytest.raises(AsymmetricAdjacency, match="lists missing vertex -1"):
+        build([(1,), (0, -1)])
+
+
+def test_deleted_neighbor_rejected():
+    with pytest.raises(AsymmetricAdjacency, match="lists missing vertex 1"):
+        build([(1,), None])
 
 
 def test_k5_rejected():
@@ -159,6 +179,82 @@ def test_euler_verdict_per_component(parts, perm_seed):
     assert accepted == euler_per_component(rows)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["plane", "generated", "shuffled"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 40),
+)
+def test_dart_table_agrees_with_face_walks(kind, seed, n):
+    # the table's successor of each dart is the next dart of its face_walks walk
+    rows = euler_part(kind, seed, n)
+    succ = _face_successors(rows)
+    ids = {dart: i for i, dart in enumerate(all_darts(rows))}
+    assert len(succ) == len(ids)
+    walks = list(face_walks(rows, all_darts(rows)))
+    for walk in walks:
+        darts = list(zip(walk, walk[1:] + walk[:1]))
+        for dart, after in zip(darts, darts[1:] + darts[:1]):
+            assert succ[ids[dart]] == ids[after]
+    assert _count_cycles(succ) == len(walks)
+
+
+CORRUPTIONS = ("drop_reverse", "duplicate", "loop", "too_big", "negative", "none_row", "swap")
+
+
+def corrupt(rows, kind, rng):
+    """Break the list rows in place, one way: at a random present vertex."""
+    n = len(rows)
+    v = rng.choice([u for u, r in enumerate(rows) if r is not None])
+    row = rows[v]
+    pos = rng.randrange(len(row) + 1)
+    if kind == "drop_reverse" and row:
+        w = rng.choice(row)
+        if 0 <= w < n and rows[w] is not None and v in rows[w]:
+            rows[w].remove(v)
+    elif kind == "duplicate" and row:
+        row.insert(pos, rng.choice(row))
+    elif kind == "loop":
+        row.insert(pos, v)
+    elif kind == "too_big":
+        row.insert(pos, rng.randrange(n, n + 3))
+    elif kind == "negative":
+        row.insert(pos, rng.randrange(-3, 0))
+    elif kind == "none_row":
+        x = rng.randrange(n)
+        rows[x] = None
+        if x != v and x not in row:
+            row.insert(pos, x)
+    elif kind == "swap" and len(row) >= 2:
+        i, j = rng.sample(range(len(row)), 2)
+        row[i], row[j] = row[j], row[i]
+
+
+def outcome(check, rows):
+    """The exception class and message check(rows) raises, or None."""
+    try:
+        check(rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(["plane", "generated", "shuffled"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 30),
+    corruptions=st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=2),
+)
+def test_build_errors_match_reference(kind, seed, n, corruptions):
+    # the same first fault, class and message, as the row-by-row check
+    rows = [None if r is None else list(r) for r in euler_part(kind, seed, n)]
+    rng = random.Random(seed)
+    for how in corruptions:
+        corrupt(rows, how, rng)
+    assert outcome(build, rows) == outcome(reference_build, rows)
+
+
 def test_planar_plus_k5_rejected(icosahedron):
     # 2 + (-2): a whole-graph sum of 0 is not 2 per component
     k5 = [tuple(w + 12 for w in range(5) if w != v) for v in range(5)]
@@ -182,7 +278,7 @@ def test_accessors():
     assert (g.n, g.m, g.size) == (8, 12, 8)
     assert g.degree(0) == 3
     assert g.neighbors(0) == (1, 4, 3)
-    assert g.has_edge(0, 4) and not g.has_edge(0, 7)
+    assert has_edge(g, 0, 4) and not has_edge(g, 0, 7)
     assert sorted(g.edges())[0] == (0, 1)
     assert len(list(g.edges())) == 12
     assert g == build(g.rotation) and hash(g) == hash(build(g.rotation))
@@ -307,8 +403,8 @@ def test_triangulate_cube():
     assert len(tri.added_edges) == 6
     g = named("cube")
     for u, v in tri.added_edges:
-        assert not g.has_edge(u, v)
-        assert tri.has_edge(u, v) and tri.has_edge(v, u)
+        assert not has_edge(g, u, v)
+        assert has_edge(tri, u, v) and has_edge(tri, v, u)
 
 
 def test_triangulate_c4_gives_k4():
@@ -316,7 +412,7 @@ def test_triangulate_c4_gives_k4():
     tri = triangulate(named("c4"))
     assert tri.m == 6
     assert sorted(tri.added_edges) in ([(0, 2), (1, 3)], [(1, 3), (0, 2)])
-    assert all(tri.has_edge(u, v) for u in range(4) for v in range(4) if u != v)
+    assert all(has_edge(tri, u, v) for u in range(4) for v in range(4) if u != v)
 
 
 def test_triangulate_noop_on_triangulation(icosahedron):
