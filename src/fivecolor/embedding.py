@@ -283,11 +283,6 @@ def _trace(rows):
         yield walk[best:] + walk[:best]
 
 
-def trace_faces(g):
-    """All face walks of the embedding, canonical start, deterministic order."""
-    return tuple(tuple(w) for w in _trace(g.rotation))
-
-
 def from_faces(n, faces):
     """Stitch an embedding out of oriented face walks.
 

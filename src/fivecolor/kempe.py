@@ -10,12 +10,11 @@ two-color pair.
 A chain search can run from two ends at once, one vertex from each in
 turn, and stops as soon as one end's chain is complete or the two
 searches meet.  Its work is then about twice the smaller of the two
-chains, however large the other one is.
+chains, however large the other one is.  Each side is a set and a list
+read through a cursor, so a search allocates little beyond its result.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 class BadColorPair(ValueError):
@@ -40,13 +39,6 @@ class BrokenInvariant(RuntimeError):
     """
 
 
-def _check_pair(pair):
-    a, b = pair
-    if a == b or not {a, b} <= {1, 2, 3, 4}:
-        raise BadColorPair(f"chain colors must be two distinct of 1..4, got {pair!r}")
-    return a, b
-
-
 def chain(rows, colors, start, pair, end=None):
     """The Kempe chain through `start` on `pair`, as a set of vertices.
 
@@ -56,25 +48,35 @@ def chain(rows, colors, start, pair, end=None):
     complete chain, which then misses the other end; if the searches
     meet, the set returned holds both ends (and is not a complete chain).
     """
-    a, b = _check_pair(pair)
-    ends = (start,) if end is None else (start, end)
-    for v in ends:
+    a, b = pair
+    if a == b or a not in (1, 2, 3, 4) or b not in (1, 2, 3, 4):
+        raise BadColorPair(f"chain colors must be two distinct of 1..4, got {pair!r}")
+    for v in (start,) if end is None else (start, end):
         if colors[v] not in (a, b):
             raise BadColorPair(f"vertex {v} has color {colors[v]!r}, not in {pair!r}")
-    sides = [({v}, deque([v])) for v in ends]
-    k = 0
-    while True:
-        seen, queue = sides[k]
-        if not queue:
-            return seen
-        other = sides[k - 1][0]  # seen itself when searching from one end
-        for w in rows[queue.popleft()]:
-            if w not in seen and colors[w] in (a, b):
-                if w in other:
-                    return seen | other
-                seen.add(w)
-                queue.append(w)
-        k = (k + 1) % len(sides)
+    seen, queue = {start}, [start]
+    if end is None:
+        for u in queue:
+            for w in rows[u]:
+                if w not in seen:
+                    c = colors[w]
+                    if c == a or c == b:
+                        seen.add(w)
+                        queue.append(w)
+        return seen
+    # two sides, each a (set, list, cursor); swapped after every expansion
+    i, other, other_queue, j = 0, {end}, [end], 0
+    while i < len(queue):
+        for w in rows[queue[i]]:
+            if w not in seen:
+                c = colors[w]
+                if c == a or c == b:
+                    if w in other:
+                        return seen | other
+                    seen.add(w)
+                    queue.append(w)
+        seen, queue, i, other, other_queue, j = other, other_queue, j, seen, queue, i + 1
+    return seen
 
 
 def swap(rows, colors, members, pair):

@@ -6,6 +6,8 @@ need a Kempe swap on the way back), and once the minimum degree reaches 5 a
 catalog occurrence as one block.  Every hole is re-triangulated on the
 spot and every mutation is logged, so the ascent can replay the log
 backwards and color each vertex the moment its full neighborhood is back.
+The log is one flat list of ints (records laid out in _Work), so the
+descent leaves the cyclic garbage collector almost nothing to track.
 Only walks that can need chords are traced: the input's faces only when
 its edge count shows a face longer than a triangle, and after an
 occurrence only the holes, from the darts its deletion opens.
@@ -123,8 +125,23 @@ def reduce_once(rows, occ, colors, stats=None):
     return fifth, peel
 
 
+# Tags that close the log's records; every field is a vertex id, a row
+# position or an index, so never negative.
+_LOW, _OCC, _DEL, _CHORD = -1, -2, -3, -4
+
+
 class _Work:
-    """Mutable rotation rows plus the undo log of the descent."""
+    """Mutable rotation rows plus the undo log of the descent.
+
+    The log is one flat list of ints, each record its fields, then a tag.
+    `v, LOW` or `i, OCC` (occs[i]) opens a level; it is pushed before its
+    ops, so the ascent colors it once they are undone.  `p1 .. pk, v, DEL`
+    deletes v, whose row is kept in saved[v]; p1..pk are the positions v
+    had in its present neighbors' rows, in row order.  `a, pa, b, pb,
+    CHORD` is a fill chord.  DEL needs no marker for the neighbors skipped
+    as gone: replayed last in, first out, every vertex deleted after v is
+    back and every one deleted before it is still gone.
+    """
 
     def __init__(self, g):
         self.rows = [None if r is None else list(r) for r in g.rotation]
@@ -139,39 +156,28 @@ class _Work:
         self.triangulated = g.m == 3 * self.n_alive - 6
         self.walk_darts = 0
         self.heap = []
-        self.levels = []
+        self.log = []
+        self.saved = [None] * len(self.rows)
+        self.occs = []
         self.index = ScanIndex(_SCAN_ENTRIES)
 
-    # -- primitives, each returning an undoable op ------------------------
+    # -- primitives, each logging its record -------------------------------
 
     def _remove_vertex(self, v):
-        row = self.rows[v]
-        undo = []
+        rows, log = self.rows, self.log
+        row = rows[v]
         for u in row:
-            r = self.rows[u]
+            r = rows[u]
             if r is None:
                 continue  # deleted alongside v in the same block
             pos = r.index(v)
             del r[pos]
-            undo.append((u, pos))
+            log.append(pos)
+        log += (v, _DEL)
         self.index.changed.update(row)
-        self.rows[v] = None
+        self.saved[v] = row
+        rows[v] = None
         self.n_alive -= 1
-        return ("del", v, row, undo)
-
-    def _undo(self, op):
-        if op[0] == "del":
-            _, v, row, undo = op
-            for u, pos in reversed(undo):
-                self.rows[u].insert(pos, v)
-            self.rows[v] = row
-            self.n_alive += 1
-        else:
-            _, a, pa, b, pb = op
-            if self.rows[a][pa] != b or self.rows[b][pb] != a:
-                raise BrokenInvariant(f"chord {a}-{b} is not where its log put it")
-            del self.rows[a][pa]
-            del self.rows[b][pb]
 
     # The heap pops the smallest degree first.  Every vertex whose degree
     # changes is pushed again, so an entry whose degree no longer matches
@@ -194,37 +200,39 @@ class _Work:
 
     # -- hole filling ------------------------------------------------------
 
-    def _fill(self, walks, ops):
+    def _fill(self, walks):
         """Triangulate each walk, logging every chord; returns its endpoints."""
         touched = set()
         for walk in walks:
             if len(walk) >= 4:
                 for a, pa, b, pb in fill_walk(self.rows, walk):
-                    ops.append(("fill", a, pa, b, pb))
+                    self.log += (a, pa, b, pb, _CHORD)
                     touched.add(a)
                     touched.add(b)
         self.index.changed |= touched
         return touched
 
-    def _fill_from(self, darts, ops):
+    def _fill_from(self, darts):
         """Re-triangulate the face walks through `darts`, counting their darts."""
         # walk first: filling changes the rows the walks are read from
         walks = list(face_walks(self.rows, darts))
         self.walk_darts += sum(map(len, walks))
-        return self._fill(walks, ops)
+        return self._fill(walks)
 
     # -- descent steps -----------------------------------------------------
 
     def _step_low(self, v):
-        link = self.rows[v]  # kept unchanged in the op that deletes v
-        ops = [self._remove_vertex(v)]
+        self.log += (v, _LOW)
+        link = self.rows[v]  # kept unchanged in saved[v]
+        self._remove_vertex(v)
         if len(link) == 4:
             # the hole runs along the link in rotation order
-            self._fill([link], ops)
+            self._fill([link])
         self._push_low(link)
-        return ops
 
     def _step_occurrence(self, occ):
+        self.log += (len(self.occs), _OCC)
+        self.occs.append(occ)
         gone = occ.vertices
         doomed = sorted(gone)
         boundary = set()
@@ -232,43 +240,55 @@ class _Work:
             boundary.update(self.rows[v])
         boundary -= gone
         darts = opened_darts(self.rows, boundary, gone)
-        ops = [self._remove_vertex(v) for v in doomed]
-        touched = self._fill_from(darts, ops)
+        for v in doomed:
+            self._remove_vertex(v)
+        touched = self._fill_from(darts)
         self._push_low(boundary | touched)
-        return ops
 
     def descend(self, stats):
-        ops = []
         if not self.triangulated:
-            self._fill_from(all_darts(self.rows), ops)
-        self.levels.append(("init", None, ops))
+            self._fill_from(all_darts(self.rows))
         self._push_low(range(len(self.rows)))
         while self.n_alive > 3:
             v = self._pop_low()
             if v is not None:
-                self.levels.append(("low", v, self._step_low(v)))
+                self._step_low(v)
                 stats.f1_steps += 1
             else:
                 stats.scans += 1
                 occ = find_reducible(self.rows, self.index)
-                self.levels.append(("occ", occ, self._step_occurrence(occ)))
+                self._step_occurrence(occ)
                 stats.occ_steps[occ.entry.family] += 1
         stats.probes += self.index.probes
         stats.walk_darts += self.walk_darts
 
     def ascend(self, stats):
         """Replay the log backwards; returns colors indexed by vertex, 0 if absent."""
-        colors = [0] * len(self.rows)
-        base = [v for v in range(len(self.rows)) if self.rows[v] is not None]
+        rows, log, pop = self.rows, self.log, self.log.pop
+        colors = [0] * len(rows)
+        base = [v for v in range(len(rows)) if rows[v] is not None]
         for c, v in enumerate(base, start=1):
             colors[v] = c
-        for kind, payload, ops in reversed(self.levels):
-            for op in reversed(ops):
-                self._undo(op)
-            if kind == "low":
-                colors[payload] = free_color(self.rows, colors, payload, stats)
-            elif kind == "occ":
-                reduce_once(self.rows, payload, colors, stats)
+        while log:
+            tag = pop()
+            if tag == _DEL:
+                v = pop()
+                row = rows[v] = self.saved[v]
+                for u in reversed(row):
+                    r = rows[u]
+                    if r is not None:
+                        r.insert(pop(), v)
+            elif tag == _CHORD:
+                pb, b, pa, a = pop(), pop(), pop(), pop()
+                if rows[a][pa] != b or rows[b][pb] != a:
+                    raise BrokenInvariant(f"chord {a}-{b} is not where its log put it")
+                del rows[a][pa]
+                del rows[b][pb]
+            elif tag == _LOW:
+                v = pop()
+                colors[v] = free_color(rows, colors, v, stats)
+            else:
+                reduce_once(rows, self.occs[pop()], colors, stats)
         return colors
 
 

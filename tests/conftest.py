@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -12,10 +13,12 @@ from fivecolor.embedding import (
     LoopEdge,
     NotPlanarEmbedding,
     _components,
+    _trace,
     all_darts,
     build,
     face_walks,
 )
+from fivecolor.kempe import BadColorPair
 
 
 def remove_vertices(g, doomed):
@@ -31,6 +34,11 @@ def remove_vertices(g, doomed):
         for v, r in enumerate(g.rotation)
     ]
     return EmbeddedGraph(rows)
+
+
+def trace_faces(g):
+    """All face walks of the embedding, canonical start, deterministic order."""
+    return tuple(tuple(w) for w in _trace(g.rotation))
 
 
 def has_edge(g, u, v):
@@ -88,6 +96,44 @@ def _check_euler(g):
             f"n={n} m={m} f={f} over {c} components: "
             f"Euler characteristic {n - m + f} != {2 * c}"
         )
+
+
+def _check_pair(pair):
+    a, b = pair
+    if a == b or not {a, b} <= {1, 2, 3, 4}:
+        raise BadColorPair(f"chain colors must be two distinct of 1..4, got {pair!r}")
+    return a, b
+
+
+def reference_chain(rows, colors, start, pair, end=None):
+    """Reference oracle for kempe.chain: the deque search it replaced.
+
+    The Kempe chain through `start` on `pair`, as a set of vertices.
+    `colors` is indexed by vertex (0 for uncolored); both ends must be
+    colored from `pair`.  With `end`, searches from both vertices, one
+    expansion each in turn.  Whichever search runs out first returns its
+    complete chain, which then misses the other end; if the searches
+    meet, the set returned holds both ends (and is not a complete chain).
+    """
+    a, b = _check_pair(pair)
+    ends = (start,) if end is None else (start, end)
+    for v in ends:
+        if colors[v] not in (a, b):
+            raise BadColorPair(f"vertex {v} has color {colors[v]!r}, not in {pair!r}")
+    sides = [({v}, deque([v])) for v in ends]
+    k = 0
+    while True:
+        seen, queue = sides[k]
+        if not queue:
+            return seen
+        other = sides[k - 1][0]  # seen itself when searching from one end
+        for w in rows[queue.popleft()]:
+            if w not in seen and colors[w] in (a, b):
+                if w in other:
+                    return seen | other
+                seen.add(w)
+                queue.append(w)
+        k = (k + 1) % len(sides)
 
 
 def color_list(colors, n):

@@ -27,7 +27,6 @@ from fivecolor.embedding import (
     face_walks,
     fill_walk,
     from_faces,
-    trace_faces,
     triangulate,
 )
 from fivecolor.instances import GenSpec, generate, named
@@ -40,6 +39,7 @@ from conftest import (
     plane_subgraph,
     reference_build,
     remove_vertices,
+    trace_faces,
 )
 
 

@@ -10,7 +10,6 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fivecolor.embedding import trace_faces
 from fivecolor.instances import (
     GenSpec,
     ParseError,
@@ -23,7 +22,7 @@ from fivecolor.instances import (
     write,
 )
 
-from conftest import remove_vertices
+from conftest import remove_vertices, trace_faces
 
 
 # -- named solids ------------------------------------------------------------

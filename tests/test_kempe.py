@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import fivecolor
 from fivecolor.embedding import from_faces
-from fivecolor.instances import GenSpec, generate
+from fivecolor.instances import GenSpec, generate, icosphere
 from fivecolor.kempe import (
     BadColorPair,
     BrokenInvariant,
@@ -28,7 +28,7 @@ from fivecolor.kempe import (
 )
 from fivecolor.reducer import RunStats
 
-from conftest import color_list
+from conftest import color_list, reference_chain
 
 
 def double_fan():
@@ -153,6 +153,42 @@ def test_two_ended_chain_agrees_with_one_ended(seed, n, rnd):
         assert (both == from_start and end not in both) or (
             both == from_end and start not in both
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["generate", "icosphere"]),
+    st.integers(0, 10_000),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_chain_matches_reference(kind, seed, rnd, two_ended):
+    # random partial colorings, proper or not, and pairs that are often
+    # bad: the same set, or the same BadColorPair, as the deque search
+    if kind == "icosphere":
+        rows = icosphere(seed % 3).rotation
+    else:
+        rows = generate(GenSpec(seed=seed, n=4 + seed % 60, flips=seed % 120)).rotation
+    n = len(rows)
+    blank = rnd.random()
+    colors = [0 if rnd.random() < blank else rnd.choice((1, 2, 3, 4, 5)) for _ in range(n)]
+    start = rnd.randrange(n)
+    end = rnd.randrange(n) if two_ended else None
+    if rnd.random() < 0.7:
+        pair = tuple(rnd.sample((1, 2, 3, 4), 2))
+    else:
+        pair = (rnd.randint(0, 5), rnd.randint(0, 5))
+    for v in (start, end):
+        if v is not None and rnd.random() < 0.9:
+            colors[v] = rnd.choice(pair)
+
+    def run(fn):
+        try:
+            return fn(rows, list(colors), start, pair, end)
+        except BadColorPair as e:
+            return str(e)
+
+    assert run(chain) == run(reference_chain)
 
 
 def test_swap_flips_both_colors():

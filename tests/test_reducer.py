@@ -9,6 +9,7 @@ separated variant (rim degrees 8,6,7,6,6 with the 7 not touching the 8).
 Outer arcs o0..o12 are vertices 6..18, the far pole is 19.
 """
 
+import gc
 import hashlib
 import random
 
@@ -26,10 +27,10 @@ from fivecolor.embedding import (
     fill_walk,
     from_faces,
     opened_darts,
-    trace_faces,
     triangulate,
 )
 from fivecolor.instances import GenSpec, generate, icosphere, named
+from fivecolor.kempe import BrokenInvariant
 from fivecolor.matching import match_at
 from fivecolor.reducer import (
     RunStats,
@@ -46,6 +47,7 @@ from conftest import (
     pinned_counters,
     plane_subgraph,
     remove_vertices,
+    trace_faces,
 )
 
 
@@ -576,6 +578,52 @@ def test_walk_darts_zero_on_triangulated_input():
     g = generate(GenSpec(1, 800, 1600))
     check_coloring(g, color_planar(g, stats))
     assert stats.f1_steps > 0 and stats.walk_darts == 0
+
+
+@pytest.mark.parametrize("kind", ["random-2000", "icosphere-4"])
+def test_descent_log_tracks_few_objects(kind):
+    # the undo log is a flat list of ints and deleted rows are kept as they
+    # were, so beside the occurrences it keeps for the ascent (one tracked
+    # object each, 259 = n/9.9 on icosphere-4) the collector sees almost
+    # nothing new.  A log of op tuples, undo lists and level tuples left
+    # 3.9 (random) and 3.1 (icosphere) new tracked objects per vertex
+    g = generate(GenSpec(3, 2000, 4000)) if kind == "random-2000" else icosphere(4)
+    work = reducer._Work(g)
+    stats = RunStats()
+    gc.collect()
+    before = len(gc.get_objects())
+    work.descend(stats)
+    gc.collect()
+    grown = len(gc.get_objects()) - before - sum(stats.occ_steps.values())
+    assert grown < g.n / 10
+
+
+def test_ascent_rejects_a_moved_chord():
+    g = generate(GenSpec(1, 200, 400))
+    work = reducer._Work(g)
+    stats = RunStats()
+    work.descend(stats)
+    assert reducer._CHORD in work.log
+    # every field is >= 0 and every tag < 0; take the chord replayed first
+    k = len(work.log) - 1 - work.log[::-1].index(reducer._CHORD)
+    work.log[k - 3] -= 1  # its position in the row of its first end
+    with pytest.raises(BrokenInvariant, match="not where its log put it"):
+        work.ascend(stats)
+
+
+def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
+    descend = reducer._Work.descend
+
+    def perturbed(self, stats):
+        descend(self, stats)
+        # the first vertex deleted is put back last (the input is already
+        # triangulated, so no fill chord is undone after it)
+        v = self.log[self.log.index(reducer._DEL) - 1]
+        self.saved[v].reverse()
+
+    monkeypatch.setattr(reducer._Work, "descend", perturbed)
+    with pytest.raises(BrokenInvariant, match="did not restore the rotation system"):
+        color_planar(generate(GenSpec(1, 200, 400)))
 
 
 def _descent_digest(graphs):
