@@ -25,7 +25,6 @@ from .catalog import (
     VirtualHub,
     builtin_catalog,
     get_entry,
-    validate_catalog,
     validate_entry,
 )
 from .discharge import UNIT, AuditReport, ChargeLedger, SumMismatch, audit, final_charges, transfers
@@ -98,7 +97,6 @@ __all__ = [
     "swap",
     "transfers",
     "triangulate",
-    "validate_catalog",
     "validate_entry",
     "write",
     "__version__",

@@ -645,6 +645,3 @@ def validate_entry(e):
         raise ValidationFailure(e.name, "scheme", f"unknown scheme {scheme!r}")
     return ValidationReport(e.name, tuple(results))
 
-
-def validate_catalog(entries=None):
-    return tuple(validate_entry(e) for e in (entries or _CATALOG))

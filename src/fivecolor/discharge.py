@@ -154,8 +154,10 @@ def audit(g, matched=True):
     """
     ledger = transfers(g)
     charges = final_charges(ledger)
-    positives = tuple(sorted(v for v, c in charges.items() if c > 0))
-    min_degree = min((g.degree(v) for v in g.vertices()), default=0)
+    # ints and Fractions alike carry the sign in .numerator (a Fraction's
+    # denominator is positive), which skips a Fraction comparison per vertex
+    positives = tuple(sorted(v for v, c in charges.items() if c.numerator > 0))
+    min_degree = min((len(row) for row in g.rotation if row is not None), default=0)
     return AuditReport(
         charges=charges,
         total=ledger.expected,

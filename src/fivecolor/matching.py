@@ -6,7 +6,6 @@ a plain sequence of rows with None marking absent vertices.
 
 Soundness leans on the input being triangulated: two vertices consecutive
 in a link are taken to be adjacent without an explicit edge check.
-Occurrence.recheck re-verifies a match without that shortcut.
 
 Caps are matched exactly where the entry says so and as upper bounds
 elsewhere, the anchor's included (_degrees).  An entry's layout is laid on
@@ -70,24 +69,6 @@ class Occurrence:
     @property
     def vertices(self):
         return frozenset(self.mapping.values())
-
-    def recheck(self, tri):
-        """Re-verify this occurrence from scratch, edges included."""
-        rows = _rows_view(tri)
-        n = len(rows)
-        for v in self.mapping.values():
-            if not (0 <= v < n) or rows[v] is None:
-                return False
-        again = match_at(tri, self.entry, self.anchor, self.offset, self.direction)
-        if again is None or again.mapping != self.mapping:
-            return False
-        vals = list(self.mapping.values())
-        if len(set(vals)) != len(vals):
-            return False
-        for a, b in self.edges:
-            if self.mapping[b] not in rows[self.mapping[a]]:
-                return False
-        return True
 
 
 def _fits(rows, w, cap, exact):

@@ -134,13 +134,16 @@ class _Work:
     """Mutable rotation rows plus the undo log of the descent.
 
     The log is one flat list of ints, each record its fields, then a tag.
-    `v, LOW` or `i, OCC` (occs[i]) opens a level; it is pushed before its
-    ops, so the ascent colors it once they are undone.  `p1 .. pk, v, DEL`
-    deletes v, whose row is kept in saved[v]; p1..pk are the positions v
-    had in its present neighbors' rows, in row order.  `a, pa, b, pb,
-    CHORD` is a fill chord.  DEL needs no marker for the neighbors skipped
-    as gone: replayed last in, first out, every vertex deleted after v is
-    back and every one deleted before it is still gone.
+    `p1 .. pk, v, LOW` deletes v, peeled at degree 4 or less, and `p1 ..
+    pk, v, DEL` deletes v as part of an occurrence; v's row is kept in
+    saved[v], and p1..pk are the positions v had in its present neighbors'
+    rows, in row order.  The ascent reinserts v for either tag, and on LOW
+    then colors it.  `i, OCC` (occs[i]) opens an occurrence; it is pushed
+    before its deletions, so the ascent colors the pattern once they are
+    undone.  `a, pa, b, pb, CHORD` is a fill chord.  A deletion needs no
+    marker for the neighbors skipped as gone: replayed last in, first out,
+    every vertex deleted after v is back and every one deleted before it is
+    still gone.
     """
 
     def __init__(self, g):
@@ -161,9 +164,8 @@ class _Work:
         self.occs = []
         self.index = ScanIndex(_SCAN_ENTRIES)
 
-    # -- primitives, each logging its record -------------------------------
-
-    def _remove_vertex(self, v):
+    def _remove_vertex(self, v, tag):
+        """Delete v from the rows, logging `p1 .. pk, v, tag`."""
         rows, log = self.rows, self.log
         row = rows[v]
         for u in row:
@@ -173,35 +175,36 @@ class _Work:
             pos = r.index(v)
             del r[pos]
             log.append(pos)
-        log += (v, _DEL)
+        log += (v, tag)
         self.index.changed.update(row)
         self.saved[v] = row
         rows[v] = None
         self.n_alive -= 1
 
-    # The heap pops the smallest degree first.  Every vertex whose degree
-    # changes is pushed again, so an entry whose degree no longer matches
-    # its vertex's is stale and dropped.
+    # The heap pops the smallest degree first, the smallest id among equal
+    # degrees.  An entry is the int d * len(rows) + v: every id is below
+    # len(rows), so ints order exactly as the pairs (d, v) would, with no
+    # tuple per entry.  Every vertex whose degree changes is pushed again,
+    # so an entry whose degree no longer matches its vertex's is stale and
+    # dropped.  Both callers find the heap empty (an occurrence comes only
+    # once it ran dry), so one heapify costs what the pushes would.
 
     def _push_low(self, verts):
-        rows, heap = self.rows, self.heap
+        rows, size = self.rows, len(self.rows)
         for v in verts:
             row = rows[v]
             if row is not None and len(row) <= 4:
-                heapq.heappush(heap, (len(row), v))
+                self.heap.append(len(row) * size + v)
+        heapq.heapify(self.heap)
 
-    def _pop_low(self):
-        while self.heap:
-            d, v = heapq.heappop(self.heap)
-            row = self.rows[v]
-            if row is not None and len(row) == d:
-                return v
-        return None
+    def _fill_from(self, darts):
+        """Re-triangulate the face walks through `darts`, logging every chord.
 
-    # -- hole filling ------------------------------------------------------
-
-    def _fill(self, walks):
-        """Triangulate each walk, logging every chord; returns its endpoints."""
+        Counts the walks' darts and returns the chords' endpoints.
+        """
+        # walk first: filling changes the rows the walks are read from
+        walks = list(face_walks(self.rows, darts))
+        self.walk_darts += sum(map(len, walks))
         touched = set()
         for walk in walks:
             if len(walk) >= 4:
@@ -211,24 +214,6 @@ class _Work:
                     touched.add(b)
         self.index.changed |= touched
         return touched
-
-    def _fill_from(self, darts):
-        """Re-triangulate the face walks through `darts`, counting their darts."""
-        # walk first: filling changes the rows the walks are read from
-        walks = list(face_walks(self.rows, darts))
-        self.walk_darts += sum(map(len, walks))
-        return self._fill(walks)
-
-    # -- descent steps -----------------------------------------------------
-
-    def _step_low(self, v):
-        self.log += (v, _LOW)
-        link = self.rows[v]  # kept unchanged in saved[v]
-        self._remove_vertex(v)
-        if len(link) == 4:
-            # the hole runs along the link in rotation order
-            self._fill([link])
-        self._push_low(link)
 
     def _step_occurrence(self, occ):
         self.log += (len(self.occs), _OCC)
@@ -241,52 +226,66 @@ class _Work:
         boundary -= gone
         darts = opened_darts(self.rows, boundary, gone)
         for v in doomed:
-            self._remove_vertex(v)
+            self._remove_vertex(v, _DEL)
         touched = self._fill_from(darts)
         self._push_low(boundary | touched)
 
     def descend(self, stats):
+        rows, heap, log, remove = self.rows, self.heap, self.log, self._remove_vertex
+        heappop, heappush = heapq.heappop, heapq.heappush
+        size = len(rows)
         if not self.triangulated:
-            self._fill_from(all_darts(self.rows))
-        self._push_low(range(len(self.rows)))
+            self._fill_from(all_darts(rows))
+        self._push_low(range(size))
         while self.n_alive > 3:
-            v = self._pop_low()
-            if v is not None:
-                self._step_low(v)
-                stats.f1_steps += 1
-            else:
+            if not heap:
                 stats.scans += 1
-                occ = find_reducible(self.rows, self.index)
+                occ = find_reducible(rows, self.index)
                 self._step_occurrence(occ)
                 stats.occ_steps[occ.entry.family] += 1
+                continue
+            d, v = divmod(heappop(heap), size)
+            link = rows[v]  # kept unchanged in saved[v]
+            if link is None or len(link) != d:
+                continue
+            remove(v, _LOW)
+            stats.f1_steps += 1
+            if d == 4:
+                # the hole runs along the link in rotation order; its chords
+                # join link vertices, which the removal marked changed
+                for a, pa, b, pb in fill_walk(rows, link):
+                    log += (a, pa, b, pb, _CHORD)
+            for u in link:
+                r = rows[u]
+                if len(r) <= 4:
+                    heappush(heap, len(r) * size + u)
         stats.probes += self.index.probes
         stats.walk_darts += self.walk_darts
 
     def ascend(self, stats):
         """Replay the log backwards; returns colors indexed by vertex, 0 if absent."""
-        rows, log, pop = self.rows, self.log, self.log.pop
+        rows, log, pop, saved = self.rows, self.log, self.log.pop, self.saved
         colors = [0] * len(rows)
         base = [v for v in range(len(rows)) if rows[v] is not None]
         for c, v in enumerate(base, start=1):
             colors[v] = c
         while log:
             tag = pop()
-            if tag == _DEL:
+            if tag == _LOW or tag == _DEL:
                 v = pop()
-                row = rows[v] = self.saved[v]
+                row = rows[v] = saved[v]
                 for u in reversed(row):
                     r = rows[u]
                     if r is not None:
                         r.insert(pop(), v)
+                if tag == _LOW:
+                    colors[v] = free_color(rows, colors, v, stats)
             elif tag == _CHORD:
                 pb, b, pa, a = pop(), pop(), pop(), pop()
                 if rows[a][pa] != b or rows[b][pb] != a:
                     raise BrokenInvariant(f"chord {a}-{b} is not where its log put it")
                 del rows[a][pa]
                 del rows[b][pb]
-            elif tag == _LOW:
-                v = pop()
-                colors[v] = free_color(rows, colors, v, stats)
             else:
                 reduce_once(rows, self.occs[pop()], colors, stats)
         return colors

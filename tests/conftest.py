@@ -19,6 +19,7 @@ from fivecolor.embedding import (
     face_walks,
 )
 from fivecolor.kempe import BadColorPair
+from fivecolor.matching import _rows_view, match_at
 
 
 def remove_vertices(g, doomed):
@@ -34,6 +35,29 @@ def remove_vertices(g, doomed):
         for v, r in enumerate(g.rotation)
     ]
     return EmbeddedGraph(rows)
+
+
+def recheck(occ, tri):
+    """Re-verify an occurrence from scratch, edges included.
+
+    The matcher takes two vertices consecutive in a link to be adjacent;
+    this oracle checks every realized pattern edge in the rows instead.
+    """
+    rows = _rows_view(tri)
+    n = len(rows)
+    for v in occ.mapping.values():
+        if not (0 <= v < n) or rows[v] is None:
+            return False
+    again = match_at(tri, occ.entry, occ.anchor, occ.offset, occ.direction)
+    if again is None or again.mapping != occ.mapping:
+        return False
+    vals = list(occ.mapping.values())
+    if len(set(vals)) != len(vals):
+        return False
+    for a, b in occ.edges:
+        if occ.mapping[b] not in rows[occ.mapping[a]]:
+            return False
+    return True
 
 
 def trace_faces(g):

@@ -25,7 +25,7 @@ from fivecolor.discharge import (
     final_charges,
     transfers,
 )
-from fivecolor.embedding import from_faces
+from fivecolor.embedding import build, from_faces
 from fivecolor.instances import GenSpec, generate
 from conftest import has_edge
 from test_reducer import hub_gadget, wheel_gadget
@@ -296,6 +296,25 @@ def test_audit_reports_pinned():
         )
         digest.update(repr(data).encode())
     assert digest.hexdigest()[:16] == "b96fa709586aae97"
+
+
+@pytest.mark.parametrize(
+    "rows, charges, min_degree",
+    [
+        ([(1,), (0,), ()], {0: 5, 1: 5, 2: 6}, 0),  # an isolated vertex has degree 0
+        ([(2, 3), None, (3, 0), (0, 2)], {0: 4, 2: 4, 3: 4}, 2),  # a tombstone has none
+        ([], {}, 0),  # the empty graph
+    ],
+    ids=["isolated", "tombstone", "empty"],
+)
+def test_audit_on_odd_graphs(rows, charges, min_degree):
+    g = build(rows)
+    report = audit(g, matched=False)
+    assert report.charges == charges
+    assert report.total == 6 * g.n - 2 * g.m == sum(charges.values())
+    assert report.positives == tuple(sorted(charges))
+    assert report.min_degree == min_degree
+    assert not report.inconsistent
 
 
 @settings(max_examples=20, deadline=None)

@@ -46,6 +46,7 @@ from conftest import (
     least_rotation,
     pinned_counters,
     plane_subgraph,
+    recheck,
     remove_vertices,
     trace_faces,
 )
@@ -347,7 +348,7 @@ def test_incremental_scan_matches_full_scan(monkeypatch, g, runs_with_f2_last, o
     def checked(rows, index):
         occ = scan(rows, index)
         assert occ == matching.find_reducible(rows, index.entries)
-        assert occ.recheck(rows)
+        assert recheck(occ, rows)
         found.append(occ.entry.family)
         return occ
 
@@ -617,13 +618,27 @@ def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
     def perturbed(self, stats):
         descend(self, stats)
         # the first vertex deleted is put back last (the input is already
-        # triangulated, so no fill chord is undone after it)
-        v = self.log[self.log.index(reducer._DEL) - 1]
+        # triangulated, so no fill chord is undone after it); fields are
+        # >= 0, so the first tag of either deletion closes its record
+        k = min(i for i, x in enumerate(self.log) if x in (reducer._LOW, reducer._DEL))
+        v = self.log[k - 1]
         self.saved[v].reverse()
 
     monkeypatch.setattr(reducer._Work, "descend", perturbed)
     with pytest.raises(BrokenInvariant, match="did not restore the rotation system"):
         color_planar(generate(GenSpec(1, 200, 400)))
+
+
+def test_low_peels_log_one_record_each():
+    # a peel's LOW record is its deletion too, so a descent of peels alone
+    # writes one LOW tag per peel and no DEL
+    g = generate(GenSpec(1, 800, 1600))
+    work = reducer._Work(g)
+    stats = RunStats()
+    work.descend(stats)
+    assert stats.scans == 0 and stats.f1_steps == g.n - 3
+    assert reducer._DEL not in work.log
+    assert work.log.count(reducer._LOW) == stats.f1_steps
 
 
 def _descent_digest(graphs):
