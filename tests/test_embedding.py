@@ -1,4 +1,4 @@
-"""Rotation systems, face tracing, triangulation.
+"""Rotation systems, face tracing, hole filling.
 
 Expected values below (face counts, walk shapes, edge counts) were worked
 out by hand from the rotation systems and Euler's formula, then frozen.
@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fivecolor import reducer
 from fivecolor.embedding import (
     AsymmetricAdjacency,
     DuplicateNeighbor,
@@ -18,7 +19,6 @@ from fivecolor.embedding import (
     EmbeddingError,
     LoopEdge,
     NotPlanarEmbedding,
-    Triangulation,
     UntriangulatableFace,
     _count_cycles,
     _face_successors,
@@ -27,7 +27,6 @@ from fivecolor.embedding import (
     face_walks,
     fill_walk,
     from_faces,
-    triangulate,
 )
 from fivecolor.instances import GenSpec, generate, named
 from fivecolor.reducer import RunStats, color_planar
@@ -277,7 +276,7 @@ def test_accessors():
     g = named("cube")
     assert (g.n, g.m, g.size) == (8, 12, 8)
     assert g.degree(0) == 3
-    assert g.neighbors(0) == (1, 4, 3)
+    assert g.rotation[0] == (1, 4, 3)
     assert has_edge(g, 0, 4) and not has_edge(g, 0, 7)
     assert sorted(g.edges())[0] == (0, 1)
     assert len(list(g.edges())) == 12
@@ -391,54 +390,38 @@ def test_from_faces_isolated_vertex():
     assert g.rotation[3] == () and g.n == 4
 
 
-# -- triangulate -------------------------------------------------------------
+# -- the engine's fill -------------------------------------------------------
 
 
-def test_triangulate_cube():
-    tri = triangulate(named("cube"))
-    assert isinstance(tri, Triangulation)
-    assert (tri.n, tri.m) == (8, 18)
-    assert len(tri.faces) == 12
-    assert all(len(f) == 3 for f in tri.faces)
-    assert len(tri.added_edges) == 6
-    g = named("cube")
-    for u, v in tri.added_edges:
-        assert not has_edge(g, u, v)
-        assert has_edge(tri, u, v) and has_edge(tri, v, u)
+def engine_fill(g):
+    """The reducer's _Work for g after its initial fill, before any deletion."""
+    work = reducer._Work(g)
+    if not work.triangulated:
+        work._fill_from(all_darts(work.rows))
+    return work
 
 
-def test_triangulate_c4_gives_k4():
-    # both quad faces need a chord and they cannot pick the same pair
-    tri = triangulate(named("c4"))
-    assert tri.m == 6
-    assert sorted(tri.added_edges) in ([(0, 2), (1, 3)], [(1, 3), (0, 2)])
-    assert all(has_edge(tri, u, v) for u in range(4) for v in range(4) if u != v)
-
-
-def test_triangulate_noop_on_triangulation(icosahedron):
-    tri = triangulate(icosahedron)
-    assert tri.added_edges == ()
-    assert tri.rotation == icosahedron.rotation
-
-
-def test_triangulate_requires_connected():
-    two_triangles = [(1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4)]
-    with pytest.raises(EmbeddingError, match="connected"):
-        triangulate(build(two_triangles))
-
-
-def test_triangulate_requires_three_vertices():
-    with pytest.raises(EmbeddingError):
-        triangulate(build([(1,), (0,)]))
-
-
-@given(st.integers(min_value=4, max_value=13))
-def test_triangulate_cycle(k):
+@pytest.mark.parametrize(
+    "g, m, chords",
+    [
+        (named("cube"), 18, 6),
+        # both quad faces need a chord and they cannot pick the same pair
+        (named("c4"), 6, 2),
+        (named("icosahedron"), 30, 0),
+        (remove_vertices(named("icosahedron"), {0}), 27, 2),
+    ]
     # filling both k-gon faces takes 2(k - 3) distinct chords
-    tri = triangulate(build(cycle_rotations(k)))
-    assert tri.m == 3 * k - 6
-    assert len(tri.faces) == 2 * k - 4
-    assert all(len(f) == 3 for f in tri.faces)
+    + [(build(cycle_rotations(k)), 3 * k - 6, 2 * (k - 3)) for k in range(4, 14)],
+    ids=["cube", "c4", "icosahedron", "icosahedron-0"]
+    + [f"cycle-{k}" for k in range(4, 14)],
+)
+def test_engine_fill(g, m, chords):
+    work = engine_fill(g)
+    filled = build(work.rows)
+    assert filled.m == m
+    assert work.log.count(reducer._CHORD) == chords
+    assert all(len(f) == 3 for f in trace_faces(filled))
+    assert set(g.edges()) <= set(filled.edges())
 
 
 # -- fill_walk ---------------------------------------------------------------
@@ -473,12 +456,9 @@ def test_fill_walk_triangulates_and_undoes(seed, n):
 
 
 def filled_and_colored(g):
-    """What triangulate() and color_planar() make of g, as plain data."""
-    try:
-        tri = triangulate(g)
-        filled = (tri.rotation, tri.added_edges)
-    except EmbeddingError as exc:
-        filled = f"{type(exc).__name__}: {exc}"
+    """What the engine's fill and color_planar() make of g, as plain data."""
+    work = engine_fill(g)
+    filled = (work.rows, work.log)
     stats = RunStats()
     colors = color_planar(g, stats)
     return filled, sorted(colors.items()), pinned_counters(stats)
@@ -494,7 +474,7 @@ def test_fill_pinned():
         graphs += [build(star_rotations(k)), build(path_rotations(k))]
     graphs += [build(cycle_rotations(k)) for k in (3, 4, 5, 9, 20)]
     grid = [filled_and_colored(g) for g in graphs]
-    assert hashlib.sha256(repr(grid).encode()).hexdigest()[:16] == "77542f4367f1b9c0"
+    assert hashlib.sha256(repr(grid).encode()).hexdigest()[:16] == "d4fec4ddd7914a3a"
 
 
 # -- remove_vertices ---------------------------------------------------------
@@ -504,7 +484,6 @@ def test_remove_vertex_from_icosahedron(icosahedron):
     g = remove_vertices(icosahedron, {0})
     assert (g.n, g.m, g.size) == (11, 25, 12)
     assert g.rotation[0] is None
-    assert not g.present(0)
     faces = trace_faces(g)
     assert sorted(len(f) for f in faces) == [3] * 15 + [5]
     hole = next(f for f in faces if len(f) == 5)
@@ -515,10 +494,3 @@ def test_remove_absent_vertex(icosahedron):
     g = remove_vertices(icosahedron, {0})
     with pytest.raises(EmbeddingError):
         remove_vertices(g, {0})
-
-
-def test_remove_then_triangulate(icosahedron):
-    tri = triangulate(remove_vertices(icosahedron, {0}))
-    assert tri.m == 27
-    assert all(len(f) == 3 for f in tri.faces)
-    assert len(tri.added_edges) == 2

@@ -173,6 +173,21 @@ def test_generate_pinned():
     assert hashlib.sha256(repr(grid).encode()).hexdigest()[:16] == "0f4f3f1e135cab22"
 
 
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (GenSpec(7, 2**16, 2**17), "0202b5a603004d55"),
+        (GenSpec(3, 10242, 20484, shape_min_degree_5=True), "a357292a7ef76a84"),
+    ],
+    ids=["default", "shaped"],
+)
+def test_generate_pinned_large(spec, digest):
+    # long flip runs on both paths: a flip loop that drifts only after many
+    # flips, or only above degree floor 5, changes these rotations
+    rotation = generate(spec).rotation
+    assert hashlib.sha256(repr(rotation).encode()).hexdigest()[:16] == digest
+
+
 def test_generate_too_small():
     with pytest.raises(ValueError):
         generate(GenSpec(seed=1, n=3, flips=0))

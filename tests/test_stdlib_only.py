@@ -32,3 +32,20 @@ def test_no_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+def test_all_matches_imports():
+    # an export deleted from the imports or from __all__ but not both
+    # would break `from fivecolor import *` or leave a name unexported
+    names = fivecolor.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(fivecolor, name) for name in names)
+    tree = ast.parse(Path(fivecolor.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert set(names) == imported | {"__version__"}
