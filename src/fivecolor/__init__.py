@@ -35,11 +35,9 @@ from .embedding import (
     EmbeddingError,
     LoopEdge,
     NotPlanarEmbedding,
-    Triangulation,
     UntriangulatableFace,
     build,
     from_faces,
-    triangulate,
 )
 from .instances import GenSpec, ParseError, UnknownName, generate, icosphere, named, read, write
 from .kempe import BadColorPair, BrokenInvariant, DiagonalContradiction, chain, free_color, swap
@@ -71,7 +69,6 @@ __all__ = [
     "SchemeExhausted",
     "SumMismatch",
     "TrialSequence",
-    "Triangulation",
     "UNIT",
     "UnknownName",
     "UntriangulatableFace",
@@ -96,7 +93,6 @@ __all__ = [
     "read",
     "swap",
     "transfers",
-    "triangulate",
     "validate_entry",
     "write",
     "__version__",

@@ -489,10 +489,8 @@ def blocked_peel(caps, edges, deleted=(), blocked=None):
     outside the pattern), is at most 4.  Returns (order, stuck): stuck is
     empty iff everything outside `deleted` peeled.
     """
-    if not hasattr(caps, "keys"):
-        caps = dict(enumerate(caps))
     blocked = blocked or {}
-    nbrs = {v: [] for v in caps}
+    nbrs = [[] for _ in caps]
     for a, b in edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
@@ -501,7 +499,7 @@ def blocked_peel(caps, edges, deleted=(), blocked=None):
         return caps[v] - sum(1 for w in nbrs[v] if w in gone) - blocked.get(v, 0)
 
     gone = set(deleted)
-    return greedy_peel([v for v in caps if v not in gone], gone, load)
+    return greedy_peel([v for v in range(len(caps)) if v not in gone], gone, load)
 
 
 def _require_full_peel(entry_name, label, caps, edges, deleted, blocked):

@@ -76,17 +76,11 @@ class EmbeddedGraph:
         """Extent of the id space (present or not)."""
         return len(self.rotation)
 
-    def present(self, v):
-        return 0 <= v < len(self.rotation) and self.rotation[v] is not None
-
     def vertices(self):
         return (v for v, r in enumerate(self.rotation) if r is not None)
 
     def degree(self, v):
         return len(self.rotation[v])
-
-    def neighbors(self, v):
-        return self.rotation[v]
 
     def edges(self):
         for u in self.vertices():
@@ -271,18 +265,6 @@ def face_walks(rows, darts):
         yield walk
 
 
-def _trace(rows):
-    """Yield every face walk of the rotation system, as a vertex list.
-
-    Walks start at their lexicographically smallest dart, and come in the
-    order their first dart is met, vertex by vertex, in row order.
-    """
-    for walk in face_walks(rows, all_darts(rows)):
-        k = len(walk)
-        best = min(range(k), key=lambda i: (walk[i], walk[(i + 1) % k]))
-        yield walk[best:] + walk[:best]
-
-
 def from_faces(n, faces):
     """Stitch an embedding out of oriented face walks.
 
@@ -358,44 +340,3 @@ def fill_walk(rows, walk):
             misses = 0
         w.rotate(-1)
     return chords
-
-
-class Triangulation(EmbeddedGraph):
-    """An embedding whose every face is a triangle.
-
-    Produced by triangulate(); carries the face list and the chords that
-    were added to the input.
-    """
-
-    __slots__ = ("faces", "added_edges")
-
-    def __init__(self, rotation, faces, added_edges):
-        super().__init__(rotation)
-        object.__setattr__(self, "faces", tuple(tuple(f) for f in faces))
-        object.__setattr__(self, "added_edges", tuple(added_edges))
-
-
-def triangulate(g):
-    """Fill every face of length >= 4 with chords.
-
-    Requires a connected embedding on at least 3 vertices.  Already
-    triangulated input comes back with an identical edge set and no
-    added_edges.
-    """
-    if g.n < 3:
-        raise EmbeddingError(f"need at least 3 vertices, have {g.n}")
-    if _components(g.rotation) != 1:
-        raise EmbeddingError("triangulate requires a connected graph")
-
-    rows = [None if r is None else list(r) for r in g.rotation]
-    added = []
-    for walk in _trace(g.rotation):
-        if len(walk) >= 4:
-            for a, _, b, _ in fill_walk(rows, walk):
-                added.append((a, b) if a < b else (b, a))
-
-    tri = Triangulation(rows, _trace(rows), added)
-    for face in tri.faces:
-        if len(face) != 3:
-            raise UntriangulatableFace(f"face {face!r} survived filling")
-    return tri

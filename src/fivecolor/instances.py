@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import EmbeddedGraph, build, from_faces
+from .embedding import build, from_faces
 
 
 class UnknownName(KeyError):
@@ -225,42 +225,6 @@ def _grow_k4(rng, n):
     return rows
 
 
-class _Mesh:
-    """Mutable triangulation under edge flips, as rotation lists."""
-
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-
-    def flip_apexes(self, u, v):
-        """The two triangle apexes across edge (u, v)."""
-        ru, rv = self.rows[u], self.rows[v]
-        x = rv[rv.index(u) - 1]
-        y = ru[ru.index(v) - 1]
-        return x, y
-
-    def can_flip(self, u, v, floor):
-        """Whether flipping (u, v) keeps the graph simple and both ends >= floor."""
-        x, y = self.flip_apexes(u, v)
-        return (
-            x != y
-            and y not in self.rows[x]
-            and len(self.rows[u]) > floor
-            and len(self.rows[v]) > floor
-        )
-
-    def flip(self, u, v):
-        """Replace edge (u, v) by the opposite diagonal (x, y) of its quad."""
-        x, y = self.flip_apexes(u, v)
-        self.rows[u].remove(v)
-        self.rows[v].remove(u)
-        self.rows[x].insert(self.rows[x].index(v), y)
-        self.rows[y].insert(self.rows[y].index(u), x)
-        return x, y
-
-    def edge_list(self):
-        return [(u, w) for u in range(len(self.rows)) for w in self.rows[u] if u < w]
-
-
 def generate(spec):
     """Deterministic random triangulation on spec.n vertices.
 
@@ -281,18 +245,27 @@ def generate(spec):
                 f"min-degree-5 instances start from an icosphere; n = 10 * 4**k + 2,"
                 f" not {spec.n}"
             )
-        mesh, floor = _Mesh(icosphere(k).rotation), 5
+        rows, floor = [list(r) for r in icosphere(k).rotation], 5
     else:
         if spec.n < 4:
             raise ValueError("generated instances start from K4; need n >= 4")
-        mesh, floor = _Mesh(_grow_k4(rng, spec.n)), 3
+        rows, floor = _grow_k4(rng, spec.n), 3
     # every flip removes exactly the picked edge and adds its opposite
     # diagonal, so replacing in place keeps `edges` exact
-    edges = mesh.edge_list()
+    edges = [(u, w) for u, row in enumerate(rows) for w in row if u < w]
     for _ in range(spec.flips):
         i = rng.below(len(edges))
         u, w = edges[i]
-        if mesh.can_flip(u, w, floor):
-            x, y = mesh.flip(u, w)
+        ru, rw = rows[u], rows[w]
+        # x and y are the apexes of the two triangles on (u, w); a flip
+        # replaces (u, w) by (x, y), legal when that keeps the graph simple
+        # and both ends above the degree floor
+        x = rw[rw.index(u) - 1]
+        y = ru[ru.index(w) - 1]
+        if x != y and y not in rows[x] and len(ru) > floor and len(rw) > floor:
+            ru.remove(w)
+            rw.remove(u)
+            rows[x].insert(rows[x].index(w), y)
+            rows[y].insert(rows[y].index(u), x)
             edges[i] = (x, y) if x < y else (y, x)
-    return build(mesh.rows)
+    return build(rows)

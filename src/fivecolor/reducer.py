@@ -100,12 +100,6 @@ def select_fifth(rows, occ, colors):
     )
 
 
-def reinsert(rows, colors, peel, stats=None):
-    """Color a peeled sequence in reverse, each via its spare color."""
-    for v in reversed(peel):
-        colors[v] = free_color(rows, colors, v, stats)
-
-
 def reduce_once(rows, occ, colors, stats=None):
     """Apply one occurrence's scheme against an outside coloring.
 
@@ -121,7 +115,8 @@ def reduce_once(rows, occ, colors, stats=None):
             stats.fifth_assigned += 1
     elif stats is not None:
         stats.fallback_peels += 1
-    reinsert(rows, colors, peel, stats)
+    for v in reversed(peel):
+        colors[v] = free_color(rows, colors, v, stats)
     return fifth, peel
 
 

@@ -13,7 +13,6 @@ from fivecolor.embedding import (
     LoopEdge,
     NotPlanarEmbedding,
     _components,
-    _trace,
     all_darts,
     build,
     face_walks,
@@ -26,7 +25,7 @@ def remove_vertices(g, doomed):
     """Delete a set of vertices, tombstoning their ids."""
     doomed = set(doomed)
     for v in doomed:
-        if not g.present(v):
+        if not (0 <= v < g.size and g.rotation[v] is not None):
             raise EmbeddingError(f"vertex {v} not present")
     rows = [
         None
@@ -62,12 +61,18 @@ def recheck(occ, tri):
 
 def trace_faces(g):
     """All face walks of the embedding, canonical start, deterministic order."""
-    return tuple(tuple(w) for w in _trace(g.rotation))
+    faces = []
+    for walk in face_walks(g.rotation, all_darts(g.rotation)):
+        # rotate the walk to start at its lexicographically smallest dart
+        k = len(walk)
+        best = min(range(k), key=lambda i: (walk[i], walk[(i + 1) % k]))
+        faces.append(tuple(walk[best:] + walk[:best]))
+    return tuple(faces)
 
 
 def has_edge(g, u, v):
     """Whether u is a present vertex of g whose row lists v."""
-    return g.present(u) and v in g.rotation[u]
+    return 0 <= u < g.size and g.rotation[u] is not None and v in g.rotation[u]
 
 
 def reference_build(rotations):
