@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from fivecolor.embedding import (
 )
 from fivecolor.kempe import BadColorPair
 from fivecolor.matching import _rows_view, match_at
+from fivecolor.reducer import RunStats, color_planar
 
 
 def remove_vertices(g, doomed):
@@ -192,9 +194,31 @@ def pinned_counters(stats):
     return sorted(counters.items())
 
 
+def coloring_digest(graphs):
+    """sha256 over each graph's coloring and pinned counters, 16 hex digits."""
+    h = hashlib.sha256()
+    for g in graphs:
+        stats = RunStats()
+        colors = color_planar(g, stats)
+        h.update(repr((sorted(colors.items()), pinned_counters(stats))).encode())
+    return h.hexdigest()[:16]
+
+
 def least_rotation(walk):
     """A walk's least cyclic rotation, as a tuple: the same for every start."""
     return min(tuple(walk[i:] + walk[:i]) for i in range(len(walk)))
+
+
+def cycle_rotations(k):
+    return [((i - 1) % k, (i + 1) % k) for i in range(k)]
+
+
+def path_rotations(k):
+    return [tuple(w for w in (i - 1, i + 1) if 0 <= w < k) for i in range(k)]
+
+
+def star_rotations(k):
+    return [tuple(range(1, k + 1))] + [(0,)] * k
 
 
 def plane_subgraph(seed, n):

@@ -1,33 +1,48 @@
-"""The library names that bench/spans.py patches and reads.
+"""The library names that bench/spans.py patches and reads, and the
+benchmark's outputs.
 
 The benchmark traces the library from outside by swapping module
 attributes, so a renamed or reshaped patch point does not fail the
 benchmark: its per-layer metrics just read 0.  These tests load
-bench/spans.py as it is and fail instead.
+bench/spans.py as it is and fail instead.  They also load
+bench/workloads.py as it is and pin what the library makes of its
+inputs, so a speed change that alters an output fails here first.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from fivecolor import kempe, reducer
 from fivecolor.embedding import from_faces
-from fivecolor.instances import GenSpec, generate, icosphere
+from fivecolor.instances import GenSpec, generate, icosphere, read
 from fivecolor.reducer import RunStats, check_coloring
 
-from conftest import color_list
+from conftest import color_list, coloring_digest
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is defined
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("bench_spans", BENCH / "spans.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("bench_workloads", BENCH / "workloads.py")
 
 
 def test_every_patch_point_exists(spans):
@@ -72,3 +87,18 @@ def test_traced_probes_equal_run_stats(spans):
     with tracer.patched():
         reducer.color_planar(icosphere(2), stats)
     assert tracer.counts["matching.match_at.calls"] == stats.probes > 0
+
+
+@pytest.mark.parametrize(
+    "workload, digest",
+    [
+        ("random", "e8f964e60ec668d8"),
+        ("icosphere", "3ac22405bca0a6a4"),
+        ("sparse", "5d3e6f60145aec88"),
+    ],
+)
+def test_workload_colorings_pinned(workloads, workload, digest):
+    # colorings and counters of every instance the benchmark colors at
+    # seed 1, read from its own pg/1 texts
+    graphs = [read(inst.text) for inst in workloads.make(workload, 1)]
+    assert coloring_digest(graphs) == digest

@@ -32,26 +32,17 @@ from fivecolor.instances import GenSpec, generate, named
 from fivecolor.reducer import RunStats, color_planar
 
 from conftest import (
+    cycle_rotations,
     has_edge,
     least_rotation,
+    path_rotations,
     pinned_counters,
     plane_subgraph,
     reference_build,
     remove_vertices,
+    star_rotations,
     trace_faces,
 )
-
-
-def cycle_rotations(k):
-    return [((i - 1) % k, (i + 1) % k) for i in range(k)]
-
-
-def path_rotations(k):
-    return [tuple(w for w in (i - 1, i + 1) if 0 <= w < k) for i in range(k)]
-
-
-def star_rotations(k):
-    return [tuple(range(1, k + 1))] + [(0,)] * k
 
 
 # -- validation --------------------------------------------------------------

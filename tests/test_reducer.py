@@ -41,12 +41,15 @@ from fivecolor.reducer import (
 )
 
 from conftest import (
+    coloring_digest,
     color_list,
+    cycle_rotations,
     least_rotation,
-    pinned_counters,
+    path_rotations,
     plane_subgraph,
     recheck,
     remove_vertices,
+    star_rotations,
     trace_faces,
 )
 
@@ -640,15 +643,6 @@ def test_low_peels_log_one_record_each():
     assert work.log.count(reducer._LOW) == stats.f1_steps
 
 
-def _descent_digest(graphs):
-    h = hashlib.sha256()
-    for g in graphs:
-        stats = RunStats()
-        colors = color_planar(g, stats)
-        h.update(repr((sorted(colors.items()), pinned_counters(stats))).encode())
-    return h.hexdigest()[:16]
-
-
 @pytest.mark.parametrize(
     "order, digest",
     [("default", "46ab9dd2c532ba1b"), ("f2-last", "1456121e0881ced8")],
@@ -659,4 +653,20 @@ def test_occurrence_descents_pinned(monkeypatch, order, digest):
     # in which walks get filled, or from where, changes them
     if order == "f2-last":
         monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
-    assert _descent_digest([icosphere(3), _shaped(1), _shaped(2)]) == digest
+    assert coloring_digest([icosphere(3), _shaped(1), _shaped(2)]) == digest
+
+
+def test_descent_log_pinned():
+    # the undo log and the saved rows of whole descents: peels at every
+    # degree (with the 4-holes' chords), the initial fill of long faces, and
+    # occurrence blocks with their holes; any drift in which records are
+    # written, or in their order, changes this digest
+    graphs = [generate(GenSpec(7, 2000, 4000)), icosphere(3)]
+    graphs += [build(rot(300)) for rot in (star_rotations, path_rotations, cycle_rotations)]
+    graphs += [plane_subgraph(s, 300) for s in range(4)]
+    h = hashlib.sha256()
+    for g in graphs:
+        work = reducer._Work(g)
+        work.descend(RunStats())
+        h.update(repr((work.log, work.saved)).encode())
+    assert h.hexdigest()[:16] == "450bbbdab7e7ee19"
