@@ -47,6 +47,8 @@ def chain(rows, colors, start, pair, end=None):
     expansion each in turn.  Whichever search runs out first returns its
     complete chain, which then misses the other end; if the searches
     meet, the set returned holds both ends (and is not a complete chain).
+    A neighbor's color is tested against the pair before the set lookup,
+    so most neighbors off the chain cost one list read.
     """
     a, b = pair
     if a == b or a not in (1, 2, 3, 4) or b not in (1, 2, 3, 4):
@@ -54,27 +56,26 @@ def chain(rows, colors, start, pair, end=None):
     for v in (start,) if end is None else (start, end):
         if colors[v] not in (a, b):
             raise BadColorPair(f"vertex {v} has color {colors[v]!r}, not in {pair!r}")
+    # indexed by color, 0..5
+    in_pair = [False] * 6
+    in_pair[a] = in_pair[b] = True
     seen, queue = {start}, [start]
     if end is None:
         for u in queue:
             for w in rows[u]:
-                if w not in seen:
-                    c = colors[w]
-                    if c == a or c == b:
-                        seen.add(w)
-                        queue.append(w)
+                if in_pair[colors[w]] and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
         return seen
     # two sides, each a (set, list, cursor); swapped after every expansion
     i, other, other_queue, j = 0, {end}, [end], 0
     while i < len(queue):
         for w in rows[queue[i]]:
-            if w not in seen:
-                c = colors[w]
-                if c == a or c == b:
-                    if w in other:
-                        return seen | other
-                    seen.add(w)
-                    queue.append(w)
+            if in_pair[colors[w]] and w not in seen:
+                if w in other:
+                    return seen | other
+                seen.add(w)
+                queue.append(w)
         seen, queue, i, other, other_queue, j = other, other_queue, j, seen, queue, i + 1
     return seen
 

@@ -3,17 +3,21 @@
 Descent deletes vertices until at most three remain: degree-4-or-less
 vertices straight off a heap, smallest degree first (fewer of them then
 need a Kempe swap on the way back), and once the minimum degree reaches 5 a
-catalog occurrence as one block.  Every hole is re-triangulated on the
-spot and every mutation is logged, so the ascent can replay the log
-backwards and color each vertex the moment its full neighborhood is back.
-The log is one flat list of ints (records laid out in _Work), so the
-descent leaves the cyclic garbage collector almost nothing to track.
-Only walks that can need chords are traced: the input's faces only when
-its edge count shows a face longer than a triangle, and after an
-occurrence only the holes, from the darts its deletion opens.
+catalog occurrence as one block.  One deletion loop serves both: a peel
+is a block of one vertex.  Every hole is re-triangulated on the spot and
+every mutation is logged, so the ascent can replay the log backwards and
+color each vertex the moment its full neighborhood is back.  The log is
+one flat list of ints (records laid out in _Work), so the descent leaves
+the cyclic garbage collector almost nothing to track.  Only walks that can
+need chords are traced: the input's faces only when its edge count shows a
+face longer than a triangle, and after an occurrence only the holes, from
+the darts its deletion opens.  A degree-4 peel leaves a 4-hole along its
+link and places the one chord itself, the one fill_walk's first cut would.
 The occurrence search is incremental: the descent records each vertex
 whose row it changes, and a matching.ScanIndex re-probes only the anchors
 near those vertices, with the same result as a scan of the whole graph.
+The links of deleted vertices are handed to the index just before the
+next scan, so a descent made only of peels does no set work.
 
 A plain deleted vertex takes a spare color among its at most four colored
 neighbors (a Kempe swap frees one when all four differ).  An occurrence is
@@ -35,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .catalog import TrialSequence, builtin_catalog, greedy_peel
-from .embedding import all_darts, face_walks, fill_walk, opened_darts
+from .embedding import UntriangulatableFace, all_darts, face_walks, fill_walk, opened_darts
 from .kempe import BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
 
@@ -139,6 +143,13 @@ class _Work:
     marker for the neighbors skipped as gone: replayed last in, first out,
     every vertex deleted after v is back and every one deleted before it is
     still gone.
+
+    descend writes both deletion tags from one loop, a peel being a block
+    of one vertex.  A 4-hole gets its chord inline, at the positions and
+    with the record fill_walk's first cut gives; longer holes go through
+    fill_walk.  Deleted vertices wait in a list, and their saved rows reach
+    index.changed just before the next find_reducible, which is the first
+    time the index reads it.
     """
 
     def __init__(self, g):
@@ -158,23 +169,6 @@ class _Work:
         self.saved = [None] * len(self.rows)
         self.occs = []
         self.index = ScanIndex(_SCAN_ENTRIES)
-
-    def _remove_vertex(self, v, tag):
-        """Delete v from the rows, logging `p1 .. pk, v, tag`."""
-        rows, log = self.rows, self.log
-        row = rows[v]
-        for u in row:
-            r = rows[u]
-            if r is None:
-                continue  # deleted alongside v in the same block
-            pos = r.index(v)
-            del r[pos]
-            log.append(pos)
-        log += (v, tag)
-        self.index.changed.update(row)
-        self.saved[v] = row
-        rows[v] = None
-        self.n_alive -= 1
 
     # The heap pops the smallest degree first, the smallest id among equal
     # degrees.  An entry is the int d * len(rows) + v: every id is below
@@ -210,51 +204,82 @@ class _Work:
         self.index.changed |= touched
         return touched
 
-    def _step_occurrence(self, occ):
-        self.log += (len(self.occs), _OCC)
-        self.occs.append(occ)
-        gone = occ.vertices
-        doomed = sorted(gone)
-        boundary = set()
-        for v in doomed:
-            boundary.update(self.rows[v])
-        boundary -= gone
-        darts = opened_darts(self.rows, boundary, gone)
-        for v in doomed:
-            self._remove_vertex(v, _DEL)
-        touched = self._fill_from(darts)
-        self._push_low(boundary | touched)
-
     def descend(self, stats):
-        rows, heap, log, remove = self.rows, self.heap, self.log, self._remove_vertex
+        rows, heap, log, saved, occs = self.rows, self.heap, self.log, self.saved, self.occs
+        index = self.index
         heappop, heappush = heapq.heappop, heapq.heappush
         size = len(rows)
+        alive = self.n_alive
+        unmarked = []  # deleted since the last scan; their rows go to index.changed
         if not self.triangulated:
             self._fill_from(all_darts(rows))
         self._push_low(range(size))
-        while self.n_alive > 3:
-            if not heap:
+        while alive > 3:
+            if heap:
+                d, v = divmod(heappop(heap), size)
+                link = rows[v]  # kept unchanged in saved[v]
+                if link is None or len(link) != d:
+                    continue
+                doomed, tag = (v,), _LOW
+            else:
+                for v in unmarked:
+                    index.changed.update(saved[v])
+                unmarked.clear()
                 stats.scans += 1
-                occ = find_reducible(rows, self.index)
-                self._step_occurrence(occ)
+                occ = find_reducible(rows, index)
                 stats.occ_steps[occ.entry.family] += 1
+                log += (len(occs), _OCC)
+                occs.append(occ)
+                gone = occ.vertices
+                doomed, tag = sorted(gone), _DEL
+                boundary = set()
+                for v in doomed:
+                    boundary.update(rows[v])
+                boundary -= gone
+                darts = opened_darts(rows, boundary, gone)
+            # p1 .. pk, v, tag per vertex; a neighbor deleted earlier in the
+            # same block is skipped
+            for v in doomed:
+                row = rows[v]
+                for u in row:
+                    r = rows[u]
+                    if r is not None:
+                        pos = r.index(v)
+                        del r[pos]
+                        log.append(pos)
+                log += (v, tag)
+                saved[v] = row
+                rows[v] = None
+                unmarked.append(v)
+            alive -= len(doomed)
+            if tag == _DEL:
+                self._push_low(boundary | self._fill_from(darts))
                 continue
-            d, v = divmod(heappop(heap), size)
-            link = rows[v]  # kept unchanged in saved[v]
-            if link is None or len(link) != d:
-                continue
-            remove(v, _LOW)
             stats.f1_steps += 1
             if d == 4:
-                # the hole runs along the link in rotation order; its chords
-                # join link vertices, which the removal marked changed
-                for a, pa, b, pb in fill_walk(rows, link):
-                    log += (a, pa, b, pb, _CHORD)
+                # the hole is the link p q r s in rotation order: fill_walk's
+                # first cut is the chord p-r into the corner at q, or if p-r
+                # is an edge already, q-s into the corner at r
+                p, q, r, s = link
+                if r in rows[p]:
+                    if s in rows[q]:
+                        raise UntriangulatableFace(
+                            f"no chord fits face walk {[s, p, q, r]!r}"
+                        )
+                    p, q, r, s = q, r, s, p
+                row = rows[p]
+                pa = row.index(s)
+                row.insert(pa, r)
+                row = rows[r]
+                pb = row.index(q)
+                row.insert(pb, p)
+                log += (p, pa, r, pb, _CHORD)
             for u in link:
                 r = rows[u]
                 if len(r) <= 4:
                     heappush(heap, len(r) * size + u)
-        stats.probes += self.index.probes
+        self.n_alive = alive
+        stats.probes += index.probes
         stats.walk_darts += self.walk_darts
 
     def ascend(self, stats):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from fivecolor import matching, reducer
 from fivecolor.catalog import get_entry
 from fivecolor.embedding import (
+    UntriangulatableFace,
     _components,
     all_darts,
     build,
@@ -629,6 +630,23 @@ def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
     monkeypatch.setattr(reducer._Work, "descend", perturbed)
     with pytest.raises(BrokenInvariant, match="did not restore the rotation system"):
         color_planar(generate(GenSpec(1, 200, 400)))
+
+
+def test_four_hole_without_a_chord_raises_like_fill_walk(octahedron):
+    # planarity rules it out, so give both diagonals of vertex 0's link as
+    # extra edges: the peel of 0 then finds no chord for its 4-hole, and says
+    # so as fill_walk does
+    work = reducer._Work(octahedron)
+    p, q, r, s = link = list(work.rows[0])
+    for a, b in ((p, r), (q, s)):
+        work.rows[a].append(b)
+        work.rows[b].append(a)
+    with pytest.raises(UntriangulatableFace) as inline:
+        work.descend(RunStats())
+    assert work.rows[0] is None
+    with pytest.raises(UntriangulatableFace) as walked:
+        fill_walk(work.rows, link)
+    assert str(inline.value) == str(walked.value)
 
 
 def test_low_peels_log_one_record_each():
