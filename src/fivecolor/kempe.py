@@ -12,9 +12,22 @@ turn, and stops as soon as one end's chain is complete or the two
 searches meet.  Its work is then about twice the smaller of the two
 chains, however large the other one is.  Each side is a set and a list
 read through a cursor, so a search allocates little beyond its result.
+
+The spare-color rule is one table, SPARE_COLOR: set bit c of a mask for
+each color c a neighbor has, and the mask's entry is the least of 1..4
+left free, or 0 when all four are taken.  free_color reads it, and so does
+the reducer's ascent, which builds the mask while it reinserts a peeled
+vertex and calls free_color only when the entry is 0.
 """
 
 from __future__ import annotations
+
+
+# Bit 0 (uncolored) is ignored; a mask that ORs 1 << c over colors 0..5
+# drops color 5 with & 31 before the lookup.
+SPARE_COLOR = tuple(
+    next((c for c in (1, 2, 3, 4) if not mask >> c & 1), 0) for mask in range(32)
+)
 
 
 class BadColorPair(ValueError):
@@ -107,26 +120,25 @@ def free_color(rows, colors, v, stats=None):
     planarity the (c1, c3) chains at w1 and w3 differ, or the (c2, c4)
     chains at w2 and w4 do.  Each diagonal is searched from both ends; the
     first side to run out is swapped, which frees the color its end had.
-    `stats`, a RunStats, counts the calls, the swaps and the chain
-    vertices returned.
+    The spare color, when one is free, is SPARE_COLOR's.  `stats`, a
+    RunStats, counts the calls, the swaps and the chain vertices returned.
     """
     if stats is not None:
         stats.free_color_calls += 1
-    blockers, palette = [], []
+    taken = blocked = 0
     for w in rows[v]:
         c = colors[w]
         if 0 < c < 5:
-            blockers.append(w)
-            palette.append(c)
-    if len(blockers) > 4:
-        raise BrokenInvariant(
-            f"vertex {v} has {len(blockers)} neighbors colored 1..4"
-        )
-    for c in (1, 2, 3, 4):
-        if c not in palette:
-            return c
-    w1, w2, w3, w4 = blockers
-    c1, c2, c3, c4 = palette
+            taken |= 1 << c
+            blocked += 1
+    if blocked > 4:
+        raise BrokenInvariant(f"vertex {v} has {blocked} neighbors colored 1..4")
+    spare = SPARE_COLOR[taken]
+    if spare:
+        return spare
+    # all four colors taken by four blockers, so one of each
+    w1, w2, w3, w4 = [w for w in rows[v] if 0 < colors[w] < 5]
+    c1, c2, c3, c4 = colors[w1], colors[w2], colors[w3], colors[w4]
     for w, far, pair in ((w1, w3, (c1, c3)), (w2, w4, (c2, c4))):
         members = chain(rows, colors, w, pair, far)
         if stats is not None:

@@ -20,13 +20,14 @@ The links of deleted vertices are handed to the index just before the
 next scan, so a descent made only of peels does no set work.
 
 A plain deleted vertex takes a spare color among its at most four colored
-neighbors (a Kempe swap frees one when all four differ).  An occurrence is
-where color 5 may be spent: its scheme nominates candidates in order, a
-candidate is blocked if it already sees a 5 next door, and the chosen one
-must leave a peel order for the rest of the pattern that keeps every later
-recoloring under four blockers.  The catalog validator has checked all of
-this against worst-case degrees, so a failure here is a tripwire, not a
-recoverable condition.
+neighbors, read from kempe.SPARE_COLOR while the ascent puts it back; only
+when all four differ does it call kempe.free_color, whose Kempe swap frees
+one.  An occurrence is where color 5 may be spent: its scheme nominates
+candidates in order, a candidate is blocked if it already sees a 5 next
+door, and the chosen one must leave a peel order for the rest of the
+pattern that keeps every later recoloring under four blockers.  The
+catalog validator has checked all of this against worst-case degrees, so
+a failure here is a tripwire, not a recoverable condition.
 
 Each occurrence spends at most one 5 and removes at least six vertices, so
 the fifth class never exceeds a sixth of the graph.
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .catalog import TrialSequence, builtin_catalog, greedy_peel
 from .embedding import UntriangulatableFace, all_darts, face_walks, fill_walk, opened_darts
-from .kempe import BrokenInvariant, free_color
+from .kempe import SPARE_COLOR, BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
 
 
@@ -137,9 +138,10 @@ class _Work:
     pk, v, DEL` deletes v as part of an occurrence; v's row is kept in
     saved[v], and p1..pk are the positions v had in its present neighbors'
     rows, in row order.  The ascent reinserts v for either tag, and on LOW
-    then colors it.  `i, OCC` (occs[i]) opens an occurrence; it is pushed
-    before its deletions, so the ascent colors the pattern once they are
-    undone.  `a, pa, b, pb, CHORD` is a fill chord.  A deletion needs no
+    then colors it, collecting its neighbors' colors in the same loop.  `i,
+    OCC` (occs[i]) opens an occurrence; it is pushed before its deletions,
+    so the ascent colors the pattern once they are undone.  `a, pa, b, pb,
+    CHORD` is a fill chord.  A deletion needs no
     marker for the neighbors skipped as gone: replayed last in, first out,
     every vertex deleted after v is back and every one deleted before it is
     still gone.
@@ -283,23 +285,46 @@ class _Work:
         stats.walk_darts += self.walk_darts
 
     def ascend(self, stats):
-        """Replay the log backwards; returns colors indexed by vertex, 0 if absent."""
+        """Replay the log backwards; returns colors indexed by vertex, 0 if absent.
+
+        A LOW peel ORs 1 << color over its neighbors while it reinserts
+        itself and takes SPARE_COLOR's entry for that mask; free_color
+        runs only when the entry is 0 (all four colors blocked) or the row
+        is longer than 4, which a correct log never writes, so its
+        five-blocker check still fires.  Inline picks are added to
+        stats.free_color_calls, which keeps counting every colored peel.
+        reduce_once colors occurrences through free_color.
+        """
         rows, log, pop, saved = self.rows, self.log, self.log.pop, self.saved
         colors = [0] * len(rows)
         base = [v for v in range(len(rows)) if rows[v] is not None]
         for c, v in enumerate(base, start=1):
             colors[v] = c
+        spares = 0  # peels colored inline, without a free_color call
         while log:
             tag = pop()
-            if tag == _LOW or tag == _DEL:
+            if tag == _LOW:
+                v = pop()
+                row = rows[v] = saved[v]
+                taken = 0
+                for u in reversed(row):
+                    r = rows[u]
+                    if r is not None:
+                        r.insert(pop(), v)
+                    taken |= 1 << colors[u]
+                spare = SPARE_COLOR[taken & 31]
+                if spare and len(row) <= 4:
+                    colors[v] = spare
+                    spares += 1
+                else:
+                    colors[v] = free_color(rows, colors, v, stats)
+            elif tag == _DEL:
                 v = pop()
                 row = rows[v] = saved[v]
                 for u in reversed(row):
                     r = rows[u]
                     if r is not None:
                         r.insert(pop(), v)
-                if tag == _LOW:
-                    colors[v] = free_color(rows, colors, v, stats)
             elif tag == _CHORD:
                 pb, b, pa, a = pop(), pop(), pop(), pop()
                 if rows[a][pa] != b or rows[b][pb] != a:
@@ -308,6 +333,7 @@ class _Work:
                 del rows[b][pb]
             else:
                 reduce_once(rows, self.occs[pop()], colors, stats)
+        stats.free_color_calls += spares
         return colors
 
 

@@ -12,6 +12,7 @@ inputs, so a speed change that alters an output fails here first.
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,8 +61,8 @@ def test_chain_result_has_a_length():
 
 @pytest.mark.parametrize(
     "g",
-    [icosphere(1), generate(GenSpec(seed=1, n=200, flips=400))],
-    ids=["icosphere-1", "random-200"],
+    [icosphere(1), generate(GenSpec(seed=1, n=200, flips=400)), icosphere(3)],
+    ids=["icosphere-1", "random-200", "icosphere-3"],
 )
 def test_traced_run_reads_every_layer(spans, g):
     tracer = spans.Tracer()
@@ -71,7 +72,15 @@ def test_traced_run_reads_every_layer(spans, g):
     check_coloring(g, colors)
     assert not tracer.missing
     _, calls, _ = tracer.summary(0)
-    assert calls["kempe.free_color"] == stats.free_color_calls > 0
+    # the ascent colors a peel inline unless all four colors are blocked,
+    # so the traced free_color calls are the occurrences' peels, all of
+    # them, and the blocked low peels, each of which swaps one chain
+    traced = tracer.spans  # [name, start, end, parent index or -1]
+    parent = {i: s[3] for i, s in enumerate(traced) if s[0] == "kempe.free_color"}
+    in_occ = {i for i, p in parent.items() if p >= 0 and traced[p][0] == "reducer.reduce_once"}
+    swaps = Counter(s[3] for s in traced if s[0] == "kempe.swap")
+    assert stats.free_color_calls == stats.f1_steps + len(in_occ) > 0
+    assert all(swaps[i] == 1 for i in parent.keys() - in_occ)
     assert calls["kempe.swap"] == stats.chain_swaps > 0
     assert tracer.counts["kempe.chain.verts.sum"] >= calls["kempe.chain"] > 0
     assert calls["matching.find_reducible"] == stats.scans

@@ -6,6 +6,7 @@ the wheel fixture lets the first swap through.  Both traced by hand, as
 are the two small graphs that steer the two-ended search to each outcome.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import fivecolor
 from fivecolor.embedding import from_faces
 from fivecolor.instances import GenSpec, generate, icosphere
 from fivecolor.kempe import (
+    SPARE_COLOR,
     BadColorPair,
     BrokenInvariant,
     DiagonalContradiction,
@@ -242,6 +244,65 @@ def test_free_color_second_swap():
     colors[0] = 2
     for w in rows[0]:
         assert colors[w] != 2
+
+
+def test_spare_color_table():
+    assert len(SPARE_COLOR) == 32
+    for mask in range(32):
+        taken = {c for c in range(5) if mask >> c & 1}
+        assert SPARE_COLOR[mask] == min({1, 2, 3, 4} - taken, default=0)
+
+
+def reference_free_color(rows, colors, v, stats):
+    # the spare-color pick over two lists, as free_color made it before
+    # the table: blockers in rotation order, then the first missing color
+    stats.free_color_calls += 1
+    blockers, palette = [], []
+    for w in rows[v]:
+        c = colors[w]
+        if 0 < c < 5:
+            blockers.append(w)
+            palette.append(c)
+    if len(blockers) > 4:
+        raise BrokenInvariant(f"vertex {v} has {len(blockers)} neighbors colored 1..4")
+    for c in (1, 2, 3, 4):
+        if c not in palette:
+            return c
+    w1, w2, w3, w4 = blockers
+    c1, c2, c3, c4 = palette
+    for w, far, pair in ((w1, w3, (c1, c3)), (w2, w4, (c2, c4))):
+        members = chain(rows, colors, w, pair, far)
+        stats.chain_verts += len(members)
+        if far in members and w in members:
+            continue
+        swap(rows, colors, members, pair)
+        stats.chain_swaps += 1
+        return pair[0] if w in members else pair[1]
+    raise DiagonalContradiction(f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed")
+
+
+def test_free_color_matches_two_list_rule():
+    # every coloring in 0..5 of a 5-wheel's rim: the same color, the same
+    # swap and counters, or the same BrokenInvariant message
+    rows = from_faces(
+        6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (2, 1, 5, 4, 3)]
+    ).rotation
+
+    def run(fn, rim):
+        colors, stats = [0, *rim], RunStats()
+        try:
+            got = fn(rows, colors, 0, stats)
+        except BrokenInvariant as exc:
+            got = str(exc)
+        return got, colors, vars(stats)
+
+    raised = swapped = 0
+    for rim in itertools.product(range(6), repeat=5):
+        want = run(reference_free_color, rim)
+        assert run(free_color, rim) == want, rim
+        raised += isinstance(want[0], str)
+        swapped += want[2]["chain_swaps"]
+    assert raised and swapped
 
 
 def test_too_many_blockers_asserts():

@@ -661,6 +661,40 @@ def test_low_peels_log_one_record_each():
     assert work.log.count(reducer._LOW) == stats.f1_steps
 
 
+def test_ascent_calls_free_color_only_when_blocked(monkeypatch):
+    # a peel takes its spare color inline; only a peel that sees all four
+    # colors calls free_color, and each of those swaps one chain.  Inline
+    # colorings still count as free_color_calls
+    free_color = reducer.free_color
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return free_color(*args)
+
+    monkeypatch.setattr(reducer, "free_color", counted)
+    g = generate(GenSpec(1, 800, 1600))
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert stats.scans == 0
+    assert len(calls) == stats.chain_swaps > 0
+    assert stats.free_color_calls == stats.f1_steps
+
+
+def test_ascent_keeps_the_five_blocker_tripwire(octahedron):
+    # a hand-made log no descent writes: 4 and 5 come back next to 1 and 2
+    # and both take 3, then 0 comes back with five neighbors colored
+    # 1, 2, 3, 3, 3.  The table alone would give it 4; a LOW row longer
+    # than 4 goes to free_color, which raises
+    work = reducer._Work(octahedron)
+    work.rows = [None, [2, 3], [1, 3], [1, 2], None, None]
+    work.saved = [[1, 2, 3, 4, 5], None, None, None, [1, 2], [1, 2]]
+    low = reducer._LOW
+    work.log = [0, 0, 0, 0, 0, 0, low, 0, 0, 5, low, 0, 0, 4, low]
+    with pytest.raises(BrokenInvariant, match="vertex 0 has 5 neighbors colored 1..4"):
+        work.ascend(RunStats())
+
+
 @pytest.mark.parametrize(
     "order, digest",
     [("default", "46ab9dd2c532ba1b"), ("f2-last", "1456121e0881ced8")],
