@@ -111,3 +111,17 @@ def test_workload_colorings_pinned(workloads, workload, digest):
     # seed 1, read from its own pg/1 texts
     graphs = [read(inst.text) for inst in workloads.make(workload, 1)]
     assert coloring_digest(graphs) == digest
+
+
+@pytest.mark.parametrize(
+    "workload, total", [("random", 0), ("icosphere", 62088), ("sparse", 69592)]
+)
+def test_workload_walk_darts_pinned(workloads, workload, total):
+    # the darts on the face walks the descent traces for holes, summed over
+    # the benchmark's instances at seed 1; walk_darts is not one of the
+    # PINNED_COUNTERS, so the digests above do not cover it
+    graphs = [read(inst.text) for inst in workloads.make(workload, 1)]
+    stats = [RunStats() for _ in graphs]
+    for g, st in zip(graphs, stats):
+        reducer.color_planar(g, st)
+    assert sum(st.walk_darts for st in stats) == total
