@@ -18,7 +18,6 @@ True
 from .catalog import (
     ConfigurationSpec,
     NinePattern,
-    PlainZero,
     TrialSequence,
     ValidationFailure,
     ValidationReport,
@@ -64,7 +63,6 @@ __all__ = [
     "NotPlanarEmbedding",
     "Occurrence",
     "ParseError",
-    "PlainZero",
     "RunStats",
     "SchemeExhausted",
     "SumMismatch",

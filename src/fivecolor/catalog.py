@@ -7,8 +7,8 @@ and secondary hook from the templates.
 
 A scheme tells the reducer how to spend the fifth color on an occurrence:
 
-* PlainZero: no fifth color at all (single low-degree vertex).
-* TrialSequence(order): candidates for color 5, tried in order.
+* TrialSequence(order): candidates for color 5, tried in order; with no
+  candidates (the single low-degree vertex) it spends no 5 at all.
 * VirtualHub: a high-degree hub whose link holds all low vertices except
   three separator slots; candidates are the hub and then the leaves.
 * NinePattern: the degree-9 hub with leaf runs of 3 and 2.
@@ -25,11 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-
-
-@dataclass(frozen=True)
-class PlainZero:
-    pass
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ _CATALOG = (
         family="f1",
         exact=frozenset(),
         rotations=((_h(4),),),
-        scheme=PlainZero(),
+        scheme=TrialSequence(()),
     ),
     # Degree-5 hub with full wheel; two rim cap patterns up to symmetry,
     # distinguished by whether the 7-cap rim vertex touches the 8-cap one.
@@ -513,26 +508,22 @@ def _require_full_peel(entry_name, label, caps, edges, deleted, blocked):
 
 def _validate_trial(e):
     trial = e.scheme.order
+    # (label, blocked, fifth, reason unreachable): each candidate with the
+    # ones before it blocked, then every candidate blocked and no fifth
+    cases = [
+        (f"fifth={cand}", dict.fromkeys(trial[:i], 1), {cand},
+         "a blocked vertex has no halfedge")
+        for i, cand in enumerate(trial)
+    ]
+    cases.append(
+        ("all-blocked", dict.fromkeys(trial, 1), set(), "a trial vertex has no halfedge")
+    )
     results = []
-    for i, cand in enumerate(trial):
-        label = f"fifth={cand}"
-        earlier = trial[:i]
-        if any(e.halfedges(v) < 1 for v in earlier):
-            results.append(
-                ScenarioResult(label, "unreachable", "a blocked vertex has no halfedge")
-            )
+    for label, blocked, fifth, reason in cases:
+        if any(e.halfedges(v) < 1 for v in blocked):
+            results.append(ScenarioResult(label, "unreachable", reason))
             continue
-        blocked = {v: 1 for v in earlier}
-        order = _require_full_peel(e.name, label, e.caps, e.edges, {cand}, blocked)
-        results.append(ScenarioResult(label, "ok", "peel " + ",".join(map(str, order))))
-    label = "all-blocked"
-    if any(e.halfedges(v) < 1 for v in trial):
-        results.append(
-            ScenarioResult(label, "unreachable", "a trial vertex has no halfedge")
-        )
-    else:
-        blocked = {v: 1 for v in trial}
-        order = _require_full_peel(e.name, label, e.caps, e.edges, set(), blocked)
+        order = _require_full_peel(e.name, label, e.caps, e.edges, fifth, blocked)
         results.append(ScenarioResult(label, "ok", "peel " + ",".join(map(str, order))))
     return results
 
@@ -629,11 +620,7 @@ def validate_entry(e):
     scenario leaves part of the pattern unpeeled.
     """
     scheme = e.scheme
-    if isinstance(scheme, PlainZero):
-        if e.caps and max(e.caps) > 4:
-            raise ValidationFailure(e.name, "cap", "needs every cap <= 4")
-        results = [ScenarioResult("recolor", "ok", "degree cap 4")]
-    elif isinstance(scheme, TrialSequence):
+    if isinstance(scheme, TrialSequence):
         results = _validate_trial(e)
     elif isinstance(scheme, VirtualHub):
         results = _validate_virtual_hub(e)

@@ -7,7 +7,7 @@ Uncolored vertices are invisible to chains: a chain is a connected piece
 of the subgraph induced by the colored vertices whose colors lie in a
 two-color pair.
 
-A chain search can run from two ends at once, one vertex from each in
+A chain search runs from two ends at once, one vertex from each in
 turn, and stops as soon as one end's chain is complete or the two
 searches meet.  Its work is then about twice the smaller of the two
 chains, however large the other one is.  Each side is a set and a list
@@ -52,36 +52,29 @@ class BrokenInvariant(RuntimeError):
     """
 
 
-def chain(rows, colors, start, pair, end=None):
-    """The Kempe chain through `start` on `pair`, as a set of vertices.
+def chain(rows, colors, start, pair, end):
+    """The Kempe chain on `pair` through `start` or through `end`, as a set.
 
     `colors` is indexed by vertex (0 for uncolored); both ends must be
-    colored from `pair`.  With `end`, searches from both vertices, one
-    expansion each in turn.  Whichever search runs out first returns its
-    complete chain, which then misses the other end; if the searches
-    meet, the set returned holds both ends (and is not a complete chain).
+    colored from `pair`.  Searches from both vertices, one expansion each
+    in turn.  Whichever search runs out first returns its complete chain,
+    which then misses the other end; if the searches meet, the set
+    returned holds both ends (and is not a complete chain).
     A neighbor's color is tested against the pair before the set lookup,
     so most neighbors off the chain cost one list read.
     """
     a, b = pair
     if a == b or a not in (1, 2, 3, 4) or b not in (1, 2, 3, 4):
         raise BadColorPair(f"chain colors must be two distinct of 1..4, got {pair!r}")
-    for v in (start,) if end is None else (start, end):
+    for v in (start, end):
         if colors[v] not in (a, b):
             raise BadColorPair(f"vertex {v} has color {colors[v]!r}, not in {pair!r}")
     # indexed by color, 0..5
     in_pair = [False] * 6
     in_pair[a] = in_pair[b] = True
-    seen, queue = {start}, [start]
-    if end is None:
-        for u in queue:
-            for w in rows[u]:
-                if in_pair[colors[w]] and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
     # two sides, each a (set, list, cursor); swapped after every expansion
-    i, other, other_queue, j = 0, {end}, [end], 0
+    seen, queue, i = {start}, [start], 0
+    other, other_queue, j = {end}, [end], 0
     while i < len(queue):
         for w in rows[queue[i]]:
             if in_pair[colors[w]] and w not in seen:
@@ -110,7 +103,7 @@ def swap(rows, colors, members, pair):
                 raise BrokenInvariant(f"swap broke edge {v}-{w} (color {c})")
 
 
-def free_color(rows, colors, v, stats=None):
+def free_color(rows, colors, v, stats):
     """A color of 1..4 that v can take, swapping one chain if necessary.
 
     `colors` is indexed by vertex, 0 for uncolored; a swap rewrites it in
@@ -123,8 +116,7 @@ def free_color(rows, colors, v, stats=None):
     The spare color, when one is free, is SPARE_COLOR's.  `stats`, a
     RunStats, counts the calls, the swaps and the chain vertices returned.
     """
-    if stats is not None:
-        stats.free_color_calls += 1
+    stats.free_color_calls += 1
     taken = blocked = 0
     for w in rows[v]:
         c = colors[w]
@@ -141,13 +133,11 @@ def free_color(rows, colors, v, stats=None):
     c1, c2, c3, c4 = colors[w1], colors[w2], colors[w3], colors[w4]
     for w, far, pair in ((w1, w3, (c1, c3)), (w2, w4, (c2, c4))):
         members = chain(rows, colors, w, pair, far)
-        if stats is not None:
-            stats.chain_verts += len(members)
+        stats.chain_verts += len(members)
         if far in members and w in members:
             continue
         swap(rows, colors, members, pair)
-        if stats is not None:
-            stats.chain_swaps += 1
+        stats.chain_swaps += 1
         return pair[0] if w in members else pair[1]
     raise DiagonalContradiction(
         f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed"

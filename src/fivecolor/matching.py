@@ -25,11 +25,10 @@ and returns the same first hit.
 
 At each anchor it visits, the indexed search first reads the link degrees
 once and asks a degree test which alignments they allow (see _kernel):
-every layout vertex sits on its own link vertex, so the link's k smallest
-degrees must each fit the entry's k smallest caps, and each placed vertex
-must fit its cap.  Only the alignments that pass are handed to match_at,
-which still runs the secondary hook and builds the Occurrence.  A test
-never rejects an alignment match_at would accept, so the first hit is
+each link vertex an alignment places a layout vertex on must fit that
+vertex's cap.  Only the alignments that pass are handed to match_at, which
+still runs the secondary hook and builds the Occurrence.  A test never
+rejects an alignment match_at would accept, so the first hit is
 unchanged.
 """
 
@@ -200,7 +199,6 @@ def _kernel(entry):
         ),
         key=lambda s: (not s[2], s[1]),
     )
-    ascending = sorted(cap for _, cap, _ in slots)
     plans = {
         d: tuple(
             (
@@ -217,10 +215,6 @@ def _kernel(entry):
         if plan is None:
             return ()
         degs = [len(rows[w]) for w in row]
-        # the layout puts its capped vertices on distinct link vertices
-        for x, cap in zip(sorted(degs), ascending):
-            if x > cap:
-                return ()
         out = []
         for alignment, checks in plan:
             for j, cap, exact in checks:

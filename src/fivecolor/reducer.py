@@ -71,10 +71,11 @@ class RunStats:
 def select_fifth(rows, occ, colors):
     """Choose who gets color 5 and how the rest of the pattern peels.
 
-    Candidates come in scheme order (trial images, or hub before leaves);
-    one is blocked if any current neighbor is already colored 5.  The
-    winner is the first whose removal lets the remaining members peel
-    under catalog.greedy_peel, the loop the validator replays: repeatedly
+    Candidates are the images of a trial's order, or of every pattern id
+    ascending for the other schemes (the hub, id 0, first); one is blocked
+    if any current neighbor is already colored 5.  The winner is the first
+    whose removal lets the remaining members peel under
+    catalog.greedy_peel, the loop the validator replays: repeatedly
     take the lowest vertex with at most 4 live neighbors (not peeled, not
     the candidate, not colored 5).  Members not yet peeled count although
     uncolored: the ascent colors the peel in reverse, so they get their
@@ -83,11 +84,8 @@ def select_fifth(rows, occ, colors):
     peel order).
     """
     scheme = occ.entry.scheme
-    if isinstance(scheme, TrialSequence):
-        cands = [occ.mapping[p] for p in scheme.order]
-    else:
-        cands = [occ.mapping[0]]
-        cands += [occ.mapping[k] for k in sorted(occ.mapping) if k != 0]
+    order = scheme.order if isinstance(scheme, TrialSequence) else sorted(occ.mapping)
+    cands = [occ.mapping[p] for p in order]
 
     def live(v, gone):
         return sum(1 for w in rows[v] if w not in gone and colors[w] != 5)
@@ -105,20 +103,20 @@ def select_fifth(rows, occ, colors):
     )
 
 
-def reduce_once(rows, occ, colors, stats=None):
+def reduce_once(rows, occ, colors, stats):
     """Apply one occurrence's scheme against an outside coloring.
 
     Expects every vertex of the pattern uncolored (0 in the vertex-indexed
     `colors`) and its surroundings colored; afterwards the whole pattern
-    is properly colored with at most one new 5.  Returns (fifth vertex or
+    is properly colored with at most one new 5, counted in `stats` (a
+    RunStats) as a fifth or a fallback peel.  Returns (fifth vertex or
     None, peel order).
     """
     fifth, peel = select_fifth(rows, occ, colors)
     if fifth is not None:
         colors[fifth] = 5
-        if stats is not None:
-            stats.fifth_assigned += 1
-    elif stats is not None:
+        stats.fifth_assigned += 1
+    else:
         stats.fallback_peels += 1
     for v in reversed(peel):
         colors[v] = free_color(rows, colors, v, stats)
@@ -156,7 +154,6 @@ class _Work:
 
     def __init__(self, g):
         self.rows = [None if r is None else list(r) for r in g.rotation]
-        self.n_alive = g.n
         # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
         # so the initial fill has nothing to do.  A component on k vertices
         # has at most 3k - 3 edges, equality only at k = 1, so over c
@@ -164,8 +161,7 @@ class _Work:
         # Connected, it has f = 2 - n + m = 2n - 4 faces, every walk has
         # length at least 3 (a walk of 2 is a lone edge), and 2m = 3f forces
         # every face to be a triangle.  With n <= 2 no walk is longer than 2.
-        self.triangulated = g.m == 3 * self.n_alive - 6
-        self.walk_darts = 0
+        self.triangulated = g.m == 3 * g.n - 6
         self.heap = []
         self.log = []
         self.saved = [None] * len(self.rows)
@@ -188,14 +184,15 @@ class _Work:
                 self.heap.append(len(row) * size + v)
         heapq.heapify(self.heap)
 
-    def _fill_from(self, darts):
+    def _fill_from(self, darts, stats):
         """Re-triangulate the face walks through `darts`, logging every chord.
 
-        Counts the walks' darts and returns the chords' endpoints.
+        Adds the walks' darts to stats.walk_darts and returns the chords'
+        endpoints.
         """
         # walk first: filling changes the rows the walks are read from
         walks = list(face_walks(self.rows, darts))
-        self.walk_darts += sum(map(len, walks))
+        stats.walk_darts += sum(map(len, walks))
         touched = set()
         for walk in walks:
             if len(walk) >= 4:
@@ -211,10 +208,10 @@ class _Work:
         index = self.index
         heappop, heappush = heapq.heappop, heapq.heappush
         size = len(rows)
-        alive = self.n_alive
+        alive = size - rows.count(None)
         unmarked = []  # deleted since the last scan; their rows go to index.changed
         if not self.triangulated:
-            self._fill_from(all_darts(rows))
+            self._fill_from(all_darts(rows), stats)
         self._push_low(range(size))
         while alive > 3:
             if heap:
@@ -255,7 +252,7 @@ class _Work:
                 unmarked.append(v)
             alive -= len(doomed)
             if tag == _DEL:
-                self._push_low(boundary | self._fill_from(darts))
+                self._push_low(boundary | self._fill_from(darts, stats))
                 continue
             stats.f1_steps += 1
             if d == 4:
@@ -280,9 +277,7 @@ class _Work:
                 r = rows[u]
                 if len(r) <= 4:
                     heappush(heap, len(r) * size + u)
-        self.n_alive = alive
         stats.probes += index.probes
-        stats.walk_darts += self.walk_darts
 
     def ascend(self, stats):
         """Replay the log backwards; returns colors indexed by vertex, 0 if absent.

@@ -14,7 +14,6 @@ import pytest
 from fivecolor.catalog import (
     ConfigurationSpec,
     NinePattern,
-    PlainZero,
     TrialSequence,
     ValidationFailure,
     VirtualHub,
@@ -121,13 +120,15 @@ def test_catalog_validate_pinned():
 
 
 def test_catalog_validate_reports_pinned():
-    # every scenario's label, status and detail
+    # every scenario's label, status and detail; re-pinned when low's scheme
+    # became an empty trial, which moved only low's one scenario from
+    # ("recolor", "ok", "degree cap 4") to ("all-blocked", "ok", "peel 0")
     reports = [
         (r.entry, [(s.label, s.status, s.detail) for s in r.scenarios])
         for r in map(validate_entry, builtin_catalog())
     ]
     digest = hashlib.sha256(repr(reports).encode()).hexdigest()
-    assert digest[:16] == "1137c1cee49c2a21"
+    assert digest[:16] == "0139ed2ffea523cf"
 
 
 # -- blocked_peel ------------------------------------------------------------
@@ -250,13 +251,23 @@ def test_shape_check_catches_bad_template():
     }
     for match, rotations in cases.items():
         with pytest.raises(ValidationFailure, match=match) as info:
-            ConfigurationSpec("bad", "f5", frozenset({0}), rotations, PlainZero())
+            ConfigurationSpec("bad", "f5", frozenset({0}), rotations, TrialSequence(()))
         assert info.value.scenario == "shape"
 
 
 def test_scheme_types():
-    assert isinstance(get_entry("low").scheme, PlainZero)
+    assert get_entry("low").scheme == TrialSequence(())
     assert isinstance(get_entry("hub").scheme, VirtualHub)
     assert get_entry("hub").scheme.degrees == (8, 9, 10)
     assert isinstance(get_entry("hub9").scheme, NinePattern)
     assert get_entry("ring-y").scheme.order == (3, 2, 0)
+
+
+def test_empty_trial_certifies_a_low_vertex_only():
+    # with no candidate, only the all-blocked replay runs: one vertex peels
+    # at cap 4 and sticks at cap 5
+    (scenario,) = validate_entry(get_entry("low")).scenarios
+    assert (scenario.label, scenario.status, scenario.detail) == ("all-blocked", "ok", "peel 0")
+    five = ConfigurationSpec("five", "f1", frozenset(), ((("h", 5),),), TrialSequence(()))
+    with pytest.raises(ValidationFailure, match="stuck with \\[0\\]"):
+        validate_entry(five)

@@ -388,7 +388,7 @@ def engine_fill(g):
     """The reducer's _Work for g after its initial fill, before any deletion."""
     work = reducer._Work(g)
     if not work.triangulated:
-        work._fill_from(all_darts(work.rows))
+        work._fill_from(all_darts(work.rows), RunStats())
     return work
 
 

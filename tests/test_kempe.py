@@ -75,23 +75,26 @@ def long_closed():
 
 def test_chain_membership():
     rows, colors = double_fan()
-    assert chain(rows, colors, 1, (1, 3)) == {1, 5, 6, 3}
+    assert reference_chain(rows, colors, 1, (1, 3)) == {1, 5, 6, 3}
+    # 1 and 3 lie on that one chain, so the two searches meet inside it
+    assert {1, 3} <= chain(rows, colors, 1, (1, 3), 3) <= {1, 5, 6, 3}
 
 
 def test_chain_singleton():
     rows, colors = wheel4()
-    assert chain(rows, colors, 1, (1, 3)) == {1}
+    assert reference_chain(rows, colors, 1, (1, 3)) == {1}
+    assert chain(rows, colors, 1, (1, 3), 3) == {1}
 
 
 def test_chain_bad_pairs():
     rows, colors = wheel4()
     for pair in ((1, 5), (0, 2), (2, 2), (3, 6)):
         with pytest.raises(BadColorPair):
-            chain(rows, colors, 1, pair)
-    with pytest.raises(BadColorPair):
-        chain(rows, colors, 1, (2, 4))  # vertex 1 has color 1
-    with pytest.raises(BadColorPair):
-        chain(rows, colors, 0, (1, 2))  # vertex 0 uncolored
+            chain(rows, colors, 1, pair, 3)
+    with pytest.raises(BadColorPair, match="vertex 1"):
+        chain(rows, colors, 1, (2, 4), 2)  # vertex 1 has color 1
+    with pytest.raises(BadColorPair, match="vertex 0"):
+        chain(rows, colors, 0, (1, 2), 1)  # vertex 0 uncolored
 
 
 def test_two_ended_start_runs_out():
@@ -101,7 +104,7 @@ def test_two_ended_start_runs_out():
 
 def test_two_ended_end_runs_out():
     rows, colors = long_start()
-    assert chain(rows, colors, 1, (1, 3)) == {1, 5, 7}
+    assert reference_chain(rows, colors, 1, (1, 3)) == {1, 5, 7}
     assert chain(rows, colors, 1, (1, 3), 3) == {3}
     stats = RunStats()
     assert free_color(rows, colors, 0, stats) == 3  # pair[1]: 3's side flipped
@@ -111,7 +114,7 @@ def test_two_ended_end_runs_out():
 
 def test_two_ended_searches_meet():
     rows, colors = long_closed()
-    full = chain(rows, colors, 1, (1, 3))
+    full = reference_chain(rows, colors, 1, (1, 3))
     assert full == {1, 5, 6, 3, 8, 9, 10}
     # one step from each end, then 5 finds 6 on the other side
     assert chain(rows, colors, 1, (1, 3), 3) == {1, 5, 3, 6, 8}
@@ -146,8 +149,8 @@ def test_two_ended_chain_agrees_with_one_ended(seed, n, rnd):
         pair = (pair[0], rnd.choice([c for c in (1, 2, 3, 4) if c != pair[0]]))
     colors = color_list(partial, n)
     both = chain(rows, colors, start, pair, end)
-    from_start = chain(rows, colors, start, pair)
-    from_end = chain(rows, colors, end, pair)
+    from_start = reference_chain(rows, colors, start, pair)
+    from_end = reference_chain(rows, colors, end, pair)
     if start in both and end in both:
         assert from_start == from_end
         assert both <= from_start
@@ -162,9 +165,8 @@ def test_two_ended_chain_agrees_with_one_ended(seed, n, rnd):
     st.sampled_from(["generate", "icosphere"]),
     st.integers(0, 10_000),
     st.randoms(use_true_random=False),
-    st.booleans(),
 )
-def test_chain_matches_reference(kind, seed, rnd, two_ended):
+def test_chain_matches_reference(kind, seed, rnd):
     # random partial colorings, proper or not, and pairs that are often
     # bad: the same set, or the same BadColorPair, as the deque search
     if kind == "icosphere":
@@ -175,13 +177,13 @@ def test_chain_matches_reference(kind, seed, rnd, two_ended):
     blank = rnd.random()
     colors = [0 if rnd.random() < blank else rnd.choice((1, 2, 3, 4, 5)) for _ in range(n)]
     start = rnd.randrange(n)
-    end = rnd.randrange(n) if two_ended else None
+    end = rnd.randrange(n)
     if rnd.random() < 0.7:
         pair = tuple(rnd.sample((1, 2, 3, 4), 2))
     else:
         pair = (rnd.randint(0, 5), rnd.randint(0, 5))
     for v in (start, end):
-        if v is not None and rnd.random() < 0.9:
+        if rnd.random() < 0.9:
             colors[v] = rnd.choice(pair)
 
     def run(fn):
@@ -195,7 +197,7 @@ def test_chain_matches_reference(kind, seed, rnd, two_ended):
 
 def test_swap_flips_both_colors():
     rows, colors = double_fan()
-    swap(rows, colors, chain(rows, colors, 1, (1, 3)), (1, 3))
+    swap(rows, colors, reference_chain(rows, colors, 1, (1, 3)), (1, 3))
     assert colors[1] == 3 and colors[3] == 1
     assert colors[5] == 1 and colors[6] == 3
     assert colors[2] == 2 and colors[4] == 4
@@ -210,15 +212,15 @@ def test_swap_rejects_partial_chain():
 def test_free_color_missing_color():
     rows, colors = wheel4()
     colors[3] = 1
-    assert free_color(rows, colors, 0) == 3
+    assert free_color(rows, colors, 0, RunStats()) == 3
     colors[1:5] = [1, 1, 1, 1]
-    assert free_color(rows, colors, 0) == 2
+    assert free_color(rows, colors, 0, RunStats()) == 2
 
 
 def test_free_color_ignores_fives_and_uncolored():
     rows, colors = wheel4()
     colors[1:5] = [5, 5, 4, 0]  # 4 uncolored
-    assert free_color(rows, colors, 0) == 1
+    assert free_color(rows, colors, 0, RunStats()) == 1
 
 
 def test_free_color_first_swap():
@@ -309,7 +311,7 @@ def test_too_many_blockers_asserts():
     rows = {0: (1, 2, 3, 4, 5)}
     colors = color_list({1: 1, 2: 2, 3: 3, 4: 4, 5: 1}, 6)
     with pytest.raises(BrokenInvariant, match="5 neighbors"):
-        free_color(rows, colors, 0)  # five neighbors colored 1..4
+        free_color(rows, colors, 0, RunStats())  # five neighbors colored 1..4
 
 
 # The two guards above, run where `python -O` would strip an `assert`.
@@ -318,11 +320,12 @@ import sys
 
 from fivecolor.embedding import from_faces
 from fivecolor.kempe import BrokenInvariant, free_color, swap
+from fivecolor.reducer import RunStats
 
 g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
 cases = (
     lambda: swap(g.rotation, [0, 1, 2, 3, 4], {2}, (2, 3)),
-    lambda: free_color({0: (1, 2, 3, 4, 5)}, [0, 1, 2, 3, 4, 1], 0),
+    lambda: free_color({0: (1, 2, 3, 4, 5)}, [0, 1, 2, 3, 4, 1], 0, RunStats()),
 )
 print("optimize:", sys.flags.optimize)
 for case in cases:
@@ -364,7 +367,8 @@ def test_diagonal_contradiction_on_crossing_chains():
         4: (0, 8),
     }
     colors = color_list({1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1, 6: 4, 8: 2}, 9)
-    assert 3 in chain(rows, colors, 1, (1, 3))
-    assert 4 in chain(rows, colors, 2, (2, 4))
+    # each diagonal's two searches meet: both ends on one chain
+    assert {1, 3} <= chain(rows, colors, 1, (1, 3), 3)
+    assert {2, 4} <= chain(rows, colors, 2, (2, 4), 4)
     with pytest.raises(DiagonalContradiction):
-        free_color(rows, colors, 0)
+        free_color(rows, colors, 0, RunStats())
