@@ -194,14 +194,26 @@ def pinned_counters(stats):
     return sorted(counters.items())
 
 
-def coloring_digest(graphs):
-    """sha256 over each graph's coloring and pinned counters, 16 hex digits."""
-    h = hashlib.sha256()
+def color_runs(graphs):
+    """Color each graph once: a list of (coloring, RunStats) pairs."""
+    runs = []
     for g in graphs:
         stats = RunStats()
-        colors = color_planar(g, stats)
+        runs.append((color_planar(g, stats), stats))
+    return runs
+
+
+def runs_digest(runs):
+    """sha256 over each run's coloring and pinned counters, 16 hex digits."""
+    h = hashlib.sha256()
+    for colors, stats in runs:
         h.update(repr((sorted(colors.items()), pinned_counters(stats))).encode())
     return h.hexdigest()[:16]
+
+
+def coloring_digest(graphs):
+    """runs_digest over a fresh coloring of each graph."""
+    return runs_digest(color_runs(graphs))
 
 
 def least_rotation(walk):

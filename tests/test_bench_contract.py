@@ -9,6 +9,8 @@ bench/workloads.py as it is and pin what the library makes of its
 inputs, so a speed change that alters an output fails here first.
 """
 
+import functools
+import hashlib
 import importlib
 import importlib.util
 import sys
@@ -17,12 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from fivecolor import kempe, reducer
+from fivecolor import discharge, kempe, matching, reducer
 from fivecolor.embedding import from_faces
 from fivecolor.instances import GenSpec, generate, icosphere, read
 from fivecolor.reducer import RunStats, check_coloring
 
-from conftest import color_list, coloring_digest, reference_chain
+from conftest import color_list, color_runs, reference_chain, runs_digest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -44,6 +46,19 @@ def spans():
 @pytest.fixture(scope="module")
 def workloads():
     return _load("bench_workloads", BENCH / "workloads.py")
+
+
+@pytest.fixture(scope="module")
+def parsed(workloads):
+    """workload -> the graphs the benchmark runs at seed 1, read once from
+    its own pg/1 texts."""
+    return functools.cache(lambda w: [read(inst.text) for inst in workloads.make(w, 1)])
+
+
+@pytest.fixture(scope="module")
+def colored(parsed):
+    """workload -> [(coloring, RunStats)] of its seed-1 graphs, colored once."""
+    return functools.cache(lambda w: color_runs(parsed(w)))
 
 
 def test_every_patch_point_exists(spans):
@@ -108,22 +123,62 @@ def test_traced_probes_equal_run_stats(spans):
         ("sparse", "5d3e6f60145aec88"),
     ],
 )
-def test_workload_colorings_pinned(workloads, workload, digest):
+def test_workload_colorings_pinned(colored, workload, digest):
     # colorings and counters of every instance the benchmark colors at
-    # seed 1, read from its own pg/1 texts
-    graphs = [read(inst.text) for inst in workloads.make(workload, 1)]
-    assert coloring_digest(graphs) == digest
+    # seed 1
+    assert runs_digest(colored(workload)) == digest
 
 
 @pytest.mark.parametrize(
     "workload, total", [("random", 0), ("icosphere", 62088), ("sparse", 69592)]
 )
-def test_workload_walk_darts_pinned(workloads, workload, total):
+def test_workload_walk_darts_pinned(colored, workload, total):
     # the darts on the face walks the descent traces for holes, summed over
     # the benchmark's instances at seed 1; walk_darts is not one of the
     # PINNED_COUNTERS, so the digests above do not cover it
-    graphs = [read(inst.text) for inst in workloads.make(workload, 1)]
-    stats = [RunStats() for _ in graphs]
-    for g, st in zip(graphs, stats):
-        reducer.color_planar(g, st)
-    assert sum(st.walk_darts for st in stats) == total
+    assert sum(stats.walk_darts for _, stats in colored(workload)) == total
+
+
+@pytest.mark.parametrize(
+    "workload, digest",
+    [
+        ("random", "e638e7cb7f5da2f7"),
+        ("icosphere", "369b4289c5928924"),
+        ("sparse", "56e4a9faf6869a3a"),
+    ],
+)
+def test_workload_audits_pinned(parsed, workload, digest):
+    # what the benchmark's audit makes of every instance at seed 1: the
+    # matcher's verdict and every report field, charge types included
+    h = hashlib.sha256()
+    for g in parsed(workload):
+        try:
+            matching.find_reducible(g)
+            matched = True
+        except matching.CompletenessBreach:
+            matched = False
+        report = discharge.audit(g, matched=matched)
+        data = (
+            matched,
+            sorted((v, str(c), type(c).__name__) for v, c in report.charges.items()),
+            report.total,
+            report.positives,
+            report.min_degree,
+            report.inconsistent,
+        )
+        h.update(repr(data).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+def test_traced_audit_reads_discharge(spans):
+    # the benchmark's per-layer audit metrics come from these two spans;
+    # an audit that bypassed the module attributes would read 0 there
+    g = generate(GenSpec(1, 400, 800))
+    tracer = spans.Tracer()
+    with tracer.patched():
+        discharge.audit(g)
+    assert not tracer.missing
+    _, calls, _ = tracer.summary(0)
+    assert calls["discharge.transfers"] == calls["discharge.final_charges"] == 1
+    moved = len(discharge.transfers(g).transfers)
+    assert tracer.counts["discharge.transfers.count"] == moved > 0
