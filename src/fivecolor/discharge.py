@@ -19,14 +19,24 @@ degree-5 vertices (rule B): if those four sit consecutively, the two ends
 of the run receive 1/6 each; otherwise each 9-or-more link member whose
 two link flanks are both degree-5 receives 1/3.
 
+Rule A reads four degree classes (<7, 7, 8, 9+) and rule B three (the
+rest, 5, 9+), so a sender's shares depend only on its link's class tuple.
+Each rule therefore has one share table, keyed by class tuple (4^5 and
+3^7 entries), whose entries are the rule's own output: `transfers` rejects
+the senders that send nothing (a 5 with no link degree of 7 or more, a 7
+without exactly four degree-5 neighbors), then reads the others' shares
+from the table, calling the rule only for a key seen for the first time.
+
 Every amount is a whole number of units of 1/360 (UNIT = 360 per unit of
 charge), so transfers are counted and settled in ints; Fractions are made
-only for the final charges of vertices a transfer reached.  The sum is
-checked, never trusted.
+only for the final charges of vertices a transfer reached, one per
+distinct charge and shared between the vertices that hold it (Fractions
+are immutable).  The sum is checked, never trusted.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,20 +104,67 @@ def _shares_from_seven(degrees):
     return shares
 
 
+# A rule's degree classes, indexed by degree; every larger degree is in the
+# last class.  Rule A reads <7, 7, 8, 9+; rule B the rest, 5, 9+.
+_FIVE_CLASSES = b"\0\0\0\0\0\0\0\1\2\3"
+_SEVEN_CLASSES = b"\0\0\0\0\0\1\0\0\0\2"
+
+
+def _class_key(classes, degrees):
+    """A link's share-table key: its degree classes as digits, first most significant."""
+    last = len(classes) - 1
+    key = 0
+    for d in degrees:
+        key = key * (classes[last] + 1) + classes[min(d, last)]
+    return key
+
+
+# Each rule's shares by class key, as the rule's (link position, units)
+# pairs in its order.  An entry is filled from the first link seen with
+# its key; the rule reads only the classes, so every such link would give
+# the same shares.
+_FIVE_SHARES = [None] * 4**5
+_SEVEN_SHARES = [None] * 3**7
+
+
+def _fill(table, rule, key, degrees):
+    """Enter rule's shares on a link of the given degrees as table[key]."""
+    shares = table[key] = tuple(rule(degrees).items())
+    return shares
+
+
 def transfers(g):
     """Apply both rules across g and return the resulting ledger."""
     rows = g.rotation
     degree = [None if row is None else len(row) for row in rows]
+    # rule A's classes, extended past every degree g can have
+    a = _FIVE_CLASSES + _FIVE_CLASSES[-1:] * len(rows)
     moved = {}
     for v, link in enumerate(rows):
         d = degree[v]
         if d == 5:
-            shares = _shares_from_five([degree[u] for u in link])
+            p, q, r, s, t = link
+            # _class_key, inline: base 4, so two bits a digit
+            key = (
+                a[degree[p]] << 8 | a[degree[q]] << 6 | a[degree[r]] << 4
+                | a[degree[s]] << 2 | a[degree[t]]
+            )
+            if not key:  # no link degree of 7 or more
+                continue
+            shares = _FIVE_SHARES[key]
+            if shares is None:
+                shares = _fill(_FIVE_SHARES, _shares_from_five, key, [degree[u] for u in link])
         elif d == 7:
-            shares = _shares_from_seven([degree[u] for u in link])
+            degrees = [degree[u] for u in link]
+            if degrees.count(5) != 4:
+                continue
+            key = _class_key(_SEVEN_CLASSES, degrees)
+            shares = _SEVEN_SHARES[key]
+            if shares is None:
+                shares = _fill(_SEVEN_SHARES, _shares_from_seven, key, degrees)
         else:
             continue
-        for i, amount in shares.items():
+        for i, amount in shares:
             moved[(v, link[i])] = amount
     initial = {v: 6 - d for v, d in enumerate(degree) if d is not None}
     return ChargeLedger(initial, moved, 6 * g.n - 2 * g.m)
@@ -121,18 +178,23 @@ def final_charges(ledger):
     be a whole number of units.  A vertex no transfer reached keeps its
     int charge; every other vertex gets a Fraction.
     """
-    flow = {}
+    flow = defaultdict(int)
     for (s, r), units in ledger.transfers.items():
-        flow[s] = flow.get(s, 0) - units
-        flow[r] = flow.get(r, 0) + units
+        flow[s] -= units
+        flow[r] += units
     total = UNIT * sum(ledger.initial.values()) + sum(flow.values())
     if total != UNIT * ledger.expected:
         raise SumMismatch(f"charges total {Fraction(total, UNIT)}, expected {ledger.expected}")
     charges = dict(ledger.initial)
+    shared = {}  # UNIT * charge -> the one Fraction made for it
     for v, units in flow.items():
         if units % 1:
             raise SumMismatch(f"vertex {v}: net flow {units} is off the 1/{UNIT} grid")
-        charges[v] = Fraction(UNIT * charges[v] + units, UNIT)
+        num = UNIT * charges[v] + units
+        c = shared.get(num)
+        if c is None:
+            c = shared[num] = Fraction(num, UNIT)
+        charges[v] = c
     return charges
 
 
@@ -157,7 +219,7 @@ def audit(g, matched=True):
     # ints and Fractions alike carry the sign in .numerator (a Fraction's
     # denominator is positive), which skips a Fraction comparison per vertex
     positives = tuple(sorted(v for v, c in charges.items() if c.numerator > 0))
-    min_degree = min((len(row) for row in g.rotation if row is not None), default=0)
+    min_degree = 6 - max(ledger.initial.values(), default=6)
     return AuditReport(
         charges=charges,
         total=ledger.expected,
