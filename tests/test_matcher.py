@@ -5,6 +5,8 @@ staggered ring s0..s(k-1), pole on top.  Hub and pole have degree k, the
 rings degree 5, and the hub's rotation comes out as (1, 2, ..., k).
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from fivecolor.matching import (
     match_at,
 )
 
-from conftest import recheck, remove_vertices
+from conftest import path_rotations, recheck, remove_vertices, star_rotations
 
 
 def antiprism_faces(k):
@@ -306,6 +308,27 @@ def test_scan_order_is_family_major():
     # variant comes first in the catalog, so it must win
     names = [e.name for e in builtin_catalog()]
     assert names.index("wheel-adjacent") < names.index("wheel-separated")
+
+
+def test_entry_first_hits_pinned():
+    # each entry's first hit alone, on flips graphs (where every entry but
+    # low hits, hub9 on four of the five) and on a star and a path: covers
+    # the secondary hook and the hub, which no bench workload reaches.  Any
+    # drift in a matcher rule changes this digest
+    graphs = [generate(GenSpec(s, 642, 1284, True)) for s in (1, 2, 3)]
+    graphs += [generate(GenSpec(s, 2562, 5124, True)) for s in (1, 2)]
+    graphs += [build(star_rotations(300)), build(path_rotations(300))]
+    h = hashlib.sha256()
+    for e in builtin_catalog():
+        for i, g in enumerate(graphs):
+            try:
+                occ = find_reducible(g, [e])
+            except CompletenessBreach:
+                hit = None
+            else:
+                hit = (e.name, i, occ.anchor, sorted(occ.mapping.items()))
+            h.update(repr(hit).encode())
+    assert h.hexdigest()[:16] == "0e5d2403f70bfbb5"
 
 
 @settings(max_examples=12, deadline=None)
