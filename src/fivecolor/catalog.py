@@ -9,8 +9,9 @@ A scheme tells the reducer how to spend the fifth color on an occurrence:
 
 * TrialSequence(order): candidates for color 5, tried in order; with no
   candidates (the single low-degree vertex) it spends no 5 at all.
-* VirtualHub: a high-degree hub whose link holds all low vertices except
-  three separator slots; candidates are the hub and then the leaves.
+* VirtualHub: a hub of a degree in HUB_DEGREES whose link holds all low
+  vertices except three separator slots; candidates are the hub and then
+  the leaves.
 * NinePattern: the degree-9 hub with leaf runs of 3 and 2.
 
 validate_entry replays every way a scheme can unfold against worst-case
@@ -32,9 +33,13 @@ class TrialSequence:
     order: tuple
 
 
+# The anchor degrees of the parametric hub, each certified by the replay.
+HUB_DEGREES = (8, 9, 10)
+
+
 @dataclass(frozen=True)
 class VirtualHub:
-    degrees: tuple = (8, 9, 10)
+    pass
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,9 @@ class ConfigurationSpec:
       vertex next to the anchor in host's template.  There s sits two
       slots from the anchor: on ref's side for sign +1, on the other side
       for sign -1.
+    * degrees: the anchor degrees a match can have, a frozenset:
+      HUB_DEGREES for the VirtualHub (which has no templates), else
+      {caps[0]} when the anchor's cap is exact and 0 .. caps[0] when not.
     """
 
     name: str
@@ -100,6 +108,7 @@ class ConfigurationSpec:
     edges: frozenset = field(init=False)
     layout: tuple = field(init=False)
     secondary: tuple = field(init=False)
+    degrees: frozenset = field(init=False)
 
     def __post_init__(self):
         slots = [_slots(t) for t in self.rotations]
@@ -111,6 +120,12 @@ class ConfigurationSpec:
         object.__setattr__(self, "layout", link if set(link) - {None} else None)
         _check_entry(self, slots)
         object.__setattr__(self, "secondary", _secondary(self, slots))
+        if isinstance(self.scheme, VirtualHub):
+            degrees = HUB_DEGREES
+        else:
+            cap = self.caps[0]
+            degrees = {cap} if 0 in self.exact else range(cap + 1)
+        object.__setattr__(self, "degrees", frozenset(degrees))
 
     def pattern_degree(self, v):
         return sum(1 for x in self.rotations[v] if not isinstance(x, tuple))
@@ -324,7 +339,7 @@ _CATALOG = (
     # Parametric hub of degree d >= 8 whose link is all 5-caps except three
     # separator slots.  Concrete shape depends on d and the slot positions,
     # so the entry itself carries no fixed pattern; validation enumerates
-    # d in scheme.degrees with every separator placement.
+    # d in HUB_DEGREES with every separator placement.
     ConfigurationSpec(
         name="hub",
         family="f7",
@@ -586,7 +601,7 @@ def _run_count(layout):
 
 def _validate_virtual_hub(e):
     results = []
-    for d in e.scheme.degrees:
+    for d in HUB_DEGREES:
         by_runs = {}
         for seps in combinations(range(d), 3):
             layout = [None] * d

@@ -217,8 +217,10 @@ def audit(g, matched=True):
     ledger = transfers(g)
     charges = final_charges(ledger)
     # ints and Fractions alike carry the sign in .numerator (a Fraction's
-    # denominator is positive), which skips a Fraction comparison per vertex
-    positives = tuple(sorted(v for v, c in charges.items() if c.numerator > 0))
+    # denominator is positive), which skips a Fraction comparison per vertex.
+    # charges is already ascending: transfers builds ledger.initial in vertex
+    # order and final_charges only reassigns its keys
+    positives = tuple(v for v, c in charges.items() if c.numerator > 0)
     min_degree = 6 - max(ledger.initial.values(), default=6)
     return AuditReport(
         charges=charges,

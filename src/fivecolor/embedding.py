@@ -49,7 +49,11 @@ class EmbeddedGraph:
     __slots__ = ("rotation", "_n", "_m")
 
     def __init__(self, rotation):
-        rows = tuple(None if r is None else tuple(r) for r in rotation)
+        try:
+            rows = tuple(None if r is None else tuple(r) for r in rotation)
+        except TypeError:
+            _name_bad_row(rotation)
+            raise
         object.__setattr__(self, "rotation", rows)
         object.__setattr__(self, "_n", sum(1 for r in rows if r is not None))
         object.__setattr__(
@@ -115,9 +119,19 @@ def _validate(g):
     succ = _face_successors(rows)
     if succ is None:
         _check_rows(rows)
-        # _check_rows raises on every int input the table rejects
+        # _check_rows raises on every input the table rejects
         raise EmbeddingError("vertex ids must be ints")
     _check_euler(g, succ)
+
+
+def _name_bad_row(rotation):
+    """Raise an EmbeddingError for the first row that is not a sequence."""
+    for v, row in enumerate(rotation):
+        try:
+            if row is not None:
+                iter(row)
+        except TypeError:
+            raise EmbeddingError(f"row of vertex {v} is {row!r}, not a sequence") from None
 
 
 def _check_rows(rows):
@@ -128,6 +142,8 @@ def _check_rows(rows):
             continue
         seen = set()
         for w in row:
+            if not isinstance(w, int):
+                raise EmbeddingError(f"vertex {v} lists {w!r}, not an int id")
             if w == v:
                 raise LoopEdge(f"vertex {v} lists itself")
             if not (0 <= w < n_rows) or rows[w] is None:
@@ -281,11 +297,15 @@ def from_faces(n, faces):
             raise EmbeddingError(f"face walk too short: {face!r}")
         for i in range(k):
             a, b, c = face[i - 2], face[i - 1], face[i]
-            if not (0 <= b < n):
-                raise EmbeddingError(f"face vertex {b} out of range")
-            if c in nxt[b]:
+            try:
+                if not (0 <= b < n):
+                    raise EmbeddingError(f"face vertex {b} out of range")
+                links = nxt[b]
+            except TypeError:
+                raise EmbeddingError(f"face vertex {b!r} is not an int id") from None
+            if c in links:
                 raise EmbeddingError(f"dart ({b}, {c}) occurs in two faces")
-            nxt[b][c] = a
+            links[c] = a
     rotations = []
     for v in range(n):
         links = nxt[v]

@@ -7,13 +7,14 @@ a plain sequence of rows with None marking absent vertices.
 Soundness leans on the input being triangulated: two vertices consecutive
 in a link are taken to be adjacent without an explicit edge check.
 
-Caps are matched exactly where the entry says so and as upper bounds
-elsewhere, the anchor's included (_degrees).  An entry's layout is laid on
-the anchor's link; offsets cover its cyclic alignments, direction -1 the
-mirror images, and an entry with no layout needs one alignment.  An entry
-with a secondary hook places its one vertex outside that link by stepping
-through the host's row (see catalog.ConfigurationSpec).  Only the hub
-(VirtualHub) has its own rule: the first d - 3 link vertices of degree <= 5.
+An anchor's degree must be one of entry.degrees, tested once in match_at.
+The other caps are matched exactly where the entry says so and as upper
+bounds elsewhere.  An entry's layout is laid on the anchor's link; offsets
+cover its cyclic alignments, direction -1 the mirror images, and an entry
+with no layout needs one alignment.  An entry with a secondary hook places
+its one vertex outside that link by stepping through the host's row (see
+catalog.ConfigurationSpec).  Only the hub (VirtualHub) has its own rule:
+the first d - 3 link vertices of degree <= 5.
 
 A search tries the entries in the order given (the catalog's own order by
 default), anchors ascending, and stops at the first hit.  find_reducible
@@ -21,7 +22,8 @@ without a ScanIndex scans every live vertex and probes every alignment; it
 is the reference the indexed search is tested against.  The reducer, which
 searches again after every reduction, passes a ScanIndex instead, which
 visits only the anchors whose surroundings changed since they last failed
-and returns the same first hit.
+and returns the same first hit.  It keeps them in one heap per entry and
+pops every copy of a failed anchor together.
 
 At each anchor it visits, the indexed search first reads the link degrees
 once and asks a degree test which alignments they allow (see _kernel):
@@ -38,7 +40,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cache
 
-from .catalog import VirtualHub, builtin_catalog, hub_edges
+from .catalog import VirtualHub, builtin_catalog
 
 
 class CompletenessBreach(RuntimeError):
@@ -53,17 +55,12 @@ def _rows_view(tri):
 class Occurrence:
     """One concrete placement of a catalog entry.
 
-    mapping sends pattern ids to graph vertices; edges is the realized
-    pattern edge set in pattern ids (for parametric hubs it depends on
-    where the separators fell, otherwise it equals entry.edges).
+    mapping sends pattern ids to graph vertices, pattern id 0 to the anchor.
     """
 
     entry: object
     mapping: dict
     anchor: int
-    offset: int = 0
-    direction: int = 1
-    edges: frozenset = frozenset()
 
     @property
     def vertices(self):
@@ -76,8 +73,6 @@ def _fits(rows, w, cap, exact):
 
 
 def _match_layout(rows, entry, anchor, offset, direction):
-    if not _fits(rows, anchor, entry.caps[0], 0 in entry.exact):
-        return None
     link = rows[anchor]
     d = len(link)
     mapping = {0: anchor}
@@ -108,29 +103,20 @@ def _match_layout(rows, entry, anchor, offset, direction):
         if not _fits(rows, z, entry.caps[out_pid], out_pid in entry.exact):
             return None
         mapping[out_pid] = z
-    return Occurrence(entry, mapping, anchor, offset, direction, entry.edges)
+    return Occurrence(entry, mapping, anchor)
 
 
 def _match_hub(rows, entry, anchor, offset, direction):
     link = rows[anchor]
     d = len(link)
-    if d not in entry.scheme.degrees:
-        return None
-    need = d - 3
-    placed = []
-    leaves = []
+    mapping = {0: anchor}
     for i in range(d):
         w = link[(offset + direction * i) % d]
-        if len(leaves) < need and len(rows[w]) <= 5:
-            leaves.append(w)
-            placed.append(len(leaves))
-        else:
-            placed.append(None)
-    if len(leaves) != need:
-        return None
-    mapping = {0: anchor}
-    mapping.update(enumerate(leaves, start=1))
-    return Occurrence(entry, mapping, anchor, offset, direction, hub_edges(placed))
+        if len(rows[w]) <= 5:
+            mapping[len(mapping)] = w
+            if len(mapping) == d - 2:  # the anchor and d - 3 leaves
+                return Occurrence(entry, mapping, anchor)
+    return None
 
 
 def match_at(tri, entry, anchor, offset=0, direction=1):
@@ -143,19 +129,12 @@ def match_at(tri, entry, anchor, offset=0, direction=1):
     if direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     rows = _rows_view(tri)
-    if not (0 <= anchor < len(rows)) or rows[anchor] is None:
+    row = rows[anchor] if 0 <= anchor < len(rows) else None
+    if row is None or len(row) not in entry.degrees:
         return None
     if isinstance(entry.scheme, VirtualHub):
         return _match_hub(rows, entry, anchor, offset, direction)
     return _match_layout(rows, entry, anchor, offset, direction)
-
-
-def _degrees(entry):
-    """The anchor degrees `entry` can match at, as a frozenset."""
-    if isinstance(entry.scheme, VirtualHub):
-        return frozenset(entry.scheme.degrees)
-    cap = entry.caps[0]
-    return frozenset({cap} if 0 in entry.exact else range(cap + 1))
 
 
 def _alignments(entry, d):
@@ -176,12 +155,11 @@ def _kernel(entry):
     exactly the pairs that match; for a layout entry without a secondary
     hook too, since only the hook's vertex goes untested.
     """
-    degrees = _degrees(entry)
     if isinstance(entry.scheme, VirtualHub):
 
         def fits(rows, row):
             k = len(row)
-            if k not in degrees:
+            if k not in entry.degrees:
                 return ()
             # the hub takes the first k - 3 link vertices of degree <= 5
             low = sum(1 for w in row if len(rows[w]) <= 5)
@@ -207,7 +185,7 @@ def _kernel(entry):
             )
             for offset, direction in _alignments(entry, d)
         )
-        for d in degrees
+        for d in entry.degrees
     }
 
     def fits(rows, row):
@@ -252,7 +230,7 @@ def find_reducible(tri, entries=None):
         entries = builtin_catalog()
     verts = [v for v in range(len(rows)) if rows[v] is not None]
     for e in entries:
-        alignments = {d: _alignments(e, d) for d in _degrees(e)}
+        alignments = {d: _alignments(e, d) for d in e.degrees}
         for v in verts:
             for offset, direction in alignments.get(len(rows[v]), ()):
                 occ = match_at(tri, e, v, offset, direction)
@@ -266,19 +244,20 @@ class ScanIndex:
 
     A search reaches its entries in scan order and stops at its hit, so
     the entries reached so far are always a prefix; the index keeps its
-    per-entry state in lists as long as that prefix.  For each reached
-    entry it keeps the pending anchors: live vertices of a wanted degree
-    not yet known to fail it, as a set with a min-heap beside it.
-    Reaching an entry makes every such vertex pending.  A search pops them
-    in ascending order.  At each one it reads the link degrees once and
-    runs the entry's degree test (_kernel), then calls match_at on the
-    alignments the test allows, in the full scan's order; a failing anchor
-    is dropped, the first hit is returned and stays pending.
+    per-entry state in lists as long as that prefix.  Each reached entry
+    has one min-heap of pending anchors, vertices not yet known to fail it,
+    some perhaps more than once.  Reaching an entry makes every live vertex
+    of a degree in entry.degrees pending.  A search takes them in ascending
+    order.  At each one it reads the link degrees once and runs the entry's
+    degree test (_kernel), then calls match_at on the alignments the test
+    allows, in the full scan's order; a failing anchor is dropped with all
+    its copies, which sit together at the top of the heap, and the first
+    hit is returned and stays pending.
 
     The owner adds to `changed` every vertex whose row changes between
-    searches.  The next search puts the 1-ball of each one back in pending
-    for every reached entry that wants its degree, and its 2-ball for those
-    with a secondary hook (a pattern vertex outside the anchor's link),
+    searches.  The next search pushes the 1-ball of each one back onto the
+    heap of every reached entry that wants its degree, and its 2-ball onto
+    those with a secondary hook (a pattern vertex outside the anchor's link),
     whose probe also reads the host's row and the degree of a vertex behind
     it.  Two rank lists per degree, filled as entries are reached, name
     those entries.  Every anchor left out therefore still fails, and a
@@ -292,31 +271,25 @@ class ScanIndex:
         self.entries = tuple(entries)
         self.changed = set()
         self.probes = 0
-        self._pending = []  # per reached entry
-        self._heaps = []
+        self._heaps = []  # per reached entry
         self._fits = [_kernel(e) for e in self.entries]
         self._near = {}  # degree -> ranks of the reached entries wanting it
         self._far = {}  # degree -> those of them with a secondary hook
 
     def _reach(self, rows, rank):
         e = self.entries[rank]
-        degrees = _degrees(e)
-        heap = [v for v, row in enumerate(rows) if row is not None and len(row) in degrees]
+        heap = [v for v, row in enumerate(rows) if row is not None and len(row) in e.degrees]
         self._heaps.append(heap)  # ascending, so already a heap
-        self._pending.append(set(heap))
-        for d in degrees:
+        for d in e.degrees:
             self._near.setdefault(d, []).append(rank)
             if e.secondary is not None:
                 self._far.setdefault(d, []).append(rank)
 
     def _requeue(self, rows, verts, ranks):
-        pendings, heaps = self._pending, self._heaps
+        heaps = self._heaps
         for v in verts:
             for r in ranks.get(len(rows[v]), ()):
-                pending = pendings[r]
-                if v not in pending:
-                    pending.add(v)
-                    heapq.heappush(heaps[r], v)
+                heapq.heappush(heaps[r], v)
 
     def _reopen(self, rows):
         ball = set()
@@ -334,7 +307,7 @@ class ScanIndex:
         for rank, e in enumerate(self.entries):
             if rank == len(self._heaps):
                 self._reach(rows, rank)
-            pending, heap, fits = self._pending[rank], self._heaps[rank], self._fits[rank]
+            heap, fits = self._heaps[rank], self._fits[rank]
             while heap:
                 v = heap[0]
                 row = rows[v]
@@ -344,6 +317,6 @@ class ScanIndex:
                         occ = match_at(rows, e, v, offset, direction)
                         if occ is not None:
                             return occ
-                heapq.heappop(heap)
-                pending.discard(v)
+                while heap and heap[0] == v:
+                    heapq.heappop(heap)
         raise _no_match(rows)

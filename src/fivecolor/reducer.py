@@ -45,9 +45,9 @@ from .kempe import SPARE_COLOR, BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
 
 
-# The reducer scans only once no vertex of degree 4 or less is left, so the
-# f1 entry cannot match there; scanning without it skips a probe per vertex.
-_SCAN_ENTRIES = tuple(e for e in builtin_catalog() if e.family != "f1")
+# The catalog as written.  f1 costs no probe: the low heap holds every live
+# vertex of degree 4 or less, and a scan starts only once that heap is empty.
+_SCAN_ENTRIES = builtin_catalog()
 
 
 class SchemeExhausted(RuntimeError):

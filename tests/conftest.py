@@ -18,8 +18,9 @@ from fivecolor.embedding import (
     build,
     face_walks,
 )
+from fivecolor.catalog import VirtualHub, hub_edges
 from fivecolor.kempe import BadColorPair
-from fivecolor.matching import _rows_view, match_at
+from fivecolor.matching import _alignments, _rows_view, match_at
 from fivecolor.reducer import RunStats, color_planar
 
 
@@ -38,27 +39,40 @@ def remove_vertices(g, doomed):
     return EmbeddedGraph(rows)
 
 
+def realized_edges(occ, rows):
+    """The pattern edges an occurrence claims, in pattern ids.
+
+    entry.edges for a layout entry.  The hub's depend on where its leaves
+    fell: catalog.hub_edges over their positions in the anchor's row.
+    """
+    if not isinstance(occ.entry.scheme, VirtualHub):
+        return occ.entry.edges
+    leaf = {w: p for p, w in occ.mapping.items() if p}
+    return hub_edges([leaf.get(w) for w in rows[occ.anchor]])
+
+
 def recheck(occ, tri):
     """Re-verify an occurrence from scratch, edges included.
 
-    The matcher takes two vertices consecutive in a link to be adjacent;
-    this oracle checks every realized pattern edge in the rows instead.
+    Some alignment at the anchor must give the same mapping again.  The
+    matcher takes two vertices consecutive in a link to be adjacent; this
+    oracle checks every realized pattern edge in the rows instead.
     """
     rows = _rows_view(tri)
     n = len(rows)
     for v in occ.mapping.values():
         if not (0 <= v < n) or rows[v] is None:
             return False
-    again = match_at(tri, occ.entry, occ.anchor, occ.offset, occ.direction)
-    if again is None or again.mapping != occ.mapping:
-        return False
     vals = list(occ.mapping.values())
-    if len(set(vals)) != len(vals):
+    if len(set(vals)) != len(vals) or occ.mapping[0] != occ.anchor:
         return False
-    for a, b in occ.edges:
-        if occ.mapping[b] not in rows[occ.mapping[a]]:
-            return False
-    return True
+    again = (
+        match_at(tri, occ.entry, occ.anchor, offset, direction)
+        for offset, direction in _alignments(occ.entry, len(rows[occ.anchor]))
+    )
+    if not any(a is not None and a.mapping == occ.mapping for a in again):
+        return False
+    return all(occ.mapping[b] in rows[occ.mapping[a]] for a, b in realized_edges(occ, rows))
 
 
 def trace_faces(g):

@@ -12,6 +12,7 @@ import io
 import pytest
 
 from fivecolor.catalog import (
+    HUB_DEGREES,
     ConfigurationSpec,
     NinePattern,
     TrialSequence,
@@ -258,9 +259,20 @@ def test_shape_check_catches_bad_template():
 def test_scheme_types():
     assert get_entry("low").scheme == TrialSequence(())
     assert isinstance(get_entry("hub").scheme, VirtualHub)
-    assert get_entry("hub").scheme.degrees == (8, 9, 10)
+    assert HUB_DEGREES == (8, 9, 10)
+    assert get_entry("hub").degrees == frozenset(HUB_DEGREES)
     assert isinstance(get_entry("hub9").scheme, NinePattern)
     assert get_entry("ring-y").scheme.order == (3, 2, 0)
+
+
+def test_anchor_degrees_derived():
+    # the anchor's cap is its degree where exact, a bound on it elsewhere
+    assert get_entry("low").degrees == frozenset(range(5))
+    assert get_entry("wheel-adjacent").degrees == {5}
+    assert get_entry("hub9").degrees == {9}
+    for e in builtin_catalog():
+        if e.name != "hub":
+            assert max(e.degrees) == e.caps[0]
 
 
 def test_empty_trial_certifies_a_low_vertex_only():

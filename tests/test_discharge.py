@@ -356,4 +356,5 @@ def test_charges_on_generated(seed, n, k, shaped):
     report = audit(g, matched=True)
     assert report.total == 12
     assert report.positives
+    assert list(report.positives) == sorted(v for v, c in report.charges.items() if c > 0)
     assert not report.inconsistent

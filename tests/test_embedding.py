@@ -79,6 +79,25 @@ def test_deleted_neighbor_rejected():
         build([(1,), None])
 
 
+@pytest.mark.parametrize(
+    "rotations, message",
+    [
+        ([(1.0,), (0,)], "vertex 0 lists 1.0, not an int id"),
+        ([("a",), (0,)], "vertex 0 lists 'a', not an int id"),
+        ([(None,), ()], "vertex 0 lists None, not an int id"),
+        ([(1,), (0, "x")], "vertex 1 lists 'x', not an int id"),
+        ("ab", "vertex 0 lists 'a', not an int id"),
+        ([[1], [0], 5], "row of vertex 2 is 5, not a sequence"),
+    ],
+    ids=["float", "str", "none", "str-later", "str-rows", "int-row"],
+)
+def test_malformed_ids_rejected(rotations, message):
+    # outside input: a malformed id or row is an EmbeddingError naming it
+    with pytest.raises(EmbeddingError) as info:
+        build(rotations)
+    assert str(info.value) == message
+
+
 def test_k5_rejected():
     # K5 with ascending rotations traces 3 walks (10 + 5 + 5 darts),
     # so n - m + f = 5 - 10 + 3 = -2.
@@ -367,6 +386,21 @@ def test_from_faces_round_trip():
 def test_from_faces_duplicate_dart():
     with pytest.raises(EmbeddingError, match="two faces"):
         from_faces(3, [(0, 1, 2), (0, 1, 2)])
+
+
+@pytest.mark.parametrize(
+    "n, faces, message",
+    [
+        (2, [("a", "b")], "face vertex 'b' is not an int id"),
+        (3, [(0, 1.5, 2)], "face vertex 1.5 is not an int id"),
+        (3, [(0, 1, 3)], "face vertex 3 out of range"),
+    ],
+    ids=["str", "float", "range"],
+)
+def test_from_faces_malformed_ids(n, faces, message):
+    with pytest.raises(EmbeddingError) as info:
+        from_faces(n, faces)
+    assert str(info.value) == message
 
 
 def test_from_faces_split_rotation():

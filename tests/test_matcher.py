@@ -25,7 +25,7 @@ from fivecolor.matching import (
     match_at,
 )
 
-from conftest import path_rotations, recheck, remove_vertices, star_rotations
+from conftest import path_rotations, realized_edges, recheck, remove_vertices, star_rotations
 
 
 def antiprism_faces(k):
@@ -74,7 +74,7 @@ def test_find_reducible_icosahedron(icosahedron):
     occ = find_reducible(icosahedron)
     assert occ.entry.name == "wheel-adjacent"
     assert occ.anchor == 0
-    assert (occ.offset, occ.direction) == (0, 1)
+    assert occ == match_at(icosahedron, occ.entry, 0, 0, 1)
     assert occ.mapping == {0: 0, 1: 1, 2: 5, 3: 4, 4: 3, 5: 2}
     assert occ.vertices == {0, 1, 2, 3, 4, 5}
     assert recheck(occ, icosahedron)
@@ -132,7 +132,7 @@ def test_hub_on_nine_antiprism():
     assert occ.mapping == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6}
     spokes = {(0, k) for k in range(1, 7)}
     ring = {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}
-    assert occ.edges == frozenset(spokes | ring)
+    assert realized_edges(occ, g.rotation) == frozenset(spokes | ring)
     assert recheck(occ, g)
 
 
@@ -242,7 +242,8 @@ def test_scan_index_keeps_its_hit_pending():
     index = ScanIndex(builtin_catalog())
     occ = find_reducible(g, index)
     assert occ == find_reducible(g)
-    assert (occ.anchor, occ.offset, occ.direction) == (2, 0, 1)
+    assert occ.anchor == 2
+    assert occ == match_at(g, occ.entry, 2, 0, 1)
     first = index.probes
     assert find_reducible(g, index) == occ
     assert index.probes - first == 1

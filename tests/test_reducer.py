@@ -283,20 +283,30 @@ def test_color_planar_generated(seed, n, k, shaped):
     [icosphere(2), generate(GenSpec(seed=22, n=400, flips=800))],
     ids=["icosphere-2", "random-400"],
 )
-def test_scan_skips_f1(monkeypatch, g):
-    # the reducer scans only once the low-degree heap is empty, so the f1
-    # entry it leaves out could not have matched: same first occurrence
-    scan = reducer.find_reducible
+def test_scan_never_probes_f1(monkeypatch, g):
+    # the reducer scans the catalog as written, f1 first, but only once the
+    # low-degree heap is empty: no live vertex has degree 4 or less, so the
+    # index never probes f1, and its hit is the full scan's
+    low = get_entry("low")
+    scan, probe = reducer.find_reducible, matching.match_at
+    probed = []
     found = []
 
+    def counted(tri, entry, *alignment):
+        probed.append(entry)
+        return probe(tri, entry, *alignment)
+
     def checked(rows, entries=None):
-        assert all(e.family != "f1" for e in entries.entries)
+        assert entries.entries[0] is low
         assert all(row is None or len(row) > 4 for row in rows)
+        probed.clear()
         occ = scan(rows, entries)
+        assert probed and all(e is not low for e in probed)
         assert occ == scan(rows)
         found.append(occ)
         return occ
 
+    monkeypatch.setattr(matching, "match_at", counted)
     monkeypatch.setattr(reducer, "find_reducible", checked)
     stats = RunStats()
     check_coloring(g, color_planar(g, stats))

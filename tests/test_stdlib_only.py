@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library, and asserts nothing."""
+"""The package imports nothing outside the standard library, asserts nothing,
+and compares family strings only in the catalog."""
 
 import ast
 import sys
@@ -32,6 +33,28 @@ def test_no_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "catalog.py"),
+    ids=lambda p: p.name,
+)
+def test_family_compared_only_in_catalog(path):
+    # the catalog owns the family strings: a rule elsewhere that compares
+    # them restates what an entry's own fields already say.  Reading a
+    # family as a key or printing it is fine
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(x, ast.Attribute) and x.attr == "family"
+            for x in [node.left, *node.comparators]
+        )
+    ]
+    assert not lines, f"{path.name} compares a family on lines {lines}"
 
 
 def test_all_matches_imports():
