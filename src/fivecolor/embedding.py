@@ -301,10 +301,11 @@ def from_faces(n, faces):
                 if not (0 <= b < n):
                     raise EmbeddingError(f"face vertex {b} out of range")
                 links = nxt[b]
+                if c in links:
+                    raise EmbeddingError(f"dart ({b}, {c}) occurs in two faces")
             except TypeError:
-                raise EmbeddingError(f"face vertex {b!r} is not an int id") from None
-            if c in links:
-                raise EmbeddingError(f"dart ({b}, {c}) occurs in two faces")
+                bad = next(x for x in face if not isinstance(x, int))
+                raise EmbeddingError(f"face vertex {bad!r} is not an int id") from None
             links[c] = a
     rotations = []
     for v in range(n):

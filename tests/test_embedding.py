@@ -391,11 +391,12 @@ def test_from_faces_duplicate_dart():
 @pytest.mark.parametrize(
     "n, faces, message",
     [
-        (2, [("a", "b")], "face vertex 'b' is not an int id"),
+        (2, [("a", "b")], "face vertex 'a' is not an int id"),
         (3, [(0, 1.5, 2)], "face vertex 1.5 is not an int id"),
+        (3, [(0, [1], 2)], "face vertex [1] is not an int id"),
         (3, [(0, 1, 3)], "face vertex 3 out of range"),
     ],
-    ids=["str", "float", "range"],
+    ids=["str", "float", "list", "range"],
 )
 def test_from_faces_malformed_ids(n, faces, message):
     with pytest.raises(EmbeddingError) as info:
