@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from fivecolor import instances
+from fivecolor.catalog import VirtualHub, hub_edges
 from fivecolor.embedding import (
     AsymmetricAdjacency,
     DuplicateNeighbor,
@@ -18,7 +19,6 @@ from fivecolor.embedding import (
     build,
     face_walks,
 )
-from fivecolor.catalog import VirtualHub, hub_edges
 from fivecolor.kempe import BadColorPair
 from fivecolor.matching import _alignments, _rows_view, match_at
 from fivecolor.reducer import RunStats, color_planar
