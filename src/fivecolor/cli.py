@@ -1,8 +1,8 @@
 """Command line front end: color, verify, match, audit, generate, catalog, bench.
 
-Exit codes: 0 success; 1 unreadable input or a failed verification; 2 a
-broken internal guarantee (the tripwire exceptions); 3 match found no
-configuration; 4 audit found charges and matcher in contradiction.
+Exit codes: 0 success; 1 unreadable input or a failed verification (the
+INPUT_ERRORS); 2 a broken internal guarantee (the TRIPWIRES); 3 match found
+no configuration; 4 audit found charges and matcher in contradiction.
 
 All graphs travel as pg/1 text; `-` means stdin.  Coloring output is one
 `<vertex> <color>` line per vertex plus a trailing stats line, which
@@ -29,11 +29,14 @@ from .instances import (
     read,
     write,
 )
-from .kempe import BrokenInvariant, DiagonalContradiction
+from .kempe import BadColorPair, BrokenInvariant, DiagonalContradiction
 from .matching import CompletenessBreach, find_reducible
 from .reducer import RunStats, SchemeExhausted, color_planar
 
+# BadColorPair can only come of a corrupt coloring here: the CLI hands the
+# chains no pair of its own.
 TRIPWIRES = (
+    BadColorPair,
     BrokenInvariant,
     CompletenessBreach,
     DiagonalContradiction,
@@ -41,6 +44,8 @@ TRIPWIRES = (
     SumMismatch,
     UntriangulatableFace,
 )
+
+INPUT_ERRORS = (ParseError, UnknownName, EmbeddingError, ValidationFailure, OSError)
 
 
 def _load_graph(path):
@@ -291,7 +296,7 @@ def main(argv=None):
     except TRIPWIRES as exc:
         print(f"tripwire: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, UnknownName, EmbeddingError, ValidationFailure, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -136,7 +136,7 @@ def _fill(table, rule, key, degrees):
 def transfers(g):
     """Apply both rules across g and return the resulting ledger."""
     rows = g.rotation
-    degree = [None if row is None else len(row) for row in rows]
+    degree = [len(row) for row in rows]
     # rule A's classes, extended past every degree g can have
     a = _FIVE_CLASSES + _FIVE_CLASSES[-1:] * len(rows)
     moved = {}
@@ -166,7 +166,7 @@ def transfers(g):
             continue
         for i, amount in shares:
             moved[(v, link[i])] = amount
-    initial = {v: 6 - d for v, d in enumerate(degree) if d is not None}
+    initial = {v: 6 - d for v, d in enumerate(degree)}
     return ChargeLedger(initial, moved, 6 * g.n - 2 * g.m)
 
 

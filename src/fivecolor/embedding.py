@@ -1,13 +1,10 @@
 """Combinatorial embeddings of planar graphs.
 
 A graph is stored as a rotation system: for every vertex, the cyclic
-counterclockwise order of its neighbors.  Faces are recovered by the standard
-dart-tracing rule (the dart after (u, v) is (v, w) where w precedes u in the
-rotation of v), and an embedding is accepted as planar iff every connected
-component satisfies n - m + f = 2.
-
-Vertex ids are stable: deleting vertices leaves holes in the id space
-(rotation row set to None) instead of renumbering.
+counterclockwise order of its neighbors, for the vertex ids 0..n-1.  Faces
+are recovered by the standard dart-tracing rule (the dart after (u, v) is
+(v, w) where w precedes u in the rotation of v), and an embedding is
+accepted as planar iff every connected component satisfies n - m + f = 2.
 """
 
 from __future__ import annotations
@@ -40,25 +37,25 @@ class UntriangulatableFace(EmbeddingError):
 
 
 class EmbeddedGraph:
-    """Immutable rotation system.
+    """Immutable rotation system on the vertex ids 0..n-1.
 
-    rotation[v] is a tuple of neighbor ids in ccw order, or None if v has
-    been deleted.  Edit operations return new objects.
+    rotation[v] is a tuple of the neighbor ids of v in ccw order.
     """
 
-    __slots__ = ("rotation", "_n", "_m")
+    __slots__ = ("rotation", "_m")
 
     def __init__(self, rotation):
-        try:
-            rows = tuple(None if r is None else tuple(r) for r in rotation)
-        except TypeError:
-            _name_bad_row(rotation)
-            raise
+        rows = []
+        for v, row in enumerate(rotation):
+            try:
+                if isinstance(row, (set, frozenset)):  # no rotation order
+                    raise TypeError
+                rows.append(tuple(row))
+            except TypeError:
+                raise EmbeddingError(f"row of vertex {v} is {row!r}, not a sequence") from None
+        rows = tuple(rows)
         object.__setattr__(self, "rotation", rows)
-        object.__setattr__(self, "_n", sum(1 for r in rows if r is not None))
-        object.__setattr__(
-            self, "_m", sum(len(r) for r in rows if r is not None) // 2
-        )
+        object.__setattr__(self, "_m", sum(map(len, rows)) // 2)
         _validate(self)
 
     def __setattr__(self, name, value):
@@ -68,27 +65,21 @@ class EmbeddedGraph:
 
     @property
     def n(self):
-        """Number of present vertices."""
-        return self._n
+        return len(self.rotation)
 
     @property
     def m(self):
         return self._m
 
-    @property
-    def size(self):
-        """Extent of the id space (present or not)."""
-        return len(self.rotation)
-
     def vertices(self):
-        return (v for v, r in enumerate(self.rotation) if r is not None)
+        return range(self.n)
 
     def degree(self, v):
         return len(self.rotation[v])
 
     def edges(self):
-        for u in self.vertices():
-            for w in self.rotation[u]:
+        for u, row in enumerate(self.rotation):
+            for w in row:
                 if u < w:
                     yield (u, w)
 
@@ -105,11 +96,13 @@ class EmbeddedGraph:
 def build(rotations):
     """Validate a rotation system and wrap it as an EmbeddedGraph.
 
-    Accepts any sequence of neighbor sequences (None rows mark deleted ids).
-    Raises LoopEdge / DuplicateNeighbor / AsymmetricAdjacency on malformed
-    adjacency and NotPlanarEmbedding when any component violates Euler's
-    formula.  The check takes O(m) time: one dict lookup per dart gives
-    both the reverse of the dart and its face successor.
+    Accepts any sequence of neighbor sequences, row v for vertex v, so n
+    rows give the ids 0..n-1; a row that is no sequence (None, a set) is an
+    EmbeddingError.  Raises LoopEdge / DuplicateNeighbor /
+    AsymmetricAdjacency on malformed adjacency and NotPlanarEmbedding when
+    any component violates Euler's formula.  The check takes O(m) time: one
+    dict lookup per dart gives both the reverse of the dart and its face
+    successor.
     """
     return EmbeddedGraph(rotations)
 
@@ -124,29 +117,17 @@ def _validate(g):
     _check_euler(g, succ)
 
 
-def _name_bad_row(rotation):
-    """Raise an EmbeddingError for the first row that is not a sequence."""
-    for v, row in enumerate(rotation):
-        try:
-            if row is not None:
-                iter(row)
-        except TypeError:
-            raise EmbeddingError(f"row of vertex {v} is {row!r}, not a sequence") from None
-
-
 def _check_rows(rows):
     """Raise on the first malformed row, rows in id order, each in row order."""
-    n_rows = len(rows)
+    n = len(rows)
     for v, row in enumerate(rows):
-        if row is None:
-            continue
         seen = set()
         for w in row:
             if not isinstance(w, int):
                 raise EmbeddingError(f"vertex {v} lists {w!r}, not an int id")
             if w == v:
                 raise LoopEdge(f"vertex {v} lists itself")
-            if not (0 <= w < n_rows) or rows[w] is None:
+            if not 0 <= w < n:
                 raise AsymmetricAdjacency(f"vertex {v} lists missing vertex {w}")
             if w in seen:
                 raise DuplicateNeighbor(f"vertex {v} lists {w} twice")
@@ -165,12 +146,10 @@ def _face_successors(rows):
     in O(m) and only detects a fault; _check_rows names it.
     """
     # before[b][a]: the id of the dart (b, w) with w just before a in b's row
-    before = [None] * len(rows)
+    before = []
     offset = 0
     try:
         for v, row in enumerate(rows):
-            if row is None:
-                continue
             k = len(row)
             p = dict(zip(row, range(offset - 1, offset + k - 1)))
             if k:
@@ -178,21 +157,21 @@ def _face_successors(rows):
                 if len(p) != k or v in p or min(row) < 0:
                     return None
                 p[row[0]] = offset + k - 1
-            before[v] = p
+            before.append(p)
             offset += k
-        # a missing reverse is a KeyError, a deleted neighbor a TypeError,
-        # an id past the last row an IndexError
-        return [before[w][v] for v, row in enumerate(rows) if row for w in row]
+        # a missing reverse is a KeyError, a non-int id a TypeError, an id
+        # past the last row an IndexError
+        return [before[w][v] for v, row in enumerate(rows) for w in row]
     except (KeyError, TypeError, IndexError):
         return None
 
 
 def _components(rows):
-    """Number of connected components among the present vertices."""
+    """Number of connected components."""
     seen = set()
     count = 0
-    for v, row in enumerate(rows):
-        if row is None or v in seen:
+    for v in range(len(rows)):
+        if v in seen:
             continue
         count += 1
         seen.add(v)
@@ -213,7 +192,7 @@ def _check_euler(g, succ):
     rows = g.rotation
     n, m, c = g.n, g.m, _components(rows)
     f = _count_cycles(succ)
-    f += sum(1 for row in rows if row == ())
+    f += rows.count(())
     if n - m + f != 2 * c:
         raise NotPlanarEmbedding(
             f"n={n} m={m} f={f} over {c} components: "
@@ -313,14 +292,17 @@ def from_faces(n, faces):
         if not links:
             rotations.append(())
             continue
+        # each dart (a, v) ends one corner, so links is injective: the chain
+        # comes back to start, or to an a whose dart (v, a) is in no face
         start = min(links)
         cycle = [start]
         cur = links[start]
         while cur != start:
             cycle.append(cur)
-            cur = links[cur]
-            if len(cycle) > len(links):
-                raise EmbeddingError(f"rotation of {v} does not close")
+            try:
+                cur = links[cur]
+            except KeyError:
+                raise EmbeddingError(f"dart ({v}, {cur}) lies in no face") from None
         if len(cycle) != len(links):
             raise EmbeddingError(f"rotation of {v} splits into several cycles")
         rotations.append(cycle)

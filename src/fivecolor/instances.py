@@ -160,15 +160,9 @@ def read(stream):
 
 
 def write(g, stream):
-    """Emit pg/1, vertices in ascending id.
-
-    The format has no syntax for id gaps, so graphs with deleted vertices
-    are rejected.
-    """
-    if g.n != g.size:
-        raise ValueError("pg/1 cannot represent graphs with deleted vertex ids")
+    """Emit pg/1: the header, then one line per vertex 0..n-1, in that order."""
     stream.write(f"pg {g.n}\n")
-    for v in range(g.size):
+    for v in range(g.n):
         row = " ".join(str(w) for w in g.rotation[v])
         stream.write(f"{v}: {row}\n" if row else f"{v}:\n")
 

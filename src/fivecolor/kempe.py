@@ -2,7 +2,9 @@
 
 Works on plain rotation rows (indexable: rows[v] iterates neighbors) and a
 vertex-indexed color store: a list with one entry per vertex id, or any
-mapping that has every vertex id, holding 1..5 or 0 for uncolored.
+mapping that has every vertex id, holding 1..5 or 0 for uncolored.  Rows
+are read only at live vertices, so the reducer's working rows, with None for
+each vertex its descent has deleted, serve as they are.
 Uncolored vertices are invisible to chains: a chain is a connected piece
 of the subgraph induced by the colored vertices whose colors lie in a
 two-color pair.

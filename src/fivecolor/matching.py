@@ -1,8 +1,9 @@
 """Locating catalog configurations inside a triangulation.
 
 The matchers read rotation rows directly: rows[v] is the cyclic link of v
-and len(rows[v]) its degree.  Pass anything with a `rotation` attribute, or
-a plain sequence of rows with None marking absent vertices.
+and len(rows[v]) its degree.  Pass a graph (anything with a `rotation`
+attribute) or plain rows.  The reducer passes its working rows, in which
+None marks a vertex its descent has deleted; such a vertex is no anchor.
 
 Soundness leans on the input being triangulated: two vertices consecutive
 in a link are taken to be adjacent without an explicit edge check.

@@ -153,7 +153,7 @@ class _Work:
     """
 
     def __init__(self, g):
-        self.rows = [None if r is None else list(r) for r in g.rotation]
+        self.rows = [list(r) for r in g.rotation]
         # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
         # so the initial fill has nothing to do.  A component on k vertices
         # has at most 3k - 3 edges, equality only at k = 1, so over c
@@ -178,9 +178,9 @@ class _Work:
 
     def _push_low(self, verts):
         rows, size = self.rows, len(self.rows)
-        for v in verts:
+        for v in verts:  # live vertices only
             row = rows[v]
-            if row is not None and len(row) <= 4:
+            if len(row) <= 4:
                 self.heap.append(len(row) * size + v)
         heapq.heapify(self.heap)
 
@@ -208,7 +208,7 @@ class _Work:
         index = self.index
         heappop, heappush = heapq.heappop, heapq.heappush
         size = len(rows)
-        alive = size - rows.count(None)
+        alive = size
         unmarked = []  # deleted since the last scan; their rows go to index.changed
         if not self.triangulated:
             self._fill_from(all_darts(rows), stats)
@@ -337,7 +337,7 @@ def color_planar(g, stats=None):
 
     Color 5 is rationed: at most one use per deleted occurrence, so its
     class holds at most n/6 vertices.  Returns a dict {vertex: color} over
-    all present vertices of g.
+    every vertex of g.
     """
     if stats is None:
         stats = RunStats()
@@ -346,7 +346,7 @@ def color_planar(g, stats=None):
     colors = work.ascend(stats)
     if [None if r is None else tuple(r) for r in work.rows] != list(g.rotation):
         raise BrokenInvariant("the ascent did not restore the rotation system")
-    return {v: colors[v] for v in g.vertices()}
+    return dict(enumerate(colors))
 
 
 def check_coloring(g, colors):

@@ -10,7 +10,6 @@ from fivecolor.catalog import VirtualHub, hub_edges
 from fivecolor.embedding import (
     AsymmetricAdjacency,
     DuplicateNeighbor,
-    EmbeddedGraph,
     EmbeddingError,
     LoopEdge,
     NotPlanarEmbedding,
@@ -25,18 +24,29 @@ from fivecolor.reducer import RunStats, color_planar
 
 
 def remove_vertices(g, doomed):
-    """Delete a set of vertices, tombstoning their ids."""
+    """Delete `doomed` from a graph or from engine rows; return engine rows.
+
+    Engine rows are what the reducer's descent works on: the ids keep their
+    places, and a deleted vertex's row is None.
+    """
+    rows = _rows_view(g)
     doomed = set(doomed)
     for v in doomed:
-        if not (0 <= v < g.size and g.rotation[v] is not None):
+        if not (0 <= v < len(rows) and rows[v] is not None):
             raise EmbeddingError(f"vertex {v} not present")
-    rows = [
-        None
-        if (r is None or v in doomed)
-        else tuple(w for w in r if w not in doomed)
-        for v, r in enumerate(g.rotation)
+    return [
+        None if r is None or v in doomed else tuple(w for w in r if w not in doomed)
+        for v, r in enumerate(rows)
     ]
-    return EmbeddedGraph(rows)
+
+
+def relabel(rows):
+    """The graph on the live vertices of engine rows, renumbered 0..n-1 in id order."""
+    new = {}
+    for v, r in enumerate(rows):
+        if r is not None:
+            new[v] = len(new)
+    return build([tuple(new[w] for w in r) for r in rows if r is not None])
 
 
 def realized_edges(occ, rows):
@@ -87,22 +97,22 @@ def trace_faces(g):
 
 
 def has_edge(g, u, v):
-    """Whether u is a present vertex of g whose row lists v."""
-    return 0 <= u < g.size and g.rotation[u] is not None and v in g.rotation[u]
+    """Whether u is a vertex of g whose row lists v."""
+    return 0 <= u < g.n and v in g.rotation[u]
 
 
 def reference_build(rotations):
     """Reference oracle for build(): raise what it raises, else return None.
 
     Runs the row-by-row check that build() used before its dart table,
-    with the face count traced by face_walks, on unvalidated rows.
+    with the face count traced by face_walks, on unvalidated rows.  A None
+    row is named first, before any fault in an id.
     """
-    rows = tuple(None if r is None else tuple(r) for r in rotations)
-    g = SimpleNamespace(
-        rotation=rows,
-        n=sum(1 for r in rows if r is not None),
-        m=sum(len(r) for r in rows if r is not None) // 2,
-    )
+    for v, r in enumerate(rotations):
+        if r is None:
+            raise EmbeddingError(f"row of vertex {v} is None, not a sequence")
+    rows = tuple(tuple(r) for r in rotations)
+    g = SimpleNamespace(rotation=rows, n=len(rows), m=sum(len(r) for r in rows) // 2)
     _validate(g)
 
 
@@ -110,13 +120,11 @@ def _validate(g):
     rows = g.rotation
     n_rows = len(rows)
     for v, row in enumerate(rows):
-        if row is None:
-            continue
         seen = set()
         for w in row:
             if w == v:
                 raise LoopEdge(f"vertex {v} lists itself")
-            if not (0 <= w < n_rows) or rows[w] is None:
+            if not (0 <= w < n_rows):
                 raise AsymmetricAdjacency(f"vertex {v} lists missing vertex {w}")
             if w in seen:
                 raise DuplicateNeighbor(f"vertex {v} lists {w} twice")

@@ -6,6 +6,7 @@ come from the standard count of k non-consecutive choices, n/(n-k)*C(n-k,k).
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 
@@ -13,6 +14,7 @@ import pytest
 
 from fivecolor.catalog import (
     HUB_DEGREES,
+    _hub_scenarios,
     ConfigurationSpec,
     NinePattern,
     TrialSequence,
@@ -237,6 +239,23 @@ def test_validation_catches_bad_entry():
     )
     with pytest.raises(ValidationFailure, match="stuck"):
         validate_entry(bad)
+
+
+def test_hub_scenarios_catch_a_stuck_separator():
+    # hub9 with leaf 5 raised to cap 6: with color 5 on the separator at
+    # position 7, next to leaf 5, no other leaf can take the fifth color
+    # and leave the rest peelable
+    layout = get_entry("hub9").layout
+    with pytest.raises(ValidationFailure) as info:
+        _hub_scenarios("t", "x", (9, 5, 5, 5, 5, 6), layout)
+    assert str(info.value) == "t: x separator@7: no leaf peels the rest"
+
+
+def test_validation_rejects_an_unknown_scheme():
+    bad = dataclasses.replace(get_entry("low"), scheme="greedy")
+    with pytest.raises(ValidationFailure) as info:
+        validate_entry(bad)
+    assert str(info.value) == "low: scheme: unknown scheme 'greedy'"
 
 
 def test_shape_check_catches_bad_template():

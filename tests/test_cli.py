@@ -1,8 +1,11 @@
 """End-to-end command behavior through main(argv)."""
 
 import hashlib
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -11,10 +14,9 @@ from pathlib import Path
 import pytest
 
 import fivecolor
+from fivecolor import cli
 from fivecolor.cli import main
-from fivecolor.embedding import UntriangulatableFace
 from fivecolor.instances import GenSpec, generate, icosphere, named, read, write
-from fivecolor.kempe import BrokenInvariant, DiagonalContradiction
 from fivecolor.matching import CompletenessBreach
 from fivecolor.reducer import RunStats, color_planar
 
@@ -90,6 +92,24 @@ def test_verify_accepts_color_output(tmp_path, capsys):
     assert main(["verify", gpath, str(cpath)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "verify=OK"
+
+
+def test_verify_reads_the_coloring_from_stdin(tmp_path, monkeypatch, capsys):
+    # the pipe `fivecolor color g.pg | fivecolor verify g.pg -`
+    gpath = graph_file(tmp_path, "icosahedron")
+    assert main(["color", gpath]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["verify", gpath, "-"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify=OK"
+
+
+def test_verify_rejects_a_malformed_line(tmp_path, monkeypatch, capsys):
+    gpath = graph_file(tmp_path, "k4")
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2 3\n"))
+    assert main(["verify", gpath]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 2: expected '<vertex> <color>'\n"
 
 
 def test_verify_flags_conflicts(tmp_path, capsys):
@@ -244,10 +264,7 @@ def test_bench_reports_slope(capsys):
     assert lines[2].startswith("slope=")
 
 
-@pytest.mark.parametrize(
-    "tripwire",
-    [DiagonalContradiction, CompletenessBreach, BrokenInvariant, UntriangulatableFace],
-)
+@pytest.mark.parametrize("tripwire", cli.TRIPWIRES)
 def test_tripwire_exit_code(tmp_path, capsys, monkeypatch, tripwire):
     def boom(*_a, **_k):
         raise tripwire("forced")
@@ -256,6 +273,23 @@ def test_tripwire_exit_code(tmp_path, capsys, monkeypatch, tripwire):
     path = graph_file(tmp_path, "k4")
     assert main(["color", path]) == 2
     assert "tripwire:" in capsys.readouterr().err
+
+
+def test_every_library_exception_has_an_exit_code():
+    # main maps each one to exit 1 or 2, never to a traceback
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(fivecolor.__path__, "fivecolor.")
+    ]
+    defined = [
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and issubclass(cls, Exception)
+    ]
+    assert len(defined) >= 13
+    for cls in defined:
+        assert issubclass(cls, cli.TRIPWIRES + cli.INPUT_ERRORS), cls
 
 
 def test_bad_usage_and_inputs(tmp_path, capsys):

@@ -39,6 +39,7 @@ from conftest import (
     pinned_counters,
     plane_subgraph,
     reference_build,
+    relabel,
     remove_vertices,
     star_rotations,
     trace_faces,
@@ -75,8 +76,10 @@ def test_negative_neighbor_rejected():
 
 
 def test_deleted_neighbor_rejected():
-    with pytest.raises(AsymmetricAdjacency, match="lists missing vertex 1"):
+    # every id 0..n-1 has a row: None is rejected as a row, before any id is read
+    with pytest.raises(EmbeddingError) as info:
         build([(1,), None])
+    assert str(info.value) == "row of vertex 1 is None, not a sequence"
 
 
 @pytest.mark.parametrize(
@@ -88,8 +91,11 @@ def test_deleted_neighbor_rejected():
         ([(1,), (0, "x")], "vertex 1 lists 'x', not an int id"),
         ("ab", "vertex 0 lists 'a', not an int id"),
         ([[1], [0], 5], "row of vertex 2 is 5, not a sequence"),
+        # a set has no rotation order
+        ([{1}, {0}], "row of vertex 0 is {1}, not a sequence"),
+        ([(1,), frozenset({0})], "row of vertex 1 is frozenset({0}), not a sequence"),
     ],
-    ids=["float", "str", "none", "str-later", "str-rows", "int-row"],
+    ids=["float", "str", "none", "str-later", "str-rows", "int-row", "set-row", "frozenset-row"],
 )
 def test_malformed_ids_rejected(rotations, message):
     # outside input: a malformed id or row is an EmbeddingError naming it
@@ -118,7 +124,7 @@ def euler_per_component(rows):
     """Whether every component of a valid rotation system has n - m + f = 2."""
     root = {}
     for v, row in enumerate(rows):
-        if row is not None and v not in root:
+        if v not in root:
             root[v] = v
             todo = [v]
             while todo:
@@ -144,8 +150,6 @@ def euler_per_component(rows):
 def euler_part(kind, seed, n):
     if kind == "isolated":
         return [()]
-    if kind == "hole":
-        return [None]
     if kind == "plane":
         return list(plane_subgraph(seed, n).rotation)
     rows = [list(r) for r in generate(GenSpec(seed, n, n)).rotation]
@@ -160,7 +164,7 @@ def euler_part(kind, seed, n):
 @given(
     parts=st.lists(
         st.tuples(
-            st.sampled_from(["plane", "generated", "isolated", "hole", "shuffled"]),
+            st.sampled_from(["plane", "generated", "isolated", "shuffled"]),
             st.integers(0, 2**32 - 1),
             st.integers(4, 30),
         ),
@@ -174,12 +178,12 @@ def test_euler_verdict_per_component(parts, perm_seed):
     union = []
     for kind, seed, n in parts:
         off = len(union)
-        union += [r if r is None else [w + off for w in r] for r in euler_part(kind, seed, n)]
+        union += [[w + off for w in r] for r in euler_part(kind, seed, n)]
     perm = list(range(len(union)))
     random.Random(perm_seed).shuffle(perm)
     rows = [None] * len(union)
     for v, r in enumerate(union):
-        rows[perm[v]] = r if r is None else tuple(perm[w] for w in r)
+        rows[perm[v]] = tuple(perm[w] for w in r)
     try:
         build(rows)
         accepted = True
@@ -230,6 +234,7 @@ def corrupt(rows, kind, rng):
     elif kind == "negative":
         row.insert(pos, rng.randrange(-3, 0))
     elif kind == "none_row":
+        # build names the None row before any fault in an id
         x = rng.randrange(n)
         rows[x] = None
         if x != v and x not in row:
@@ -257,7 +262,7 @@ def outcome(check, rows):
 )
 def test_build_errors_match_reference(kind, seed, n, corruptions):
     # the same first fault, class and message, as the row-by-row check
-    rows = [None if r is None else list(r) for r in euler_part(kind, seed, n)]
+    rows = [list(r) for r in euler_part(kind, seed, n)]
     rng = random.Random(seed)
     for how in corruptions:
         corrupt(rows, how, rng)
@@ -284,7 +289,8 @@ def test_immutability():
 
 def test_accessors():
     g = named("cube")
-    assert (g.n, g.m, g.size) == (8, 12, 8)
+    assert (g.n, g.m) == (8, 12)
+    assert g.vertices() == range(8)
     assert g.degree(0) == 3
     assert g.rotation[0] == (1, 4, 3)
     assert has_edge(g, 0, 4) and not has_edge(g, 0, 7)
@@ -380,7 +386,7 @@ def test_from_faces_cube():
 def test_from_faces_round_trip():
     for name in ("k4", "c4", "cube", "octahedron", "icosahedron"):
         g = named(name)
-        assert from_faces(g.size, trace_faces(g)) == g
+        assert from_faces(g.n, trace_faces(g)) == g
 
 
 def test_from_faces_duplicate_dart():
@@ -395,8 +401,11 @@ def test_from_faces_duplicate_dart():
         (3, [(0, 1.5, 2)], "face vertex 1.5 is not an int id"),
         (3, [(0, [1], 2)], "face vertex [1] is not an int id"),
         (3, [(0, 1, 3)], "face vertex 3 out of range"),
+        (2, [(0,)], "face walk too short: (0,)"),
+        # the walk holds the dart (2, 0), and no face holds its reverse
+        (3, [(0, 1, 2)], "dart (0, 2) lies in no face"),
     ],
-    ids=["str", "float", "list", "range"],
+    ids=["str", "float", "list", "range", "short", "no-reverse"],
 )
 def test_from_faces_malformed_ids(n, faces, message):
     with pytest.raises(EmbeddingError) as info:
@@ -434,7 +443,7 @@ def engine_fill(g):
         # both quad faces need a chord and they cannot pick the same pair
         (named("c4"), 6, 2),
         (named("icosahedron"), 30, 0),
-        (remove_vertices(named("icosahedron"), {0}), 27, 2),
+        (relabel(remove_vertices(named("icosahedron"), {0})), 27, 2),
     ]
     # filling both k-gon faces takes 2(k - 3) distinct chords
     + [(build(cycle_rotations(k)), 3 * k - 6, 2 * (k - 3)) for k in range(4, 14)],
@@ -507,13 +516,16 @@ def test_fill_pinned():
 
 
 def test_remove_vertex_from_icosahedron(icosahedron):
-    g = remove_vertices(icosahedron, {0})
-    assert (g.n, g.m, g.size) == (11, 25, 12)
-    assert g.rotation[0] is None
+    rows = remove_vertices(icosahedron, {0})
+    assert rows[0] is None and len(rows) == 12
+    # the survivors, renumbered, keep their rotations around a 5-hole
+    g = relabel(rows)
+    assert (g.n, g.m) == (11, 25)
+    assert g.rotation[0] == tuple(w - 1 for w in rows[1])
     faces = trace_faces(g)
     assert sorted(len(f) for f in faces) == [3] * 15 + [5]
     hole = next(f for f in faces if len(f) == 5)
-    assert set(hole) == set(icosahedron.rotation[0])
+    assert set(hole) == {w - 1 for w in icosahedron.rotation[0]}
 
 
 def test_remove_absent_vertex(icosahedron):

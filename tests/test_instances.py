@@ -22,7 +22,7 @@ from fivecolor.instances import (
     write,
 )
 
-from conftest import remove_vertices, trace_faces
+from conftest import trace_faces
 
 
 # -- named solids ------------------------------------------------------------
@@ -75,6 +75,8 @@ def test_read_errors():
         ("", "header"),
         ("graph 3\n", "line 1"),
         ("pg x\n", "line 1"),
+        ("pg -1\n", "line 1: negative vertex count -1"),
+        ("x: 1\n", "line 1: expected 'pg <n>', got 'x: 1'"),
         ("pg 2\n0: 1\n", "missing"),
         ("pg 2\n0: 1\n0: 1\n", "twice"),
         ("pg 2\n0: 1\n5: 0\n", "range"),
@@ -92,12 +94,6 @@ def test_read_error_line_numbers():
     with pytest.raises(ParseError) as info:
         read("# x\npg 2\n0: 1\n0: 1\n")
     assert info.value.line_no == 4
-
-
-def test_write_rejects_id_gaps(icosahedron):
-    g = remove_vertices(icosahedron, {3})
-    with pytest.raises(ValueError, match="deleted"):
-        write(g, io.StringIO())
 
 
 # -- splitmix64 --------------------------------------------------------------

