@@ -33,7 +33,7 @@ from .kempe import BadColorPair, BrokenInvariant, DiagonalContradiction
 from .matching import CompletenessBreach, find_reducible
 from .reducer import RunStats, SchemeExhausted, color_planar
 
-# BadColorPair can only come of a corrupt coloring here: the CLI hands the
+# BadColorPair can only come from a corrupt coloring here: the CLI passes the
 # chains no pair of its own.
 TRIPWIRES = (
     BadColorPair,

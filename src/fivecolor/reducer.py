@@ -280,7 +280,7 @@ class _Work:
         stats.probes += index.probes
 
     def ascend(self, stats):
-        """Replay the log backwards; returns colors indexed by vertex, 0 if absent.
+        """Replay the log backwards; returns the colors, indexed by vertex.
 
         A LOW peel ORs 1 << color over its neighbors while it reinserts
         itself and takes SPARE_COLOR's entry for that mask; free_color
