@@ -46,15 +46,17 @@ class EmbeddedGraph:
 
     def __init__(self, rotation):
         rows = []
-        for v, row in enumerate(rotation):
+        append = rows.append
+        for row in rotation:
             try:
-                if isinstance(row, (set, frozenset)):  # no rotation order
+                # a set has no rotation order; `is` keeps this test cheap per row
+                if type(row) is set or type(row) is frozenset:
                     raise TypeError
-                rows.append(tuple(row))
+                append(tuple(row))
             except TypeError:
+                v = len(rows)
                 raise EmbeddingError(f"row of vertex {v} is {row!r}, not a sequence") from None
-        rows = tuple(rows)
-        object.__setattr__(self, "rotation", rows)
+        object.__setattr__(self, "rotation", tuple(rows))
         object.__setattr__(self, "_m", sum(map(len, rows)) // 2)
         _validate(self)
 
@@ -96,13 +98,12 @@ class EmbeddedGraph:
 def build(rotations):
     """Validate a rotation system and wrap it as an EmbeddedGraph.
 
-    Accepts any sequence of neighbor sequences, row v for vertex v, so n
-    rows give the ids 0..n-1; a row that is no sequence (None, a set) is an
-    EmbeddingError.  Raises LoopEdge / DuplicateNeighbor /
-    AsymmetricAdjacency on malformed adjacency and NotPlanarEmbedding when
-    any component violates Euler's formula.  The check takes O(m) time: one
-    dict lookup per dart gives both the reverse of the dart and its face
-    successor.
+    Accepts any sequence of rows, row v a sequence of the neighbors of
+    vertex v (None or a set is an EmbeddingError).  Raises LoopEdge /
+    DuplicateNeighbor / AsymmetricAdjacency on malformed adjacency and
+    NotPlanarEmbedding when any component violates Euler's formula.  The
+    check takes O(m) time: one dict lookup per dart gives both the reverse
+    of the dart and its face successor.
     """
     return EmbeddedGraph(rotations)
 
@@ -299,10 +300,9 @@ def from_faces(n, faces):
         cur = links[start]
         while cur != start:
             cycle.append(cur)
-            try:
-                cur = links[cur]
-            except KeyError:
-                raise EmbeddingError(f"dart ({v}, {cur}) lies in no face") from None
+            if cur not in links:
+                raise EmbeddingError(f"dart ({v}, {cur}) lies in no face")
+            cur = links[cur]
         if len(cycle) != len(links):
             raise EmbeddingError(f"rotation of {v} splits into several cycles")
         rotations.append(cycle)
