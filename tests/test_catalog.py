@@ -14,12 +14,12 @@ import pytest
 
 from fivecolor.catalog import (
     HUB_DEGREES,
-    _hub_scenarios,
     ConfigurationSpec,
     NinePattern,
     TrialSequence,
     ValidationFailure,
     VirtualHub,
+    _hub_scenarios,
     blocked_peel,
     builtin_catalog,
     get_entry,
