@@ -17,10 +17,8 @@ True
 
 from .catalog import (
     ConfigurationSpec,
-    NinePattern,
     TrialSequence,
     ValidationFailure,
-    ValidationReport,
     VirtualHub,
     builtin_catalog,
     get_entry,
@@ -59,7 +57,6 @@ __all__ = [
     "EmbeddingError",
     "GenSpec",
     "LoopEdge",
-    "NinePattern",
     "NotPlanarEmbedding",
     "Occurrence",
     "ParseError",
@@ -71,7 +68,6 @@ __all__ = [
     "UnknownName",
     "UntriangulatableFace",
     "ValidationFailure",
-    "ValidationReport",
     "VirtualHub",
     "audit",
     "build",

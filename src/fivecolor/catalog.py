@@ -12,14 +12,16 @@ A scheme tells the reducer how to spend the fifth color on an occurrence:
 * VirtualHub: a hub of a degree in HUB_DEGREES whose link holds all low
   vertices except three separator slots; candidates are the hub and then
   the leaves.
-* NinePattern: the degree-9 hub with leaf runs of 3 and 2.
 
-validate_entry replays every way a scheme can unfold against worst-case
-degree caps and checks that the rest of H always peels down to vertices
-with at most 4 relevant neighbors, so the later recoloring pass cannot get
-stuck.  Blocked candidates are modeled by a token: a neighbor outside H
-that is known to carry color 5 (it blocked the candidate, and it relaxes
-the peel by one).
+choose_fifth is the reducer's candidate loop: skip a blocked candidate,
+take the first whose removal lets the rest of H peel down to vertices with
+at most 4 relevant neighbors, so the later recoloring pass cannot get
+stuck, and try no fifth color last.  validate_entry runs that same loop
+against worst-case degree caps for every blocked set that can occur: any
+set of vertices with a halfedge, except that a blocked anchor comes with
+both pattern flanks of some gap in its layout.  A blocked vertex carries a
+token: a neighbor outside H that is known to carry color 5 (it blocks the
+vertex, and it relaxes the peel by one).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class TrialSequence:
     order: tuple
 
 
-# The anchor degrees of the parametric hub, each certified by the replay.
+# The anchor degrees of the parametric hub, each certified by validate_entry.
 HUB_DEGREES = (8, 9, 10)
 
 
@@ -42,33 +44,11 @@ class VirtualHub:
     pass
 
 
-@dataclass(frozen=True)
-class NinePattern:
-    pass
-
-
 class ValidationFailure(Exception):
     def __init__(self, entry, scenario, message):
         super().__init__(f"{entry}: {scenario}: {message}")
         self.entry = entry
         self.scenario = scenario
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    label: str
-    status: str  # "ok" or "unreachable"
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    entry: str
-    scenarios: tuple
-
-    @property
-    def reachable(self):
-        return sum(1 for s in self.scenarios if s.status == "ok")
 
 
 @dataclass(frozen=True)
@@ -360,7 +340,7 @@ _CATALOG = (
             (0, _h(3), 5),
             (0, 4, _h(3)),
         ),
-        scheme=NinePattern(),
+        scheme=TrialSequence((0, 1, 2, 3, 4, 5)),
     ),
     # Degree-5 anchor with four consecutive link vertices m, x, y, p (one of
     # them 7-cap, the rest 6-cap) and a second 5-cap B behind m.
@@ -466,7 +446,7 @@ def get_entry(name):
         raise KeyError(f"no catalog entry named {name!r}") from None
 
 
-# -- replay validation -------------------------------------------------------
+# -- the certificate ---------------------------------------------------------
 
 
 def greedy_peel(todo, gone, load):
@@ -474,7 +454,6 @@ def greedy_peel(todo, gone, load):
 
     Each peeled vertex joins `gone` (updated in place), so later loads see
     it.  Returns (order, stuck): stuck is empty iff all of todo peeled.
-    The reducer's select_fifth runs this same loop on the live graph.
     """
     todo = sorted(todo)
     order = []
@@ -491,56 +470,22 @@ def greedy_peel(todo, gone, load):
     return tuple(order), frozenset(todo)
 
 
-def blocked_peel(caps, edges, deleted=(), blocked=None):
-    """Greedy lowest-id peel of a capped pattern.
+def choose_fifth(cands, members, blocked, load):
+    """The candidate loop that reducer.select_fifth and validate_entry run.
 
-    A vertex may be peeled when its cap, minus pattern neighbors already
-    deleted or peeled, minus its blocked tokens (known color-5 neighbors
-    outside the pattern), is at most 4.  Returns (order, stuck): stuck is
-    empty iff everything outside `deleted` peeled.
+    Tries each candidate in order, skipping one for which blocked(cand) is
+    true, and then None: the first whose removal lets the rest of the set
+    `members` peel under greedy_peel with `load` wins.  Returns (candidate
+    or None, peel order), or None when nothing peels.
     """
-    blocked = blocked or {}
-    nbrs = [[] for _ in caps]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-
-    def load(v, gone):
-        return caps[v] - sum(1 for w in nbrs[v] if w in gone) - blocked.get(v, 0)
-
-    gone = set(deleted)
-    return greedy_peel([v for v in range(len(caps)) if v not in gone], gone, load)
-
-
-def _require_full_peel(entry_name, label, caps, edges, deleted, blocked):
-    order, stuck = blocked_peel(caps, edges, deleted, blocked)
-    if stuck:
-        raise ValidationFailure(
-            entry_name, label, f"peel stuck with {sorted(stuck)} remaining"
-        )
-    return order
-
-
-def _validate_trial(e):
-    trial = e.scheme.order
-    # (label, blocked, fifth, reason unreachable): each candidate with the
-    # ones before it blocked, then every candidate blocked and no fifth
-    cases = [
-        (f"fifth={cand}", dict.fromkeys(trial[:i], 1), {cand},
-         "a blocked vertex has no halfedge")
-        for i, cand in enumerate(trial)
-    ]
-    cases.append(
-        ("all-blocked", dict.fromkeys(trial, 1), set(), "a trial vertex has no halfedge")
-    )
-    results = []
-    for label, blocked, fifth, reason in cases:
-        if any(e.halfedges(v) < 1 for v in blocked):
-            results.append(ScenarioResult(label, "unreachable", reason))
+    for cand in [*cands, None]:
+        if cand is not None and blocked(cand):
             continue
-        order = _require_full_peel(e.name, label, e.caps, e.edges, fifth, blocked)
-        results.append(ScenarioResult(label, "ok", "peel " + ",".join(map(str, order))))
-    return results
+        gone = set() if cand is None else {cand}
+        order, stuck = greedy_peel(members - gone, gone, load)
+        if not stuck:
+            return cand, order
+    return None
 
 
 def hub_edges(layout):
@@ -557,91 +502,69 @@ def hub_edges(layout):
     return frozenset(edges)
 
 
-def _hub_scenarios(entry_name, tag, caps, layout):
-    """Replay one hub pattern, hub 0, laid out as hub_edges reads it."""
-    d = len(layout)
-    leaves = sorted(v for v in layout if v is not None)
-    edges = hub_edges(layout)
+def _patterns(e):
+    """(label, caps, edges, layout) for each concrete pattern of an entry.
 
-    # the hub takes the fifth color
-    _require_full_peel(entry_name, f"{tag} fifth=hub", caps, edges, {0}, {})
-
-    # a separator carries color 5: the hub and the separator's link-adjacent
-    # leaves are blocked; some other leaf must take the fifth color
-    for p in range(d):
-        if layout[p] is not None:
-            continue
-        flanks = {layout[p - 1], layout[(p + 1) % d]} - {None}
-        blocked = {0: 1, **{v: 1 for v in flanks}}
-        label = f"{tag} separator@{p}"
-        for cand in leaves:
-            if cand in flanks:
-                continue
-            _, stuck = blocked_peel(caps, edges, {cand}, blocked)
-            if not stuck:
-                break
-        else:
-            raise ValidationFailure(entry_name, label, "no leaf peels the rest")
-
-    # every candidate blocked: no fifth vertex, the whole pattern peels
-    blocked = {0: 1, **{v: 1 for v in leaves}}
-    _require_full_peel(entry_name, f"{tag} all-blocked", caps, edges, set(), blocked)
-
-
-def _run_count(layout):
-    """Number of maximal leaf runs in the cyclic layout."""
-    d = len(layout)
-    runs = sum(
-        1
-        for p in range(d)
-        if layout[p] is not None and layout[(p - 1) % d] is None
-    )
-    return runs if runs else 1
-
-
-def _validate_virtual_hub(e):
-    results = []
+    An entry's own, from its templates; for the hub, one per degree d in
+    HUB_DEGREES and triple of separator positions, leaves 1 .. d - 3 laid
+    in link order.
+    """
+    if not isinstance(e.scheme, VirtualHub):
+        yield "templates", e.caps, e.edges, e.layout
+        return
     for d in HUB_DEGREES:
-        by_runs = {}
         for seps in combinations(range(d), 3):
-            layout = [None] * d
-            nleaf = 0
-            for p in range(d):
-                if p not in seps:
-                    nleaf += 1
-                    layout[p] = nleaf
-            caps = (d,) + (5,) * nleaf
-            _hub_scenarios(e.name, f"d={d} sep={seps}", caps, tuple(layout))
-            runs = _run_count(layout)
-            by_runs[runs] = by_runs.get(runs, 0) + 1
-        detail = ", ".join(
-            f"{by_runs[r]} with {r} leaf run{'s' if r > 1 else ''}"
-            for r in sorted(by_runs)
-        )
-        results.append(ScenarioResult(f"d={d}", "ok", detail))
-    return results
-
-
-def _validate_nine(e):
-    _hub_scenarios(e.name, "d=9", e.caps, e.layout)
-    runs = _run_count(e.layout)
-    return [ScenarioResult("d=9 fixed layout", "ok", f"{runs} leaf runs")]
+            leaves = iter(range(1, d - 2))
+            layout = tuple(None if p in seps else next(leaves) for p in range(d))
+            yield f"d={d} sep={seps}", (d,) + (5,) * (d - 3), hub_edges(layout), layout
 
 
 def validate_entry(e):
-    """Replay every scheme scenario for one entry.
+    """Run choose_fifth on every blocked set of every pattern of an entry.
 
-    Returns a ValidationReport; raises ValidationFailure if any reachable
-    scenario leaves part of the pattern unpeeled.
+    Loads are worst cases: a vertex's cap, less its pattern neighbors gone,
+    less one token if it is blocked.  A blocked set is any set of vertices
+    with a halfedge, under one geometric rule: the anchor's outside
+    neighbors sit in the gaps (None slots) of its layout, and each gap
+    vertex is adjacent to the link vertices on either side of it, so a set
+    that holds the anchor is checked only if it also holds both pattern
+    flanks of some gap.  The set the engine meets is one of these, with
+    loads no higher (more tokens, lower degrees); lower loads only relax a
+    peel, so the candidate that peels here, or an earlier one, peels there.
+    Checking more sets than can occur is therefore still sound.
+
+    Returns the number of blocked sets checked; raises ValidationFailure
+    naming the pattern and the blocked set when that set leaves part of
+    the pattern stuck.
     """
     scheme = e.scheme
-    if isinstance(scheme, TrialSequence):
-        results = _validate_trial(e)
-    elif isinstance(scheme, VirtualHub):
-        results = _validate_virtual_hub(e)
-    elif isinstance(scheme, NinePattern):
-        results = _validate_nine(e)
-    else:
+    if not isinstance(scheme, (TrialSequence, VirtualHub)):
         raise ValidationFailure(e.name, "scheme", f"unknown scheme {scheme!r}")
-    return ValidationReport(e.name, tuple(results))
+    checked = 0
+    for label, caps, edges, layout in _patterns(e):
+        ids = range(len(caps))
+        nbrs = [set() for _ in ids]
+        for a, b in edges:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        cands = scheme.order if isinstance(scheme, TrialSequence) else ids
+        members = frozenset(ids)
+        loose = [v for v in ids if caps[v] > len(nbrs[v])]
+        flanks = [
+            {layout[p - 1], layout[(p + 1) % len(layout)]} - {None}
+            for p, v in enumerate(layout or ())
+            if v is None
+        ]
+        for k in range(len(loose) + 1):
+            for blocked in map(frozenset, combinations(loose, k)):
+                if layout and 0 in blocked and not any(f <= blocked for f in flanks):
+                    continue
+                checked += 1
 
+                def load(v, gone, blocked=blocked):
+                    return caps[v] - len(gone & nbrs[v]) - (v in blocked)
+
+                if choose_fifth(cands, members, blocked.__contains__, load) is None:
+                    what = f"blocked {sorted(blocked)}: every candidate leaves the peel stuck"
+                    raise ValidationFailure(e.name, label, what)
+    return checked

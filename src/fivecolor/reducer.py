@@ -25,9 +25,10 @@ when all four differ does it call kempe.free_color, whose Kempe swap frees
 one.  An occurrence is where color 5 may be spent: its scheme nominates
 candidates in order, a candidate is blocked if it already sees a 5 next
 door, and the chosen one must leave a peel order for the rest of the
-pattern that keeps every later recoloring under four blockers.  The
-catalog validator has checked all of this against worst-case degrees, so
-a failure here is a tripwire, not a recoverable condition.
+pattern that keeps every later recoloring under four blockers.  That loop
+is catalog.choose_fifth, which the catalog certificate runs against
+worst-case degrees on every blocked set, so a failure here is a tripwire,
+not a recoverable condition.
 
 Each occurrence spends at most one 5 and removes at least six vertices, so
 the fifth class never exceeds a sixth of the graph.
@@ -39,7 +40,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .catalog import TrialSequence, builtin_catalog, greedy_peel
+from .catalog import TrialSequence, builtin_catalog, choose_fifth
 from .embedding import UntriangulatableFace, all_darts, face_walks, fill_walk, opened_darts
 from .kempe import SPARE_COLOR, BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
@@ -72,35 +73,33 @@ def select_fifth(rows, occ, colors):
     """Choose who gets color 5 and how the rest of the pattern peels.
 
     Candidates are the images of a trial's order, or of every pattern id
-    ascending for the other schemes (the hub, id 0, first); one is blocked
-    if any current neighbor is already colored 5.  The winner is the first
-    whose removal lets the remaining members peel under
-    catalog.greedy_peel, the loop the validator replays: repeatedly
-    take the lowest vertex with at most 4 live neighbors (not peeled, not
-    the candidate, not colored 5).  Members not yet peeled count although
-    uncolored: the ascent colors the peel in reverse, so they get their
-    colors first.  `colors` is indexed by vertex, 0 for uncolored (a list,
-    or a mapping that has every vertex id).  Returns (candidate or None,
-    peel order).
+    ascending for the hub (id 0, first); one is blocked if any current
+    neighbor is already colored 5, tested only when its turn comes.
+    catalog.choose_fifth, the loop the certificate runs on every blocked
+    set, takes the first whose removal lets the remaining members peel:
+    repeatedly take the lowest vertex with at most 4 live neighbors (not
+    peeled, not the candidate, not colored 5).  Members not yet peeled
+    count although uncolored: the ascent colors the peel in reverse, so
+    they get their colors first.  `colors` is indexed by vertex, 0 for
+    uncolored (a list, or a mapping that has every vertex id).  Returns
+    (candidate or None, peel order).
     """
     scheme = occ.entry.scheme
     order = scheme.order if isinstance(scheme, TrialSequence) else sorted(occ.mapping)
-    cands = [occ.mapping[p] for p in order]
+
+    def blocked(v):
+        return any(colors[w] == 5 for w in rows[v])
 
     def live(v, gone):
         return sum(1 for w in rows[v] if w not in gone and colors[w] != 5)
 
-    for cand in cands + [None]:
-        if cand is not None and any(colors[w] == 5 for w in rows[cand]):
-            continue
-        gone = set() if cand is None else {cand}
-        order, stuck = greedy_peel(occ.vertices - gone, gone, live)
-        if not stuck:
-            return cand, order
-    raise SchemeExhausted(
-        f"{occ.entry.name} at vertex {occ.anchor}: every candidate leaves "
-        f"an unpeelable remainder"
-    )
+    chosen = choose_fifth([occ.mapping[p] for p in order], occ.vertices, blocked, live)
+    if chosen is None:
+        raise SchemeExhausted(
+            f"{occ.entry.name} at vertex {occ.anchor}: every candidate leaves "
+            f"an unpeelable remainder"
+        )
+    return chosen
 
 
 def reduce_once(rows, occ, colors, stats):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from fivecolor import reducer
-from fivecolor.catalog import TrialSequence, builtin_catalog, get_entry, validate_entry
+from fivecolor.catalog import ValidationFailure, builtin_catalog, get_entry, validate_entry
 from fivecolor.cli import loglog_slope, time_ladder
 from fivecolor.discharge import audit
 from fivecolor.embedding import build
@@ -27,6 +27,7 @@ from fivecolor.instances import GenSpec, generate, named
 from fivecolor.kempe import DiagonalContradiction
 from fivecolor.matching import CompletenessBreach, _alignments, find_reducible, match_at
 from fivecolor.reducer import RunStats, check_coloring, color_planar
+from test_catalog import STATES, choose
 from test_reducer import _f2_last
 
 SIZES = (10, 50, 100, 500, 1000, 2000)
@@ -157,42 +158,24 @@ def test_criterion_3_unavoidability(corpus):
 
 
 def test_criterion_4_catalog_certification():
+    # choose_fifth runs on every blocked set the gap rule allows, for every
+    # entry and all 260 hub layouts; the rule is needed, since blocking
+    # hub9's hub alone, which cannot happen, leaves no candidate
     problems = []
-    reports = {e.name: validate_entry(e) for e in ENTRIES}
+    states = {}
     for e in ENTRIES:
-        rep = reports[e.name]
-        if not isinstance(e.scheme, TrialSequence):
-            continue
-        labels = [s.label for s in rep.scenarios]
-        want = [f"fifth={t}" for t in e.scheme.order] + ["all-blocked"]
-        if labels != want:
-            problems.append(f"{e.name}: scenarios {labels}")
-        for s in rep.scenarios[:-1]:
-            if s.status != "ok":
-                problems.append(f"{e.name}: {s.label} {s.status}")
-        blocked = rep.scenarios[-1]
-        # the two wheel entries have a zero-halfedge hub, so their
-        # all-blocked case cannot arise; everywhere else it must replay
-        expect = "unreachable" if e.family == "f2" else "ok"
-        if blocked.status != expect:
-            problems.append(f"{e.name}: all-blocked {blocked.status}")
-    wheel = reports["wheel-adjacent"]
-    if len(wheel.scenarios) != 5:
-        problems.append("wheel-adjacent scenario count")
-    hub = reports["hub"]
-    want_hub = {
-        "d=8": "8 with 1 leaf run, 32 with 2 leaf runs, 16 with 3 leaf runs",
-        "d=9": "9 with 1 leaf run, 45 with 2 leaf runs, 30 with 3 leaf runs",
-        "d=10": "10 with 1 leaf run, 60 with 2 leaf runs, 50 with 3 leaf runs",
-    }
-    got_hub = {s.label: s.detail for s in hub.scenarios}
-    if got_hub != want_hub:
-        problems.append(f"hub splits {got_hub}")
-    ok = len(reports) == 18 and not problems
+        try:
+            states[e.name] = validate_entry(e)
+        except ValidationFailure as exc:
+            problems.append(str(exc))
+    if states != STATES:
+        problems.append(f"states {states}")
+    if choose(get_entry("hub9"), {0}) is not None:
+        problems.append("hub9 certifies with its hub blocked alone")
+    ok = len(states) == 18 and not problems
     _report(
         4, "catalog-certification", ok,
-        "18 entries pass; trial scenarios with all-blocked; hub splits"
-        " 1/2/3 components at d=8,9,10"
+        f"18 entries pass; {sum(states.values())} blocked sets; the gap rule is needed"
         if ok else "; ".join(problems[:4]),
     )
 

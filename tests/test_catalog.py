@@ -1,28 +1,27 @@
-"""Catalog structure and replay validation.
+"""Catalog structure and the certificate: choose_fifth on every blocked set.
 
 Peel orders below were traced by hand against the greedy lowest-id rule
-and frozen.  Run-count distributions for separator placements on a cycle
-come from the standard count of k non-consecutive choices, n/(n-k)*C(n-k,k).
+and frozen.
 """
 
 import contextlib
 import dataclasses
 import hashlib
 import io
+from itertools import combinations
 
 import pytest
 
 from fivecolor.catalog import (
     HUB_DEGREES,
     ConfigurationSpec,
-    NinePattern,
     TrialSequence,
     ValidationFailure,
     VirtualHub,
-    _hub_scenarios,
-    blocked_peel,
     builtin_catalog,
+    choose_fifth,
     get_entry,
+    greedy_peel,
     hub_edges,
     validate_entry,
 )
@@ -114,116 +113,165 @@ def test_catalog_data_pinned():
     assert hashlib.sha256(repr(data).encode()).hexdigest()[:16] == "3c4cdf479aa1bfe6"
 
 
+# Blocked sets checked per entry: every subset of the vertices with a
+# halfedge, less the sets that block an anchor with a layout but neither
+# pattern flank of any gap.  The hub sums its 260 layouts.
+STATES = {
+    "low": 2,
+    "wheel-adjacent": 32,
+    "wheel-separated": 32,
+    "fan8-23": 56,
+    "fan8-24": 44,
+    "fan8-25": 56,
+    "fan8-34": 46,
+    "fan6-z1": 56,
+    "fan6-z2": 64,
+    "fan6-z3": 64,
+    "hub": 38483,
+    "hub9": 62,
+    "ring-m": 40,
+    "ring-x": 40,
+    "ring-y": 40,
+    "ring-p": 40,
+    "twin-1": 40,
+    "twin-2": 40,
+}
+
+
+@pytest.fixture(scope="module")
+def states():
+    return {e.name: validate_entry(e) for e in builtin_catalog()}
+
+
+def cap_load(caps, edges, blocked=()):
+    """The certificate's load: cap, less pattern neighbors gone, less a token if blocked."""
+
+    def load(v, gone):
+        gone_nbrs = sum(1 for a, b in edges if v in (a, b) and a + b - v in gone)
+        return caps[v] - gone_nbrs - (v in blocked)
+
+    return load
+
+
+def choose(e, blocked=(), order=None):
+    """choose_fifth on an entry's own pattern at cap loads, with `blocked` tokens."""
+    order = e.scheme.order if order is None else order
+    members = frozenset(range(len(e.caps)))
+    load = cap_load(e.caps, e.edges, blocked)
+    return choose_fifth(order, members, set(blocked).__contains__, load)
+
+
+def spec(e, rotations=None, order=None):
+    """A copy of entry e with other templates or another trial order."""
+    scheme = e.scheme if order is None else TrialSequence(order)
+    return ConfigurationSpec(e.name, e.family, e.exact, rotations or e.rotations, scheme)
+
+
 def test_catalog_validate_pinned():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["catalog", "validate"]) == 0
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest[:16] == "84a5a2d44259ca3c"
+    want = "".join(f"{name} PASS states={n}\n" for name, n in STATES.items())
+    assert out.getvalue() == want + "catalog ok (18 entries)\n"
 
 
-def test_catalog_validate_reports_pinned():
-    # every scenario's label, status and detail; re-pinned when low's scheme
-    # became an empty trial, which moved only low's one scenario from
-    # ("recolor", "ok", "degree cap 4") to ("all-blocked", "ok", "peel 0")
-    reports = [
-        (r.entry, [(s.label, s.status, s.detail) for s in r.scenarios])
-        for r in map(validate_entry, builtin_catalog())
-    ]
-    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
-    assert digest[:16] == "0139ed2ffea523cf"
+def test_catalog_validate_reports_pinned(states):
+    # validate_entry reports how many blocked sets it checked
+    assert states == STATES
+    assert sum(STATES.values()) == 39237
 
 
-# -- blocked_peel ------------------------------------------------------------
+# -- blocked peels ------------------------------------------------------------
 
 
 def test_blocked_peel_wheel_hub_candidate():
+    # rim 1, 2 and 3 blocked: the trial falls through to the hub
     e = get_entry("wheel-adjacent")
-    order, stuck = blocked_peel(e.caps, e.edges, {0}, {1: 1, 2: 1, 3: 1})
-    assert order == (3, 2, 4, 5, 1)
-    assert not stuck
+    assert choose(e, {1, 2, 3}) == (0, (3, 2, 4, 5, 1))
 
 
 def test_blocked_peel_wheel_first_candidate():
     e = get_entry("wheel-adjacent")
-    order, stuck = blocked_peel(e.caps, e.edges, {1}, {})
-    assert order == (0, 5, 4, 3, 2)
-    assert not stuck
+    assert choose(e) == (1, (0, 5, 4, 3, 2))
 
 
 def test_blocked_peel_stuck():
     caps = (9, 5, 5)
     edges = {(0, 1), (0, 2)}
-    order, stuck = blocked_peel(caps, edges)
+    order, stuck = greedy_peel(range(3), set(), cap_load(caps, edges))
     assert order == ()
     assert stuck == {0, 1, 2}
 
 
 def test_blocked_peel_tokens_relax():
     caps = (5,)
-    assert blocked_peel(caps, set())[1] == {0}
-    assert blocked_peel(caps, set(), blocked={0: 1}) == ((0,), frozenset())
+    assert greedy_peel([0], set(), cap_load(caps, set()))[1] == {0}
+    assert greedy_peel([0], set(), cap_load(caps, set(), {0})) == ((0,), frozenset())
+
+
+def test_choose_fifth_skips_blocked_and_tries_none_last():
+    calls = []
+
+    def blocked(v):
+        calls.append(v)
+        return v != 2
+
+    # candidates are tested for blocking one at a time, only until one wins
+    load = cap_load((4, 4, 4), set())
+    assert choose_fifth([0, 1, 2, 0], {0, 1, 2}, blocked, load) == (2, (0, 1))
+    assert calls == [0, 1, 2]
+    # every candidate blocked: no fifth color, the whole set peels
+    assert choose_fifth([0, 1], {0, 1, 2}, lambda v: True, load) == (None, (0, 1, 2))
+    assert choose_fifth([0, 1], {0, 1, 2}, lambda v: True, cap_load((5, 4, 4), set())) is None
 
 
 # -- validation --------------------------------------------------------------
 
 
-def test_validate_all_entries():
-    reports = tuple(validate_entry(e) for e in builtin_catalog())
-    assert len(reports) == len(EXPECTED_NAMES)
-    assert [r.entry for r in reports] == EXPECTED_NAMES
+def test_validate_all_entries(states):
+    assert list(states) == EXPECTED_NAMES
+    assert all(n > 0 for n in states.values())
 
 
-def test_wheel_has_four_reachable_scenarios():
-    # the hub's neighbors are all in the pattern, so "every trial vertex
-    # blocked" cannot happen; the other four scenarios must replay
+def test_wheel_has_four_reachable_scenarios(states):
+    # the hub's neighbors are all in the pattern, so it is never blocked
+    # and "every trial vertex blocked" cannot happen: the blocked sets are
+    # the subsets of the rim, and each of the four candidates wins on some
     for name in ("wheel-adjacent", "wheel-separated"):
-        report = validate_entry(get_entry(name))
-        assert report.reachable == 4
-        by_label = {s.label: s for s in report.scenarios}
-        assert by_label["all-blocked"].status == "unreachable"
-        assert by_label["fifth=0"].status == "ok"
+        e = get_entry(name)
+        assert e.halfedges(0) == 0
+        assert states[name] == 2**5
+        winners = {choose(e, b)[0] for k in range(6) for b in combinations(range(1, 6), k)}
+        assert winners == set(e.scheme.order)
 
 
 def test_trial_scenario_peels_frozen():
-    report = validate_entry(get_entry("wheel-adjacent"))
-    by_label = {s.label: s for s in report.scenarios}
-    assert by_label["fifth=1"].detail == "peel 0,5,4,3,2"
-    assert by_label["fifth=0"].detail == "peel 3,2,4,5,1"
+    # each candidate of wheel-adjacent with the ones before it blocked
+    e = get_entry("wheel-adjacent")
+    assert [choose(e, e.scheme.order[:i]) for i in range(4)] == [
+        (1, (0, 5, 4, 3, 2)),
+        (2, (0, 3, 4, 5, 1)),
+        (3, (0, 2, 4, 5, 1)),
+        (0, (3, 2, 4, 5, 1)),
+    ]
 
 
 def test_all_blocked_reachable_elsewhere():
-    for name in EXPECTED_NAMES:
-        e = get_entry(name)
+    # off the wheels every trial vertex has a halfedge, so all of them can
+    # be blocked at once (with every other such vertex, which blocks both
+    # flanks of every gap); then no fifth color is spent and all of H peels
+    for e in builtin_catalog():
         if not isinstance(e.scheme, TrialSequence) or e.family == "f2":
             continue
-        report = validate_entry(e)
-        by_label = {s.label: s for s in report.scenarios}
-        assert by_label["all-blocked"].status == "ok", name
-
-
-def test_virtual_hub_run_distribution():
-    report = validate_entry(get_entry("hub"))
-    details = {s.label: s.detail for s in report.scenarios}
-    assert details["d=8"] == (
-        "8 with 1 leaf run, 32 with 2 leaf runs, 16 with 3 leaf runs"
-    )
-    assert details["d=9"] == (
-        "9 with 1 leaf run, 45 with 2 leaf runs, 30 with 3 leaf runs"
-    )
-    assert details["d=10"] == (
-        "10 with 1 leaf run, 60 with 2 leaf runs, 50 with 3 leaf runs"
-    )
-
-
-def test_nine_pattern_report():
-    report = validate_entry(get_entry("hub9"))
-    assert report.scenarios[0].detail == "2 leaf runs"
+        loose = {v for v in range(len(e.caps)) if e.halfedges(v)}
+        assert set(e.scheme.order) <= loose, e.name
+        fifth, peel = choose(e, loose)
+        assert fifth is None and sorted(peel) == list(range(len(e.caps))), e.name
 
 
 def test_hub_edges_match_the_templates():
-    # the hub rule the matcher and the replay share gives hub9, whose link is
-    # laid like a hub's, the edges its rotation templates name
+    # the hub rule the matcher and the certificate share gives hub9, whose
+    # link is laid like a hub's, the edges its rotation templates name
     hub9 = get_entry("hub9")
     assert hub_edges(hub9.layout) == hub9.edges
 
@@ -243,12 +291,50 @@ def test_validation_catches_bad_entry():
 
 def test_hub_scenarios_catch_a_stuck_separator():
     # hub9 with leaf 5 raised to cap 6: with color 5 on the separator at
-    # position 7, next to leaf 5, no other leaf can take the fifth color
-    # and leave the rest peelable
-    layout = get_entry("hub9").layout
+    # position 7, next to leaf 5, the hub and leaf 5 are blocked, and no
+    # other leaf can take the fifth color and leave the rest peelable
+    e = get_entry("hub9")
+    assert e.rotations[5] == (0, 4, ("h", 3))
     with pytest.raises(ValidationFailure) as info:
-        _hub_scenarios("t", "x", (9, 5, 5, 5, 5, 6), layout)
-    assert str(info.value) == "t: x separator@7: no leaf peels the rest"
+        validate_entry(spec(e, e.rotations[:5] + ((0, 4, ("h", 4)),)))
+    assert str(info.value) == (
+        "hub9: templates: blocked [0, 5]: every candidate leaves the peel stuck"
+    )
+
+
+def test_blocking_the_hub_alone_is_why_the_gap_rule_exists():
+    # a blocked hub sees a 5 on a separator, which blocks that separator's
+    # flanks too; blocked alone, hub9's hub would leave no candidate
+    e = get_entry("hub9")
+    assert choose(e, {0}) is None
+    assert choose(e, {0, 1}) is not None
+
+
+@pytest.mark.parametrize("name, order", [("wheel-adjacent", (2, 3, 0)), ("fan8-23", (0, 2))])
+def test_validation_catches_a_trial_without_its_first_candidate(name, order):
+    e = get_entry(name)
+    assert e.scheme.order[1:] == order
+    with pytest.raises(ValidationFailure, match="blocked \\[\\]: every candidate"):
+        validate_entry(spec(e, order=order))
+
+
+@pytest.mark.parametrize(
+    "name, v, w, rv, rw, stuck_on",
+    [
+        ("twin-1", 4, 5, (0, 3, ("h", 3)), (3, ("h", 5)), "[]"),
+        ("fan6-z3", 1, 5, (0, ("h", 3), 2), (2, ("h", 6)), "[5]"),
+    ],
+)
+def test_validation_catches_a_lost_template_edge(name, v, w, rv, rw, stuck_on):
+    # the templates without the edge v-w still pass the shape check
+    e = get_entry(name)
+    rotations = list(e.rotations)
+    rotations[v], rotations[w] = rv, rw
+    lost = spec(e, tuple(rotations))
+    assert lost.edges == e.edges - {(v, w)}
+    with pytest.raises(ValidationFailure) as info:
+        validate_entry(lost)
+    assert str(info.value).startswith(f"{name}: templates: blocked {stuck_on}: ")
 
 
 def test_validation_rejects_an_unknown_scheme():
@@ -280,7 +366,7 @@ def test_scheme_types():
     assert isinstance(get_entry("hub").scheme, VirtualHub)
     assert HUB_DEGREES == (8, 9, 10)
     assert get_entry("hub").degrees == frozenset(HUB_DEGREES)
-    assert isinstance(get_entry("hub9").scheme, NinePattern)
+    assert get_entry("hub9").scheme == TrialSequence((0, 1, 2, 3, 4, 5))
     assert get_entry("ring-y").scheme.order == (3, 2, 0)
 
 
@@ -294,11 +380,10 @@ def test_anchor_degrees_derived():
             assert max(e.degrees) == e.caps[0]
 
 
-def test_empty_trial_certifies_a_low_vertex_only():
-    # with no candidate, only the all-blocked replay runs: one vertex peels
-    # at cap 4 and sticks at cap 5
-    (scenario,) = validate_entry(get_entry("low")).scenarios
-    assert (scenario.label, scenario.status, scenario.detail) == ("all-blocked", "ok", "peel 0")
+def test_empty_trial_certifies_a_low_vertex_only(states):
+    # with no candidate, the empty and the full blocked set run: one vertex
+    # peels at cap 4 and sticks at cap 5
+    assert states["low"] == 2
     five = ConfigurationSpec("five", "f1", frozenset(), ((("h", 5),),), TrialSequence(()))
-    with pytest.raises(ValidationFailure, match="stuck with \\[0\\]"):
+    with pytest.raises(ValidationFailure, match="five: templates: blocked \\[\\]: "):
         validate_entry(five)

@@ -16,7 +16,7 @@ import pytest
 import fivecolor
 from fivecolor import cli
 from fivecolor.cli import main
-from fivecolor.instances import GenSpec, generate, icosphere, named, read, write
+from fivecolor.instances import GenSpec, ParseError, generate, icosphere, named, read, write
 from fivecolor.matching import CompletenessBreach
 from fivecolor.reducer import RunStats, color_planar
 
@@ -110,6 +110,37 @@ def test_verify_rejects_a_malformed_line(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: line 2: expected '<vertex> <color>'\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # every vertex of k4 is colored properly; the extra lines name ids
+        # the graph lacks
+        ("0 1\n1 2\n2 3\n3 4\n99 1\n-5 2\n", "line 5: vertex 99 is not in the graph (ids 0..3)"),
+        ("0 1\n1 2\n2 3\n3 4\n-5 2\n", "line 5: vertex -5 is not in the graph (ids 0..3)"),
+        # a repeated id would silently keep its last color
+        ("0 1\n1 2\n2 3\n3 4\n0 2\n", "line 5: vertex 0 is colored twice"),
+    ],
+)
+def test_verify_rejects_ids_outside_the_graph_and_repeats(
+    tmp_path, monkeypatch, capsys, text, message
+):
+    gpath = graph_file(tmp_path, "k4")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["verify", gpath]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_coloring_parse_errors_carry_the_line(tmp_path):
+    cpath = tmp_path / "coloring.txt"
+    for text, line_no in (("0 1\n1 2 3\n", 2), ("# c\n\n7 1\n", 3)):
+        cpath.write_text(text)
+        with pytest.raises(ParseError) as info:
+            cli._read_coloring(str(cpath), 4)
+        assert info.value.line_no == line_no
 
 
 def test_verify_flags_conflicts(tmp_path, capsys):
