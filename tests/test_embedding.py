@@ -490,26 +490,37 @@ def test_fill_walk_triangulates_and_undoes(seed, n):
     assert rows == [list(r) for r in g.rotation]
 
 
-def filled_and_colored(g):
-    """What the engine's fill and color_planar() make of g, as plain data."""
-    work = engine_fill(g)
-    filled = (work.rows, work.log)
-    stats = RunStats()
-    colors = color_planar(g, stats)
-    return filled, sorted(colors.items()), pinned_counters(stats)
-
-
-def test_fill_pinned():
-    # the chords and their insertion positions decide the colorings and
-    # the undo log; any drift in hole filling changes this digest
+def _fill_graphs():
     graphs = [
         plane_subgraph(s, n) for s in range(5) for n in (6, 9, 14, 25, 50, 100, 300)
     ]
     for k in (1, 2, 3, 4, 7, 20):
         graphs += [build(star_rotations(k)), build(path_rotations(k))]
     graphs += [build(cycle_rotations(k)) for k in (3, 4, 5, 9, 20)]
-    grid = [filled_and_colored(g) for g in graphs]
-    assert hashlib.sha256(repr(grid).encode()).hexdigest()[:16] == "d4fec4ddd7914a3a"
+    return graphs
+
+
+def _digest(data):
+    return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
+
+
+def test_fill_pinned():
+    # the chords of a whole-graph fill and their insertion positions; any
+    # drift in how fill_walk cuts a face changes this digest
+    filled = []
+    for g in _fill_graphs():
+        work = engine_fill(g)
+        filled.append((work.rows, work.log))
+    assert _digest(filled) == "2886c90a0182ca53"
+
+
+def test_fill_colorings_pinned():
+    # what color_planar makes of the same graphs: colorings and counters
+    runs = []
+    for g in _fill_graphs():
+        stats = RunStats()
+        runs.append((sorted(color_planar(g, stats).items()), pinned_counters(stats)))
+    assert _digest(runs) == "73a7c934dca6c1ca"
 
 
 # -- remove_vertices ---------------------------------------------------------

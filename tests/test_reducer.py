@@ -712,17 +712,42 @@ def test_occurrence_descents_pinned(monkeypatch, order, digest):
     assert coloring_digest([icosphere(3), _shaped(1), _shaped(2)]) == digest
 
 
-def test_descent_log_pinned():
-    # the undo log and the saved rows of whole descents: peels at every
-    # degree (with the 4-holes' chords), the initial fill of long faces, and
-    # occurrence blocks with their holes; any drift in which records are
-    # written, or in their order, changes this digest
-    graphs = [generate(GenSpec(7, 2000, 4000)), icosphere(3)]
-    graphs += [build(rot(300)) for rot in (star_rotations, path_rotations, cycle_rotations)]
-    graphs += [plane_subgraph(s, 300) for s in range(4)]
+def _descent_log_digest(graphs):
+    """sha256 over the undo log and saved rows of each graph's descent."""
     h = hashlib.sha256()
     for g in graphs:
         work = reducer._Work(g)
         work.descend(RunStats())
         h.update(repr((work.log, work.saved)).encode())
-    assert h.hexdigest()[:16] == "450bbbdab7e7ee19"
+    return h.hexdigest()[:16]
+
+
+def _icosphere_less_an_edge():
+    """icosphere(3) without the first edge joining two degree-6 vertices.
+
+    Not triangulated, but of minimum degree 5, so its descent fills the
+    one 4-face at the first scan, before any deletion.
+    """
+    rows = [list(r) for r in icosphere(3).rotation]
+    u, w = next((u, w) for u, r in enumerate(rows) if len(r) == 6 for w in r if len(rows[w]) == 6)
+    rows[u].remove(w)
+    rows[w].remove(u)
+    return build(rows)
+
+
+def test_descent_log_pinned():
+    # the undo log and the saved rows of descents that meet no face longer
+    # than a triangle before their first scan: peels at every degree (with
+    # the 4-holes' chords), occurrence blocks with their holes, and one
+    # fill before any deletion; any drift in which records are written, or
+    # in their order, changes this digest
+    graphs = [generate(GenSpec(7, 2000, 4000)), icosphere(3), _icosphere_less_an_edge()]
+    assert _descent_log_digest(graphs) == "74bc16753bcd3752"
+
+
+def test_descent_log_pinned_sparse():
+    # the same for inputs with long faces that peel before their first
+    # scan (or never scan): stars, paths, cycles and plane subgraphs
+    graphs = [build(rot(300)) for rot in (star_rotations, path_rotations, cycle_rotations)]
+    graphs += [plane_subgraph(s, 300) for s in range(4)]
+    assert _descent_log_digest(graphs) == "a3f6dfd34a5dee3c"
