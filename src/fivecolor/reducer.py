@@ -209,8 +209,7 @@ class _Work:
         size = len(rows)
         alive = size
         unmarked = []  # deleted since the last scan; their rows go to index.changed
-        if not self.triangulated:
-            self._fill_from(all_darts(rows), stats)
+        filled = self.triangulated
         self._push_low(range(size))
         while alive > 3:
             if heap:
@@ -220,6 +219,10 @@ class _Work:
                     continue
                 doomed, tag = (v,), _LOW
             else:
+                if not filled:
+                    # fill only raises degrees, so the heap stays empty
+                    self._fill_from(all_darts(rows), stats)
+                    filled = True
                 for v in unmarked:
                     index.changed.update(saved[v])
                 unmarked.clear()
@@ -254,7 +257,7 @@ class _Work:
                 self._push_low(boundary | self._fill_from(darts, stats))
                 continue
             stats.f1_steps += 1
-            if d == 4:
+            if d == 4 and filled:
                 # the hole is the link p q r s in rotation order: fill_walk's
                 # first cut is the chord p-r into the corner at q, or if p-r
                 # is an edge already, q-s into the corner at r

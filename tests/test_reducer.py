@@ -750,4 +750,4 @@ def test_descent_log_pinned_sparse():
     # scan (or never scan): stars, paths, cycles and plane subgraphs
     graphs = [build(rot(300)) for rot in (star_rotations, path_rotations, cycle_rotations)]
     graphs += [plane_subgraph(s, 300) for s in range(4)]
-    assert _descent_log_digest(graphs) == "a3f6dfd34a5dee3c"
+    assert _descent_log_digest(graphs) == "b2077bceec3f9308"
