@@ -1,12 +1,13 @@
 """Five-coloring of planar graphs with a small fifth color class.
 
 The package takes a planar graph as a combinatorial embedding (a
-rotation system), triangulates it, and colors it with five colors so
-that color 5 lands on at most one sixth of the vertices.  The engine
-peels low-degree vertices, reduces catalog configurations when the
-minimum degree reaches five, and recolors with Kempe chains on the way
-back up.  An exact-rational discharging audit certifies that the
-catalog leaves no minimum-degree-5 graph unmatched.
+rotation system) and colors it with five colors so that color 5 lands
+on at most one sixth of the vertices.  The engine peels low-degree
+vertices, triangulates what is left the first time the minimum degree
+reaches five, reduces catalog configurations from then on, and recolors
+with Kempe chains on the way back up.  An exact-rational discharging
+audit certifies that the catalog leaves no minimum-degree-5 graph
+unmatched.
 
 >>> from fivecolor import named, color_planar, check_coloring
 >>> g = named("icosahedron")

@@ -4,15 +4,23 @@ Descent deletes vertices until at most three remain: degree-4-or-less
 vertices straight off a heap, smallest degree first (fewer of them then
 need a Kempe swap on the way back), and once the minimum degree reaches 5 a
 catalog occurrence as one block.  One deletion loop serves both: a peel
-is a block of one vertex.  Every hole is re-triangulated on the spot and
-every mutation is logged, so the ascent can replay the log backwards and
-color each vertex the moment its full neighborhood is back.  The log is
-one flat list of ints (records laid out in _Work), so the descent leaves
-the cyclic garbage collector almost nothing to track.  Only walks that can
-need chords are traced: the input's faces only when its edge count shows a
-face longer than a triangle, and after an occurrence only the holes, from
-the darts its deletion opens.  A degree-4 peel leaves a 4-hole along its
-link and places the one chord itself, the one fill_walk's first cut would.
+is a block of one vertex.  Every mutation is logged, so the ascent can
+replay the log backwards and color each vertex the moment its full
+neighborhood is back.  The log is one flat list of ints (records laid out
+in _Work), so the descent leaves the cyclic garbage collector almost
+nothing to track.
+
+Only the catalog search needs triangles; a vertex of degree 4 or less
+takes a color on the way back in any plane graph.  So the peels work on
+the graph as given until the heap first runs dry, and only then, just
+before the first scan, does the descent fill the faces of what is left,
+and only when the input's edge count shows a face longer than a triangle.
+Inputs that peel away, such as stars, paths and trees, are never filled.
+From the fill on every hole is re-triangulated on the spot: a degree-4
+peel leaves a 4-hole along its link and places the one chord itself, the
+one fill_walk's first cut would, and after an occurrence only the holes
+are traced, from the darts its deletion opens.
+
 The occurrence search is incremental: the descent records each vertex
 whose row it changes, and a matching.ScanIndex re-probes only the anchors
 near those vertices, with the same result as a scan of the whole graph.
@@ -66,7 +74,7 @@ class RunStats:
     chain_swaps: int = 0
     chain_verts: int = 0  # summed sizes of the sets kempe.chain returned
     probes: int = 0  # match_at calls by the scans, on the alignments degrees allow
-    walk_darts: int = 0  # darts on the face walks the descent traced for holes
+    walk_darts: int = 0  # darts on the walks traced: the fill at the first scan, then holes
 
 
 def select_fifth(rows, occ, colors):
@@ -144,17 +152,19 @@ class _Work:
     still gone.
 
     descend writes both deletion tags from one loop, a peel being a block
-    of one vertex.  A 4-hole gets its chord inline, at the positions and
-    with the record fill_walk's first cut gives; longer holes go through
-    fill_walk.  Deleted vertices wait in a list, and their saved rows reach
-    index.changed just before the next find_reducible, which is the first
-    time the index reads it.
+    of one vertex.  Peels before the first scan leave their holes open, and
+    the faces are filled once, just before that scan.  After it a 4-hole
+    gets its chord inline, at the positions and with the record fill_walk's
+    first cut gives; longer holes go through fill_walk.  Deleted vertices
+    wait in a list, and their saved rows reach index.changed just before
+    the next find_reducible, which is the first time the index reads it.
     """
 
     def __init__(self, g):
         self.rows = [list(r) for r in g.rotation]
         # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
-        # so the initial fill has nothing to do.  A component on k vertices
+        # so the fill at the first scan has nothing to do, and every 4-hole
+        # takes its chord from the first peel on.  A component on k vertices
         # has at most 3k - 3 edges, equality only at k = 1, so over c
         # components m <= 3n - 3c, and m = 3n - 6 with n >= 3 forces c = 1.
         # Connected, it has f = 2 - n + m = 2n - 4 faces, every walk has

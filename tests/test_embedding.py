@@ -429,7 +429,11 @@ def test_from_faces_isolated_vertex():
 
 
 def engine_fill(g):
-    """The reducer's _Work for g after its initial fill, before any deletion."""
+    """The reducer's _Work for g with every face filled and nothing deleted.
+
+    The descent makes this fill just before its first scan, so on an input
+    with no vertex of degree 4 or less it is the descent's first step.
+    """
     work = reducer._Work(g)
     if not work.triangulated:
         work._fill_from(all_darts(work.rows), RunStats())

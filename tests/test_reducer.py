@@ -14,7 +14,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fivecolor import matching, reducer
@@ -379,25 +379,30 @@ def test_f2_last_runs_hub9(monkeypatch):
     assert sizes[5] == stats.fifth_assigned
 
 
-def _icosphere_minus_edge():
-    # the initial fill puts the edge 0-42 back; no vertex is peeled before
-    # the first scan, so nothing but the fill's log records 0 and 42
-    rows = [list(r) for r in icosphere(2).rotation]
-    rows[0].remove(42)
-    rows[42].remove(0)
+def _icosphere_minus_edge(k):
+    """icosphere(k) without the first edge joining two degree-6 vertices.
+
+    Not triangulated, but of minimum degree 5: no vertex is peeled before
+    the first scan, and the fill there puts the edge back before any
+    deletion, so nothing but the fill's log records its two ends.
+    """
+    rows = [list(r) for r in icosphere(k).rotation]
+    u, w = next((u, w) for u, r in enumerate(rows) if len(r) == 6 for w in r if len(rows[w]) == 6)
+    rows[u].remove(w)
+    rows[w].remove(u)
     return build(rows)
 
 
 @pytest.mark.parametrize(
     "g",
-    [_icosphere_minus_edge(), generate(GenSpec(seed=22, n=400, flips=800))],
+    [_icosphere_minus_edge(2), generate(GenSpec(seed=22, n=400, flips=800))],
     ids=["icosphere-2-minus-edge", "random-400"],
 )
 def test_descent_records_every_row_change(monkeypatch, g):
     # the index re-probes only near recorded vertices, so every live row
     # that changed since the previous scan (since the start, at the first)
     # must have been recorded.  Chord endpoints are also the removed
-    # vertices' neighbors, except in the initial fill
+    # vertices' neighbors, except in the fill at the first scan
     scan = reducer.find_reducible
     before = [g.rotation]
 
@@ -522,7 +527,7 @@ def test_opened_darts_trace_ball_holes(seed, kind, radius):
 
 
 def _guard(g):
-    """The reducer skips the initial fill; check that nothing needed it."""
+    """The reducer skips the fill of the faces; check that nothing needed it."""
     skip = reducer._Work(g).triangulated
     assert skip == (g.m == 3 * g.n - 6)
     triangles = all(len(f) == 3 for f in trace_faces(g))
@@ -581,11 +586,78 @@ def test_walk_darts_stay_linear(monkeypatch, g, order):
 
 
 def test_walk_darts_zero_on_triangulated_input():
-    # m = 3n - 6 skips the initial trace, and low peels fill their link
+    # m = 3n - 6 skips the fill at the first scan (this descent has none),
+    # and low peels fill their link
     stats = RunStats()
     g = generate(GenSpec(1, 800, 1600))
     check_coloring(g, color_planar(g, stats))
     assert stats.f1_steps > 0 and stats.walk_darts == 0
+
+
+def _random_tree(seed, n):
+    """A random tree on n vertices; any rotation of a tree is plane."""
+    rng = random.Random(seed)
+    rows = [[] for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        rows[u].append(v)
+        rows[v].append(u)
+    for row in rows:
+        rng.shuffle(row)
+    return build(rows)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build(star_rotations(1999)),
+        build(path_rotations(2000)),
+        build(cycle_rotations(2000)),
+        _random_tree(5, 2000),
+    ],
+    ids=["star", "path", "cycle", "tree"],
+)
+def test_sparse_inputs_never_fill(g):
+    # counters, not time.  These peel down to three vertices, so the
+    # descent never scans and never fills a face: no chord is logged, no
+    # walk traced, and no peel sees four colors on the way back up
+    work = reducer._Work(g)
+    work.descend(RunStats())
+    assert reducer._CHORD not in work.log
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert stats.f1_steps == g.n - 3
+    counters = (stats.scans, stats.chain_swaps, stats.walk_darts, stats.fifth_assigned)
+    assert counters == (0, 0, 0, 0)
+
+
+def _thinned(seed, k):
+    """A seeded minimum-degree-5 triangulation on 162 vertices less k edges."""
+    g = generate(GenSpec(seed, 162, 486, shape_min_degree_5=True))
+    rows = [list(r) for r in g.rotation]
+    for u, w in random.Random(seed).sample(sorted(g.edges()), k):
+        rows[u].remove(w)
+        rows[w].remove(u)
+    return build(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 120),
+    thinned=st.integers(0, 3),
+)
+def test_fill_waits_for_the_first_scan(seed, n, thinned):
+    # plane subgraphs peel away without a scan; a triangulation less one to
+    # three edges peels its degree-4 vertices unfilled, and then either
+    # peels away too or meets its first scan and fills there.  Either way
+    # the only walks traced are the fill's and the holes' after it
+    g = _thinned(seed, thinned) if thinned else plane_subgraph(seed, n)
+    assume(g.m < 3 * g.n - 6)
+    stats = RunStats()
+    sizes = check_coloring(g, color_planar(g, stats))
+    assert 6 * sizes[5] <= g.n
+    assert (stats.walk_darts > 0) == (stats.scans > 0)
 
 
 @pytest.mark.parametrize("kind", ["random-2000", "icosphere-4"])
@@ -722,26 +794,13 @@ def _descent_log_digest(graphs):
     return h.hexdigest()[:16]
 
 
-def _icosphere_less_an_edge():
-    """icosphere(3) without the first edge joining two degree-6 vertices.
-
-    Not triangulated, but of minimum degree 5, so its descent fills the
-    one 4-face at the first scan, before any deletion.
-    """
-    rows = [list(r) for r in icosphere(3).rotation]
-    u, w = next((u, w) for u, r in enumerate(rows) if len(r) == 6 for w in r if len(rows[w]) == 6)
-    rows[u].remove(w)
-    rows[w].remove(u)
-    return build(rows)
-
-
 def test_descent_log_pinned():
     # the undo log and the saved rows of descents that meet no face longer
     # than a triangle before their first scan: peels at every degree (with
     # the 4-holes' chords), occurrence blocks with their holes, and one
     # fill before any deletion; any drift in which records are written, or
     # in their order, changes this digest
-    graphs = [generate(GenSpec(7, 2000, 4000)), icosphere(3), _icosphere_less_an_edge()]
+    graphs = [generate(GenSpec(7, 2000, 4000)), icosphere(3), _icosphere_minus_edge(3)]
     assert _descent_log_digest(graphs) == "74bc16753bcd3752"
 
 
