@@ -26,12 +26,12 @@ moved = sum(ledger.transfers.values())  # in units of 1/UNIT
 print()
 print(f"shaped n={g.n}: {len(ledger.transfers)} transfers moving {Fraction(moved, UNIT)} charge")
 
-report = audit(g)
+# Each positive vertex is evidence that a configuration is nearby; the
+# matcher confirms the graph as a whole contains one, and the audit is
+# consistent only if it does.
+occ = find_reducible(g)
+report = audit(g, matched=occ is not None)
 print("total =", report.total, "positives =", list(report.positives)[:8], "...")
 assert report.total == 12
-
-# Each positive vertex is evidence that a configuration is nearby; the
-# matcher confirms the graph as a whole contains one.
-occ = find_reducible(g)
 print("first occurrence:", occ.entry.family, occ.entry.name, "at", occ.anchor)
 print("audit consistent:", not report.inconsistent)

@@ -19,13 +19,14 @@ degree-5 vertices (rule B): if those four sit consecutively, the two ends
 of the run receive 1/6 each; otherwise each 9-or-more link member whose
 two link flanks are both degree-5 receives 1/3.
 
-Rule A reads four degree classes (<7, 7, 8, 9+) and rule B three (the
-rest, 5, 9+), so a sender's shares depend only on its link's class tuple.
-Each rule therefore has one share table, keyed by class tuple (4^5 and
-3^7 entries), whose entries are the rule's own output: `transfers` rejects
-the senders that send nothing (a 5 with no link degree of 7 or more, a 7
-without exactly four degree-5 neighbors), then reads the others' shares
-from the table, calling the rule only for a key seen for the first time.
+Rule A reads four degree classes (<7, 7, 8, 9+), so a degree-5 sender's
+shares depend only on its link's class tuple.  It therefore has a share
+table, keyed by class tuple (4^5 entries), whose entries are the rule's
+own output: `transfers` rejects the 5s that send nothing (no link degree
+of 7 or more), then reads the others' shares from the table, calling the
+rule only for a key seen for the first time.  Rule B's senders are rare,
+so it has no table: `transfers` rejects the 7s without exactly four
+degree-5 neighbors and calls the rule on the rest.
 
 Every amount is a whole number of units of 1/360 (UNIT = 360 per unit of
 charge), so transfers are counted and settled in ints; Fractions are made
@@ -104,33 +105,15 @@ def _shares_from_seven(degrees):
     return shares
 
 
-# A rule's degree classes, indexed by degree; every larger degree is in the
-# last class.  Rule A reads <7, 7, 8, 9+; rule B the rest, 5, 9+.
+# Rule A's degree classes <7, 7, 8, 9+, indexed by degree; every larger
+# degree is in the last class.
 _FIVE_CLASSES = b"\0\0\0\0\0\0\0\1\2\3"
-_SEVEN_CLASSES = b"\0\0\0\0\0\1\0\0\0\2"
 
-
-def _class_key(classes, degrees):
-    """A link's share-table key: its degree classes as digits, first most significant."""
-    last = len(classes) - 1
-    key = 0
-    for d in degrees:
-        key = key * (classes[last] + 1) + classes[min(d, last)]
-    return key
-
-
-# Each rule's shares by class key, as the rule's (link position, units)
-# pairs in its order.  An entry is filled from the first link seen with
-# its key; the rule reads only the classes, so every such link would give
-# the same shares.
+# Rule A's shares by class key, as the rule's (link position, units) pairs
+# in its order.  An entry is filled from the first link seen with its key;
+# the rule reads only the classes, so every such link would give the same
+# shares.
 _FIVE_SHARES = [None] * 4**5
-_SEVEN_SHARES = [None] * 3**7
-
-
-def _fill(table, rule, key, degrees):
-    """Enter rule's shares on a link of the given degrees as table[key]."""
-    shares = table[key] = tuple(rule(degrees).items())
-    return shares
 
 
 def transfers(g):
@@ -144,7 +127,7 @@ def transfers(g):
         d = degree[v]
         if d == 5:
             p, q, r, s, t = link
-            # _class_key, inline: base 4, so two bits a digit
+            # the link's classes as base-4 digits, first most significant
             key = (
                 a[degree[p]] << 8 | a[degree[q]] << 6 | a[degree[r]] << 4
                 | a[degree[s]] << 2 | a[degree[t]]
@@ -153,15 +136,13 @@ def transfers(g):
                 continue
             shares = _FIVE_SHARES[key]
             if shares is None:
-                shares = _fill(_FIVE_SHARES, _shares_from_five, key, [degree[u] for u in link])
+                degrees = [degree[u] for u in link]
+                shares = _FIVE_SHARES[key] = tuple(_shares_from_five(degrees).items())
         elif d == 7:
             degrees = [degree[u] for u in link]
             if degrees.count(5) != 4:
                 continue
-            key = _class_key(_SEVEN_CLASSES, degrees)
-            shares = _SEVEN_SHARES[key]
-            if shares is None:
-                shares = _fill(_SEVEN_SHARES, _shares_from_seven, key, degrees)
+            shares = _shares_from_seven(degrees).items()
         else:
             continue
         for i, amount in shares:

@@ -13,13 +13,13 @@ nothing to track.
 Only the catalog search needs triangles; a vertex of degree 4 or less
 takes a color on the way back in any plane graph.  So the peels work on
 the graph as given until the heap first runs dry, and only then, just
-before the first scan, does the descent fill the faces of what is left,
-and only when the input's edge count shows a face longer than a triangle.
-Inputs that peel away, such as stars, paths and trees, are never filled.
-From the fill on every hole is re-triangulated on the spot: a degree-4
-peel leaves a 4-hole along its link and places the one chord itself, the
-one fill_walk's first cut would, and after an occurrence only the holes
-are traced, from the darts its deletion opens.
+before the first scan, does the descent fill the faces of what is left:
+every face when the input's edge count shows a face longer than a
+triangle, else only the faces the peels opened.  Inputs that peel away,
+such as stars, paths, trees and most random triangulations, are never
+filled.  From the fill on every hole is re-triangulated on the spot by
+fill_walk: a degree-4 peel's along its link, and an occurrence's traced
+from the darts its deletion opens.
 
 The occurrence search is incremental: the descent records each vertex
 whose row it changes, and a matching.ScanIndex re-probes only the anchors
@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .catalog import TrialSequence, builtin_catalog, choose_fifth
-from .embedding import UntriangulatableFace, all_darts, face_walks, fill_walk, opened_darts
+from .embedding import all_darts, face_walks, fill_walk, opened_darts
 from .kempe import SPARE_COLOR, BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
 
@@ -153,9 +153,8 @@ class _Work:
 
     descend writes both deletion tags from one loop, a peel being a block
     of one vertex.  Peels before the first scan leave their holes open, and
-    the faces are filled once, just before that scan.  After it a 4-hole
-    gets its chord inline, at the positions and with the record fill_walk's
-    first cut gives; longer holes go through fill_walk.  Deleted vertices
+    the faces are filled once, just before that scan.  After it every hole
+    is filled as soon as it opens, a peel's 4-hole too.  Deleted vertices
     wait in a list, and their saved rows reach index.changed just before
     the next find_reducible, which is the first time the index reads it.
     """
@@ -163,13 +162,14 @@ class _Work:
     def __init__(self, g):
         self.rows = [list(r) for r in g.rotation]
         # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
-        # so the fill at the first scan has nothing to do, and every 4-hole
-        # takes its chord from the first peel on.  A component on k vertices
-        # has at most 3k - 3 edges, equality only at k = 1, so over c
-        # components m <= 3n - 3c, and m = 3n - 6 with n >= 3 forces c = 1.
-        # Connected, it has f = 2 - n + m = 2n - 4 faces, every walk has
-        # length at least 3 (a walk of 2 is a lone edge), and 2m = 3f forces
-        # every face to be a triangle.  With n <= 2 no walk is longer than 2.
+        # so the fill at the first scan need trace only the faces the peels
+        # opened, and one that peels nothing before that scan has nothing to
+        # fill.  A component on k vertices has at most 3k - 3 edges, equality
+        # only at k = 1, so over c components m <= 3n - 3c, and m = 3n - 6
+        # with n >= 3 forces c = 1.  Connected, it has f = 2 - n + m = 2n - 4
+        # faces, every walk has length at least 3 (a walk of 2 is a lone
+        # edge), and 2m = 3f forces every face to be a triangle.  With n <= 2
+        # no walk is longer than 2.
         self.triangulated = g.m == 3 * g.n - 6
         self.heap = []
         self.log = []
@@ -219,7 +219,7 @@ class _Work:
         size = len(rows)
         alive = size
         unmarked = []  # deleted since the last scan; their rows go to index.changed
-        filled = self.triangulated
+        filled = False
         self._push_low(range(size))
         while alive > 3:
             if heap:
@@ -230,8 +230,17 @@ class _Work:
                 doomed, tag = (v,), _LOW
             else:
                 if not filled:
-                    # fill only raises degrees, so the heap stays empty
-                    self._fill_from(all_darts(rows), stats)
+                    # fill only raises degrees, so the heap stays empty.  In a
+                    # triangulation only the peels opened faces, and each one
+                    # has a dart out of a live neighbor of a peeled vertex
+                    if self.triangulated:
+                        starts = dict.fromkeys(
+                            u for v in unmarked for u in saved[v] if rows[u] is not None
+                        )
+                        darts = [(u, w) for u in starts for w in rows[u]]
+                    else:
+                        darts = all_darts(rows)
+                    self._fill_from(darts, stats)
                     filled = True
                 for v in unmarked:
                     index.changed.update(saved[v])
@@ -268,23 +277,8 @@ class _Work:
                 continue
             stats.f1_steps += 1
             if d == 4 and filled:
-                # the hole is the link p q r s in rotation order: fill_walk's
-                # first cut is the chord p-r into the corner at q, or if p-r
-                # is an edge already, q-s into the corner at r
-                p, q, r, s = link
-                if r in rows[p]:
-                    if s in rows[q]:
-                        raise UntriangulatableFace(
-                            f"no chord fits face walk {[s, p, q, r]!r}"
-                        )
-                    p, q, r, s = q, r, s, p
-                row = rows[p]
-                pa = row.index(s)
-                row.insert(pa, r)
-                row = rows[r]
-                pb = row.index(q)
-                row.insert(pb, p)
-                log += (p, pa, r, pb, _CHORD)
+                for a, pa, b, pb in fill_walk(rows, link):
+                    log += (a, pa, b, pb, _CHORD)
             for u in link:
                 r = rows[u]
                 if len(r) <= 4:

@@ -17,6 +17,7 @@ from fivecolor.embedding import (
     all_darts,
     build,
     face_walks,
+    from_faces,
 )
 from fivecolor.kempe import BadColorPair
 from fivecolor.matching import _alignments, _rows_view, match_at
@@ -94,6 +95,42 @@ def trace_faces(g):
         best = min(range(k), key=lambda i: (walk[i], walk[(i + 1) % k]))
         faces.append(tuple(walk[best:] + walk[:best]))
     return tuple(faces)
+
+
+def subdivided(g, k):
+    """A triangulation g with k edges each split by a new degree-4 vertex.
+
+    The new vertex x on edge u-w also joins the two apexes a and b of the
+    triangles beside it, so m = 3n - 6 still holds.  The edges taken are
+    the first in id order whose ends have degree 6 and whose four vertices
+    u, w, a, b are clear of the other edges' four.  On a graph of minimum
+    degree 5 the new vertices peel first, and the survivors keep degree 5
+    or more, so the descent then scans.
+    """
+    faces = list(trace_faces(g))
+    apex = {}  # dart (u, w) -> the face's third vertex
+    for f in faces:
+        for i in range(3):
+            apex[f[i], f[i - 2]] = f[i - 1]
+    used, split = set(), {}
+    for u, w in sorted(g.edges()):
+        around = {u, w, apex[u, w], apex[w, u]}
+        if len(split) < 2 * k and g.degree(u) == g.degree(w) == 6 and not around & used:
+            used |= around
+            split[u, w] = split[w, u] = g.n + len(split) // 2
+    assert len(split) == 2 * k, "too few clear degree-6 edges"
+    out = []
+    for f in faces:
+        for i in range(3):
+            x = split.get((f[i - 1], f[i]))
+            if x is not None:
+                # the triangle f[i-1] f[i] a becomes f[i-1] x a and x f[i] a
+                a = f[i - 2]
+                out += [(f[i - 1], x, a), (x, f[i], a)]
+                break
+        else:
+            out.append(f)
+    return from_faces(g.n + k, out)
 
 
 def has_edge(g, u, v):

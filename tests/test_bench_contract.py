@@ -118,7 +118,7 @@ def test_traced_probes_equal_run_stats(spans):
 @pytest.mark.parametrize(
     "workload, digest",
     [
-        ("random", "e8f964e60ec668d8"),
+        ("random", "f3c5736872acedfb"),
         ("icosphere", "3ac22405bca0a6a4"),
         ("sparse", "76f52129fb77a7b6"),
     ],

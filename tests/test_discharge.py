@@ -17,14 +17,10 @@ from hypothesis import strategies as st
 from fivecolor.discharge import (
     _FIVE_CLASSES,
     _FIVE_SHARES,
-    _SEVEN_CLASSES,
-    _SEVEN_SHARES,
     UNIT,
     AuditReport,
     ChargeLedger,
     SumMismatch,
-    _class_key,
-    _fill,
     _shares_from_five,
     _shares_from_seven,
     audit,
@@ -168,20 +164,17 @@ def test_int_rules_match_fraction_reference():
 def test_share_tables_match_rules():
     # every raw degree vector over a domain that puts every class at every
     # link position: the entry for its class key, whichever link filled it,
-    # is the rule's output on this vector, in values and order
-    cases = [
-        (_FIVE_SHARES, _shares_from_five, _FIVE_CLASSES, itertools.product(range(3, 12), repeat=5)),
-        (_SEVEN_SHARES, _shares_from_seven, _SEVEN_CLASSES, itertools.product((4, 5, 6, 9, 12), repeat=7)),
-    ]
-    assert len(_FIVE_SHARES) + len(_SEVEN_SHARES) == 4**5 + 3**7
-    for table, rule, classes, links in cases:
-        for degrees in links:
-            key = _class_key(classes, degrees)
-            shares = table[key]
-            if shares is None:
-                shares = _fill(table, rule, key, degrees)
-            assert shares == tuple(rule(degrees).items()), degrees
-        assert None not in table
+    # is rule A's output on this vector, in values and order
+    assert len(_FIVE_SHARES) == 4**5
+    for degrees in itertools.product(range(3, 12), repeat=5):
+        key = 0
+        for d in degrees:
+            key = 4 * key + _FIVE_CLASSES[min(d, 9)]
+        shares = _FIVE_SHARES[key]
+        if shares is None:
+            shares = _FIVE_SHARES[key] = tuple(_shares_from_five(degrees).items())
+        assert shares == tuple(_shares_from_five(degrees).items()), degrees
+    assert None not in _FIVE_SHARES
 
 
 def test_octahedron_charges(octahedron):

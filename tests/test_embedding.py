@@ -467,9 +467,10 @@ def test_engine_fill(g, m, chords):
 
 
 def test_fill_walk_raises_without_ear(k4):
-    # every chord of the walk 0 1 2 3 is already an edge of K4
+    # every chord of the walk 0 1 2 3 is already an edge of K4; the message
+    # names the walk as it stood after a whole turn
     rows = [list(r) for r in k4.rotation]
-    with pytest.raises(UntriangulatableFace):
+    with pytest.raises(UntriangulatableFace, match=r"^no chord fits face walk \[3, 0, 1, 2\]$"):
         fill_walk(rows, [0, 1, 2, 3])
     assert rows == [list(r) for r in k4.rotation]
 

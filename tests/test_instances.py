@@ -77,6 +77,7 @@ def test_read_errors():
         ("pg x\n", "line 1"),
         ("pg -1\n", "line 1: negative vertex count -1"),
         ("x: 1\n", "line 1: expected 'pg <n>', got 'x: 1'"),
+        ("pg 2\nx: 1\n", "line 2: bad vertex id 'x'"),
         ("pg 2\n0: 1\n", "missing"),
         ("pg 2\n0: 1\n0: 1\n", "twice"),
         ("pg 2\n0: 1\n5: 0\n", "range"),

@@ -84,6 +84,10 @@ def test_ring_m_on_icosahedron(icosahedron):
     occ = match_at(icosahedron, get_entry("ring-m"), 0)
     assert occ.mapping == {0: 0, 1: 1, 2: 5, 3: 4, 4: 3, 5: 6}
     assert recheck(occ, icosahedron)
+    # without edge 1-5 the layout still fits the anchor's link, but the
+    # hook's ref 5 is on neither side of the anchor in host 1's row
+    rows = [[w for w in r if {v, w} != {1, 5}] for v, r in enumerate(icosahedron.rotation)]
+    assert match_at(build(rows), get_entry("ring-m"), 0) is None
 
 
 def test_twins_on_icosahedron(icosahedron):
