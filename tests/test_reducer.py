@@ -532,7 +532,7 @@ def test_opened_darts_trace_ball_holes(seed, kind, radius):
 
 
 def _guard(g):
-    """The reducer skips the fill of the faces; check that nothing needed it."""
+    """Where the reducer fills only the faces its peels open, check that no other needs it."""
     skip = reducer._Work(g).triangulated
     assert skip == (g.m == 3 * g.n - 6)
     triangles = all(len(f) == 3 for f in trace_faces(g))
@@ -547,7 +547,8 @@ def _guard(g):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60))
 def test_triangulation_guard(seed, n):
     # for n >= 3, m = 3n - 6 holds exactly for the connected graphs whose
-    # every face walk is a triangle, so skipping the trace then fills nothing
+    # every face walk is a triangle, so a fill of only the faces the peels
+    # opened then misses nothing
     g = plane_subgraph(seed, n)
     _guard(g)
     rows = [list(r) for r in g.rotation]
@@ -587,8 +588,8 @@ def test_walk_darts_stay_linear(monkeypatch, g, order):
     # counters, not time.  Tracing from the darts each deletion opens gave
     # 0.91n to 1.13n; tracing every face around the boundary gave about 16n.
     # On the split graphs the first fill traces only the faces round the
-    # peeled vertices' neighbors (863 and 815 darts by default, at n = 646),
-    # where tracing every dart reads about 7n
+    # peeled vertices' neighbors: 863 and 815 darts in all by default at
+    # n = 646, where tracing every dart at that fill would give about 7n
     if order == "f2-last":
         monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
     stats = RunStats()
