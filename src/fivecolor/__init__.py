@@ -3,9 +3,9 @@
 The package takes a planar graph as a combinatorial embedding (a
 rotation system) and colors it with five colors so that color 5 lands
 on at most one sixth of the vertices.  The engine peels low-degree
-vertices, triangulates what is left the first time the minimum degree
-reaches five, reduces catalog configurations from then on, and recolors
-with Kempe chains on the way back up.  An exact-rational discharging
+vertices, reduces a catalog configuration whenever the minimum degree
+reaches five (faces are filled only just before such a scan), and
+recolors with Kempe chains on the way back up.  An exact-rational discharging
 audit certifies that the catalog leaves no minimum-degree-5 graph
 unmatched.
 

@@ -221,31 +221,13 @@ def all_darts(rows):
     return ((u, w) for u, row in enumerate(rows) if row for w in row)
 
 
-def opened_darts(rows, starts, gone):
-    """The darts out of `starts` that lie on a hole once `gone` is deleted.
-
-    (u, x) is one when x stays and its ccw successor y in u's row is in
-    `gone`: the walk through (u, x) came into u along (y, u), so it runs
-    into the hole.  A corner between two staying neighbors keeps its face.
-    Read before the deletion; listed start by start, each row in order.
-    """
-    darts = []
-    for u in starts:
-        row = rows[u]
-        for x, y in zip(row, row[1:] + row[:1]):
-            if y in gone and x not in gone:
-                darts.append((u, x))
-    return darts
-
-
 def face_walks(rows, darts):
     """Yield the face walks through `darts`, as vertex lists.
 
     Each walk starts at the first of `darts` on it, and walks come in that
     order; the dart after (a, b) is (b, w), where w precedes a in the
     rotation of b.  Each dart lies on one walk, and no walk is yielded
-    twice.  Pass all_darts(rows) for every face, or the opened_darts of a
-    deletion for just its holes.
+    twice.  Pass all_darts(rows) for every face.
     """
     seen = set()
     for dart in darts:

@@ -11,15 +11,15 @@ in _Work), so the descent leaves the cyclic garbage collector almost
 nothing to track.
 
 Only the catalog search needs triangles; a vertex of degree 4 or less
-takes a color on the way back in any plane graph.  So the peels work on
-the graph as given until the heap first runs dry, and only then, just
-before the first scan, does the descent fill the faces of what is left:
-every face when the input's edge count shows a face longer than a
-triangle, else only the faces the peels opened.  Inputs that peel away,
-such as stars, paths, trees and most random triangulations, are never
-filled.  From the fill on every hole is re-triangulated on the spot by
-fill_walk: a degree-4 peel's along its link, and an occurrence's traced
-from the darts its deletion opens.
+takes a color on the way back in any plane graph.  So faces are filled
+only just before a scan, and only those that deletions opened since the
+last one: every face at the first scan when the input's edge count shows
+a face longer than a triangle, else the faces round the live neighbors
+of the vertices deleted since (the rows were a triangulation at the last
+scan, or as given, and deletions only merge faces).  Inputs that peel
+away, such as stars, paths, trees and most random triangulations, are
+never filled, and a hole an occurrence leaves stays open while its
+boundary peels.
 
 The occurrence search is incremental: the descent records each vertex
 whose row it changes, and a matching.ScanIndex re-probes only the anchors
@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .catalog import TrialSequence, builtin_catalog, choose_fifth
-from .embedding import all_darts, face_walks, fill_walk, opened_darts
+from .embedding import all_darts, face_walks, fill_walk
 from .kempe import SPARE_COLOR, BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
 
@@ -74,7 +74,7 @@ class RunStats:
     chain_swaps: int = 0
     chain_verts: int = 0  # summed sizes of the sets kempe.chain returned
     probes: int = 0  # match_at calls by the scans, on the alignments degrees allow
-    walk_darts: int = 0  # darts on the walks traced: the fill at the first scan, then holes
+    walk_darts: int = 0  # darts on the walks traced by the fills just before scans
 
 
 def select_fifth(rows, occ, colors):
@@ -152,24 +152,25 @@ class _Work:
     still gone.
 
     descend writes both deletion tags from one loop, a peel being a block
-    of one vertex.  Peels before the first scan leave their holes open, and
-    the faces are filled once, just before that scan.  After it every hole
-    is filled as soon as it opens, a peel's 4-hole too.  Deleted vertices
-    wait in a list, and their saved rows reach index.changed just before
-    the next find_reducible, which is the first time the index reads it.
+    of one vertex.  Holes stay open until the heap runs dry: faces are
+    filled only just before a scan, so every CHORD comes after the last
+    deletion before the next OCC.  Deleted vertices wait in a list, and
+    their saved rows give both the faces to fill and what reaches
+    index.changed just before the next find_reducible, which is the first
+    time the index reads it.
     """
 
     def __init__(self, g):
         self.rows = [list(r) for r in g.rotation]
         # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
-        # so the fill at the first scan need trace only the faces the peels
-        # opened, and one that peels nothing before that scan has nothing to
-        # fill.  A component on k vertices has at most 3k - 3 edges, equality
-        # only at k = 1, so over c components m <= 3n - 3c, and m = 3n - 6
-        # with n >= 3 forces c = 1.  Connected, it has f = 2 - n + m = 2n - 4
-        # faces, every walk has length at least 3 (a walk of 2 is a lone
-        # edge), and 2m = 3f forces every face to be a triangle.  With n <= 2
-        # no walk is longer than 2.
+        # so its first fill, like every later one, need trace only the faces
+        # the peels opened, and one that peels nothing before its first scan
+        # has nothing to fill.  A component on k vertices has at most 3k - 3
+        # edges, equality only at k = 1, so over c components m <= 3n - 3c,
+        # and m = 3n - 6 with n >= 3 forces c = 1.  Connected, it has
+        # f = 2 - n + m = 2n - 4 faces, every walk has length at least 3 (a
+        # walk of 2 is a lone edge), and 2m = 3f forces every face to be a
+        # triangle.  With n <= 2 no walk is longer than 2.
         self.triangulated = g.m == 3 * g.n - 6
         self.heap = []
         self.log = []
@@ -196,21 +197,19 @@ class _Work:
     def _fill_from(self, darts, stats):
         """Re-triangulate the face walks through `darts`, logging every chord.
 
-        Adds the walks' darts to stats.walk_darts and returns the chords'
-        endpoints.
+        Adds the walks' darts to stats.walk_darts and the chords' ends to
+        index.changed.
         """
         # walk first: filling changes the rows the walks are read from
         walks = list(face_walks(self.rows, darts))
         stats.walk_darts += sum(map(len, walks))
-        touched = set()
+        changed = self.index.changed
         for walk in walks:
             if len(walk) >= 4:
                 for a, pa, b, pb in fill_walk(self.rows, walk):
                     self.log += (a, pa, b, pb, _CHORD)
-                    touched.add(a)
-                    touched.add(b)
-        self.index.changed |= touched
-        return touched
+                    changed.add(a)
+                    changed.add(b)
 
     def descend(self, stats):
         rows, heap, log, saved, occs = self.rows, self.heap, self.log, self.saved, self.occs
@@ -218,8 +217,7 @@ class _Work:
         heappop, heappush = heapq.heappop, heapq.heappush
         size = len(rows)
         alive = size
-        unmarked = []  # deleted since the last scan; their rows go to index.changed
-        filled = False
+        unmarked = []  # deleted since the last scan
         self._push_low(range(size))
         while alive > 3:
             if heap:
@@ -229,34 +227,28 @@ class _Work:
                     continue
                 doomed, tag = (v,), _LOW
             else:
-                if not filled:
-                    # fill only raises degrees, so the heap stays empty.  In a
-                    # triangulation only the peels opened faces, and each one
-                    # has a dart out of a live neighbor of a peeled vertex
-                    if self.triangulated:
-                        starts = dict.fromkeys(
-                            u for v in unmarked for u in saved[v] if rows[u] is not None
-                        )
-                        darts = [(u, w) for u in starts for w in rows[u]]
-                    else:
-                        darts = all_darts(rows)
-                    self._fill_from(darts, stats)
-                    filled = True
-                for v in unmarked:
-                    index.changed.update(saved[v])
+                # fill the faces opened since the last scan (occs holds one
+                # occurrence per scan), or since the start if the input was a
+                # triangulation: deletions only merge faces, so each has a
+                # dart out of a live neighbor of a vertex deleted since.  Any
+                # other input has every face filled before its first scan.  A
+                # fill only raises degrees, so the heap stays empty
+                starts = dict.fromkeys(
+                    u for v in unmarked for u in saved[v] if rows[u] is not None
+                )
                 unmarked.clear()
+                if occs or self.triangulated:
+                    darts = [(u, w) for u in starts for w in rows[u]]
+                else:
+                    darts = all_darts(rows)
+                self._fill_from(darts, stats)
+                index.changed.update(starts)
                 stats.scans += 1
                 occ = find_reducible(rows, index)
                 stats.occ_steps[occ.entry.family] += 1
                 log += (len(occs), _OCC)
                 occs.append(occ)
-                gone = occ.vertices
-                doomed, tag = sorted(gone), _DEL
-                boundary = set()
-                for v in doomed:
-                    boundary.update(rows[v])
-                boundary -= gone
-                darts = opened_darts(rows, boundary, gone)
+                doomed, tag = sorted(occ.vertices), _DEL
             # p1 .. pk, v, tag per vertex; a neighbor deleted earlier in the
             # same block is skipped
             for v in doomed:
@@ -273,12 +265,9 @@ class _Work:
                 unmarked.append(v)
             alive -= len(doomed)
             if tag == _DEL:
-                self._push_low(boundary | self._fill_from(darts, stats))
+                self._push_low({u for v in doomed for u in saved[v] if rows[u] is not None})
                 continue
             stats.f1_steps += 1
-            if d == 4 and filled:
-                for a, pa, b, pb in fill_walk(rows, link):
-                    log += (a, pa, b, pb, _CHORD)
             for u in link:
                 r = rows[u]
                 if len(r) <= 4:

@@ -133,6 +133,38 @@ def subdivided(g, k):
     return from_faces(g.n + k, out)
 
 
+def barrel(segments):
+    """A minimum-degree-5 triangulation on 35 * segments + 7 vertices.
+
+    A pole, then rings of sizes 5, 10, 10, 10, 5, 10, 10, 10, 5, ... 5
+    (`segments` times 10, 10, 10, 5), then a pole.  A band between two
+    10-rings is an antiprism; between a 5-ring and a 10-ring each 5-ring
+    vertex sees three consecutive 10-ring vertices.  The inner 5-rings
+    have degree 8: when an occurrence and the peels after it eat the
+    segment on one side, they keep degree 5, so the descent stops at a
+    hole, and the next scan needs a fill first.
+    """
+    sizes = [5] + [10, 10, 10, 5] * segments
+    shifts = [0] + [1, 0, 1, 0] * segments  # 10-rings alternate by half a step
+    rings, n = [], 1
+    for k in sizes:
+        rings.append(range(n, n + k))
+        n += k
+    faces = [(r[i - 1], r[i], 0) for r in rings[:1] for i in range(5)]
+    faces += [(n, r[i], r[i - 1]) for r in rings[-1:] for i in range(5)]
+    for j in range(len(rings) - 1):
+        # zip the two rings together in the order of their angles, in
+        # twentieths of a turn, one triangle per vertex passed
+        upper, lower = rings[j], rings[j + 1]
+        at = [(20 // len(upper) * i + shifts[j], 0, v) for i, v in enumerate(upper)]
+        at += [(20 // len(lower) * i + shifts[j + 1], 1, v) for i, v in enumerate(lower)]
+        last = [upper[-1], lower[-1]]
+        for _, side, x in sorted(at):
+            faces.append((last[1], x, last[0]))
+            last[side] = x
+    return from_faces(n + 1, faces)
+
+
 def has_edge(g, u, v):
     """Whether u is a vertex of g whose row lists v."""
     return 0 <= u < g.n and v in g.rotation[u]

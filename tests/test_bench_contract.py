@@ -119,7 +119,7 @@ def test_traced_probes_equal_run_stats(spans):
     "workload, digest",
     [
         ("random", "f3c5736872acedfb"),
-        ("icosphere", "3ac22405bca0a6a4"),
+        ("icosphere", "bdee13fc4a04fee9"),
         ("sparse", "76f52129fb77a7b6"),
     ],
 )
@@ -130,12 +130,13 @@ def test_workload_colorings_pinned(colored, workload, digest):
 
 
 @pytest.mark.parametrize(
-    "workload, total", [("random", 0), ("icosphere", 62088), ("sparse", 0)]
+    "workload, total", [("random", 0), ("icosphere", 0), ("sparse", 0)]
 )
 def test_workload_walk_darts_pinned(colored, workload, total):
-    # the darts on the face walks the descent traces for holes, summed over
-    # the benchmark's instances at seed 1; walk_darts is not one of the
-    # PINNED_COUNTERS, so the digests above do not cover it
+    # the darts on the face walks the descent's fills trace, summed over
+    # the benchmark's instances at seed 1: none, since random and sparse
+    # never scan and icosphere scans once, before any deletion; walk_darts
+    # is not one of the PINNED_COUNTERS, so the digests above do not cover it
     assert sum(stats.walk_darts for _, stats in colored(workload)) == total
 
 

@@ -20,6 +20,8 @@ from fivecolor.instances import GenSpec, ParseError, generate, icosphere, named,
 from fivecolor.matching import CompletenessBreach
 from fivecolor.reducer import RunStats, color_planar
 
+from conftest import barrel
+
 SRC = Path(fivecolor.__file__).resolve().parents[1]
 CHECKOUT = SRC.parent
 
@@ -203,7 +205,8 @@ def test_match_output_pinned(tmp_path, capsys, g, expected):
 
 
 def test_color_stats_count_probes(monkeypatch, capsys):
-    g = icosphere(2)
+    # a barrel scans once per segment and fills a hole before each later scan
+    g = barrel(2)
     stats = RunStats()
     color_planar(g, stats)
     buf = io.StringIO()

@@ -12,6 +12,7 @@ Outer arcs o0..o12 are vertices 6..18, the far pole is 19.
 import gc
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +27,6 @@ from fivecolor.embedding import (
     face_walks,
     fill_walk,
     from_faces,
-    opened_darts,
 )
 from fivecolor.instances import GenSpec, generate, icosphere, named
 from fivecolor.kempe import BrokenInvariant
@@ -41,10 +41,10 @@ from fivecolor.reducer import (
 )
 
 from conftest import (
+    barrel,
     coloring_digest,
     color_list,
     cycle_rotations,
-    least_rotation,
     path_rotations,
     plane_subgraph,
     recheck,
@@ -279,7 +279,9 @@ _SPLIT_ICOSPHERE, _SPLIT_SHAPED = (subdivided(g, 4) for g in _SPLIT_BASES)
 
 
 @pytest.mark.parametrize(
-    "g", [icosphere(2), _SPLIT_ICOSPHERE], ids=["icosphere-2", "icosphere-3-split-4"]
+    "g",
+    [icosphere(2), _SPLIT_ICOSPHERE, barrel(4)],
+    ids=["icosphere-2", "icosphere-3-split-4", "barrel-4"],
 )
 def test_scan_never_probes_f1(monkeypatch, g):
     # the reducer scans the catalog as written, f1 first, but only once the
@@ -334,23 +336,24 @@ def _f2_last(entries):
     )
 
 
+_BARRELS = [2, 4, 8, 16]
+
+
 @pytest.mark.parametrize("order", ["default", "f2-last"])
 @pytest.mark.parametrize(
-    "g, runs_with_f2_last",
-    [
-        (icosphere(3), {"f2", "f3", "f4", "f5", "f7"}),
-        (_SPLIT_ICOSPHERE, {"f2", "f3", "f4", "f5", "f7", "f8"}),
-    ]
-    + [(_shaped(s), {"f3", "f4", "f5", "f7"}) for s in range(1, 5)]
-    + [(_shaped(5), {"f3", "f4", "f5", "f7", "f8"})],
-    ids=["icosphere-3", "icosphere-3-split-4"] + [f"shaped-{s}" for s in range(1, 6)],
+    "g",
+    [icosphere(3), _SPLIT_ICOSPHERE]
+    + [_shaped(s) for s in range(1, 6)]
+    + [barrel(s) for s in _BARRELS],
+    ids=["icosphere-3", "icosphere-3-split-4"]
+    + [f"shaped-{s}" for s in range(1, 6)]
+    + [f"barrel-{s}" for s in _BARRELS],
 )
-def test_incremental_scan_matches_full_scan(monkeypatch, g, runs_with_f2_last, order):
+def test_incremental_scan_matches_full_scan(monkeypatch, g, order):
     # the index probes only anchors near what changed since the last scan;
     # at every scan its hit must be the full scan's, in the same order.
-    # With f2 last, icosphere-3 and the shaped graphs also run f3, f4, f5
-    # and f7, whose probes read two hops out (f4's fan6-z2/z3 and f5's ring
-    # entries), and shaped-5 runs f8
+    # Only the barrels scan more than once; which families a scan order
+    # reaches is tested over a corpus, in test_family_first_reaches_the_reducer
     if order == "f2-last":
         monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
     scan = reducer.find_reducible
@@ -367,20 +370,51 @@ def test_incremental_scan_matches_full_scan(monkeypatch, g, runs_with_f2_last, o
     stats = RunStats()
     check_coloring(g, color_planar(g, stats))
     assert len(found) == stats.scans > 0
-    if order == "f2-last":
-        assert runs_with_f2_last <= set(found)
 
 
-def test_f2_last_runs_hub9(monkeypatch):
-    # a generated host of hub9: with f2 last, the scans run f8 along with
-    # f3, f4, f5 and f7, and select_fifth places a fifth color for each
-    monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
-    g = generate(GenSpec(1, 2562, 5124, shape_min_degree_5=True))
-    stats = RunStats()
-    sizes = check_coloring(g, color_planar(g, stats))
-    assert {"f3", "f4", "f5", "f7", "f8"} <= set(stats.occ_steps)
-    assert 6 * sizes[5] <= g.n
-    assert sizes[5] == stats.fifth_assigned
+@pytest.mark.parametrize("family", ["f3", "f4", "f5", "f6", "f7", "f8"])
+def test_family_first_reaches_the_reducer(monkeypatch, family):
+    # a minimum-degree-5 input is scanned once before any deletion, and
+    # these peel away after one occurrence, so a scan order reaches one
+    # family per graph.  With the family's entries just after f1, the scan
+    # hits that family wherever it matches the input, and select_fifth and
+    # reduce_once place its fifth color.  Each family matched all five
+    # graphs but f8 (hub9), which matched four
+    entries = reducer._SCAN_ENTRIES
+    first = tuple(e for e in entries if e.family == family)
+    rest = tuple(e for e in entries[1:] if e.family != family)
+    monkeypatch.setattr(reducer, "_SCAN_ENTRIES", entries[:1] + first + rest)
+    selected, reduced = [], []
+    select, reduce = reducer.select_fifth, reducer.reduce_once
+
+    def recorded_select(rows, occ, colors):
+        selected.append(occ.entry.family)
+        return select(rows, occ, colors)
+
+    def recorded_reduce(rows, occ, colors, stats):
+        reduced.append(occ.entry.family)
+        return reduce(rows, occ, colors, stats)
+
+    monkeypatch.setattr(reducer, "select_fifth", recorded_select)
+    monkeypatch.setattr(reducer, "reduce_once", recorded_reduce)
+    hosts = 0
+    for s in range(1, 6):
+        g = generate(GenSpec(s, 642, 1284, shape_min_degree_5=True))
+        selected.clear()
+        reduced.clear()
+        stats = RunStats()
+        sizes = check_coloring(g, color_planar(g, stats))
+        assert 6 * sizes[5] <= g.n
+        assert sizes[5] == stats.fifth_assigned
+        assert selected == reduced and Counter(selected) == stats.occ_steps
+        try:
+            matching.find_reducible(g, first)
+        except matching.CompletenessBreach:
+            assert stats.occ_steps[family] == 0
+        else:
+            assert stats.occ_steps[family] > 0
+            hosts += 1
+    assert hosts >= 4
 
 
 def _icosphere_minus_edge(k):
@@ -399,8 +433,8 @@ def _icosphere_minus_edge(k):
 
 @pytest.mark.parametrize(
     "g",
-    [_icosphere_minus_edge(2), _SPLIT_ICOSPHERE],
-    ids=["icosphere-2-minus-edge", "icosphere-3-split-4"],
+    [_icosphere_minus_edge(2), _SPLIT_ICOSPHERE] + [barrel(s) for s in _BARRELS],
+    ids=["icosphere-2-minus-edge", "icosphere-3-split-4"] + [f"barrel-{s}" for s in _BARRELS],
 )
 def test_descent_records_every_row_change(monkeypatch, g):
     # the index re-probes only near recorded vertices, so every live row
@@ -459,78 +493,6 @@ def test_scan_probes_f2_last(monkeypatch):
     assert 0 < stats.probes <= 3 * g.n
 
 
-# -- tracing only the holes ----------------------------------------------------
-
-
-def _holes_traced(rows, gone):
-    """Check that the darts deleting `gone` opens trace exactly its holes.
-
-    The holes are the walks through every boundary dart, after the
-    deletion, that were no face before it.  The opened darts must give
-    the same walks, from the same starts, in the same order.  Returns the
-    number of holes.
-    """
-    before = {least_rotation(w) for w in face_walks(rows, all_darts(rows))}
-    boundary = set()
-    for v in sorted(gone):
-        boundary.update(rows[v])
-    boundary -= gone
-    opened = opened_darts(rows, boundary, gone)
-    after = [
-        None if r is None or v in gone else [w for w in r if w not in gone]
-        for v, r in enumerate(rows)
-    ]
-    every = [(u, w) for u in boundary for w in after[u]]
-    holes = [w for w in face_walks(after, every) if least_rotation(w) not in before]
-    assert list(face_walks(after, opened)) == holes
-    return len(holes)
-
-
-@pytest.mark.parametrize("order", ["default", "f2-last"])
-@pytest.mark.parametrize(
-    "g", [icosphere(3), _shaped(1)], ids=["icosphere-3", "shaped-1"]
-)
-def test_opened_darts_trace_occurrence_holes(monkeypatch, g, order):
-    # at every occurrence of the descent, before its vertices go
-    if order == "f2-last":
-        monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
-    scan = reducer.find_reducible
-    seen = []
-
-    def recorded(rows, index):
-        occ = scan(rows, index)
-        seen.append(([None if r is None else tuple(r) for r in rows], occ.vertices))
-        return occ
-
-    monkeypatch.setattr(reducer, "find_reducible", recorded)
-    color_planar(g)
-    assert seen
-    assert all(_holes_traced(rows, gone) >= 1 for rows, gone in seen)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(["random", "icosphere", "shaped"]),
-    st.integers(0, 2),
-)
-def test_opened_darts_trace_ball_holes(seed, kind, radius):
-    rng = random.Random(seed)
-    if kind == "random":
-        n = rng.randint(12, 200)
-        g = generate(GenSpec(seed, n, 2 * n))
-    elif kind == "icosphere":
-        g = icosphere(2)
-    else:
-        g = generate(GenSpec(seed, 162, 324, shape_min_degree_5=True))
-    ball = {rng.choice(list(g.vertices()))}
-    frontier = list(ball)
-    for _ in range(radius):
-        frontier = [w for v in frontier for w in g.rotation[v] if w not in ball]
-        ball.update(frontier)
-    _holes_traced(g.rotation, frozenset(ball))
-
-
 def _guard(g):
     """Where the reducer fills only the faces its peels open, check that no other needs it."""
     skip = reducer._Work(g).triangulated
@@ -580,21 +542,29 @@ def test_triangulation_guard_tiny_graphs():
     "g",
     [icosphere(3), icosphere(4)]
     + [_shaped(s) for s in (1, 2, 3)]
-    + [_SPLIT_ICOSPHERE, _SPLIT_SHAPED],
+    + [_SPLIT_ICOSPHERE, _SPLIT_SHAPED, barrel(16)],
     ids=["icosphere-3", "icosphere-4", "shaped-1", "shaped-2", "shaped-3"]
-    + ["icosphere-3-split-4", "shaped-split-4"],
+    + ["icosphere-3-split-4", "shaped-split-4", "barrel-16"],
 )
 def test_walk_darts_stay_linear(monkeypatch, g, order):
-    # counters, not time.  Tracing from the darts each deletion opens gave
-    # 0.91n to 1.13n; tracing every face around the boundary gave about 16n.
-    # On the split graphs the first fill traces only the faces round the
-    # peeled vertices' neighbors: 863 and 815 darts in all by default at
-    # n = 646, where tracing every dart at that fill would give about 7n
+    # counters, not time.  Each fill traces the faces round the live
+    # neighbors of the vertices deleted since the last scan, so a descent
+    # that deletes nothing before its last scan traces none: icosphere and
+    # shaped inputs scan once, before any deletion.  The split graphs peel
+    # first and traced 863 and 815 darts by default at n = 646, and
+    # barrel-16 750 at n = 567; tracing every dart at each fill would give
+    # about 6n per scan
     if order == "f2-last":
         monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
     stats = RunStats()
     check_coloring(g, color_planar(g, stats))
-    assert 0 < stats.walk_darts <= 2 * g.n
+    assert stats.walk_darts <= 2 * g.n
+    work = reducer._Work(g)
+    work.descend(RunStats())
+    tags = [x for x in work.log if x < 0]
+    last_scan = len(tags) - 1 - tags[::-1].index(reducer._OCC)
+    deleted_first = any(t in (reducer._LOW, reducer._DEL) for t in tags[:last_scan])
+    assert (stats.walk_darts > 0) == deleted_first
 
 
 def test_walk_darts_zero_on_triangulated_input():
@@ -618,6 +588,44 @@ def test_triangulation_fills_at_its_first_scan(base, k):
     tags = [x for x in work.log if x < 0]
     first_scan = tags[: tags.index(reducer._OCC)]
     assert first_scan == [reducer._LOW] * k + [reducer._CHORD] * k
+
+
+@pytest.mark.parametrize("segments", _BARRELS)
+def test_chords_come_only_just_before_a_scan(segments):
+    # faces are filled only just before a scan: between two occurrences the
+    # log holds the first one's deletions, the peels after it and then the
+    # chords of the next fill, and after the last occurrence no chord at
+    # all.  Filling each hole as it opens would put chords among the peels
+    work = reducer._Work(barrel(segments))
+    work.descend(RunStats())
+    tags = [x for x in work.log if x < 0]
+    scans = [i for i, t in enumerate(tags) if t == reducer._OCC]
+    assert len(scans) == segments
+    for start, end in zip(scans, scans[1:] + [len(tags)]):
+        between = tags[start + 1 : end]
+        chords = between.count(reducer._CHORD)
+        assert reducer._CHORD not in between[: len(between) - chords]
+        assert (chords > 0) == (end < len(tags))
+
+
+@pytest.mark.parametrize("order", ["default", "f2-last"])
+@pytest.mark.parametrize("segments", _BARRELS)
+def test_barrel_scans_once_per_segment(monkeypatch, segments, order):
+    # counters, not time.  Each scan's occurrence and the peels after it
+    # eat one segment, and the next fill traces the faces round what they
+    # left: 50, 150, 350 and 750 darts at n = 77, 147, 287 and 567, in
+    # both orders, so about 50 darts per 35 vertices.  By default every
+    # scan probes once; with f2 last the first probes more (18, 22, 30
+    # and 46 in all)
+    if order == "f2-last":
+        monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
+    g = barrel(segments)
+    stats = RunStats()
+    sizes = check_coloring(g, color_planar(g, stats))
+    assert 6 * sizes[5] <= g.n
+    assert stats.scans == segments
+    assert stats.walk_darts <= 1.5 * g.n
+    assert stats.probes <= g.n / 4
 
 
 def _random_tree(seed, n):
@@ -677,7 +685,7 @@ def test_fill_waits_for_the_first_scan(seed, n, thinned):
     # plane subgraphs peel away without a scan; a triangulation less one to
     # three edges peels its degree-4 vertices unfilled, and then either
     # peels away too or meets its first scan and fills there.  Either way
-    # the only walks traced are the fill's and the holes' after it
+    # walks are traced only by the fills just before scans
     g = _thinned(seed, thinned) if thinned else plane_subgraph(seed, n)
     assume(g.m < 3 * g.n - 6)
     stats = RunStats()
@@ -705,8 +713,9 @@ def test_descent_log_tracks_few_objects(kind):
 
 
 def test_ascent_rejects_a_moved_chord():
-    # icosphere(2) scans first, so its later degree-4 peels log chords
-    g = icosphere(2)
+    # a barrel fills the hole its first occurrence leaves before its
+    # second scan, so its log has chords
+    g = barrel(2)
     work = reducer._Work(g)
     stats = RunStats()
     work.descend(stats)
@@ -783,15 +792,15 @@ def test_ascent_keeps_the_five_blocker_tripwire(octahedron):
 
 @pytest.mark.parametrize(
     "order, digest",
-    [("default", "46ab9dd2c532ba1b"), ("f2-last", "1456121e0881ced8")],
+    [("default", "13f26efe86effb7b"), ("f2-last", "a5a5d152087fe221")],
 )
 def test_occurrence_descents_pinned(monkeypatch, order, digest):
-    # colorings and counters of descents made of occurrences, taken while
-    # the reducer traced every face around each hole's boundary; any drift
+    # colorings and counters of descents that start with an occurrence,
+    # and of a barrel, which fills a hole before each later scan; any drift
     # in which walks get filled, or from where, changes them
     if order == "f2-last":
         monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
-    assert coloring_digest([icosphere(3), _shaped(1), _shaped(2)]) == digest
+    assert coloring_digest([icosphere(3), _shaped(1), _shaped(2), barrel(4)]) == digest
 
 
 def _descent_log_digest(graphs):
@@ -806,12 +815,12 @@ def _descent_log_digest(graphs):
 
 def test_descent_log_pinned():
     # the undo log and the saved rows of descents that peel nothing before
-    # their first scan: occurrence blocks with their holes, peels at every
-    # degree after it (with the 4-holes' chords), and one fill before any
-    # deletion; any drift in which records are written, or in their order,
-    # changes this digest
-    graphs = [icosphere(3), _icosphere_minus_edge(3)]
-    assert _descent_log_digest(graphs) == "5b7b7e9747a2d6b5"
+    # their first scan: occurrence blocks, peels at every degree after
+    # them, one fill before any deletion, and a barrel's fills of the holes
+    # left before each later scan; any drift in which records are written,
+    # or in their order, changes this digest
+    graphs = [icosphere(3), _icosphere_minus_edge(3), barrel(4)]
+    assert _descent_log_digest(graphs) == "79f26d4a60867651"
 
 
 def test_descent_log_pinned_random():
