@@ -42,6 +42,7 @@ from fivecolor.reducer import (
 
 from conftest import (
     barrel,
+    color_runs,
     coloring_digest,
     color_list,
     cycle_rotations,
@@ -50,6 +51,7 @@ from conftest import (
     recheck,
     relabel,
     remove_vertices,
+    runs_digest,
     star_rotations,
     subdivided,
     trace_faces,
@@ -801,6 +803,19 @@ def test_occurrence_descents_pinned(monkeypatch, order, digest):
     if order == "f2-last":
         monkeypatch.setattr(reducer, "_SCAN_ENTRIES", _f2_last(reducer._SCAN_ENTRIES))
     assert coloring_digest([icosphere(3), _shaped(1), _shaped(2), barrel(4)]) == digest
+
+
+def test_peel_then_scan_descents_pinned():
+    # colorings and counters of descents that peel before their first scan
+    # and then scan: split triangulations, plane subgraphs and barrels, 22
+    # scans in all.  Any drift in the rows the first scan sees, or in how a
+    # peel made before it is colored on the way back, changes this digest
+    graphs = [subdivided(b, k) for b in _SPLIT_BASES for k in (1, 2, 4, 8)]
+    graphs += [plane_subgraph(s, 300) for s in range(8)]
+    graphs += [barrel(s) for s in (2, 4, 8)]
+    runs = color_runs(graphs)
+    assert sum(stats.scans for _, stats in runs) == 22
+    assert runs_digest(runs) == "027a14c083bf91cf"
 
 
 def _descent_log_digest(graphs):
