@@ -7,7 +7,10 @@ are read only at live vertices, so the reducer's working rows, with None for
 each vertex its descent has deleted, serve as they are.
 Uncolored vertices are invisible to chains: a chain is a connected piece
 of the subgraph induced by the colored vertices whose colors lie in a
-two-color pair.
+two-color pair.  So the input's own rows serve as well, as the reducer
+reads them for the vertices it peeled before its first scan: there a
+neighbor not yet back is uncolored, and it neither blocks a color nor
+joins a chain.
 
 A chain search runs from two ends at once, one vertex from each in
 turn, and stops as soon as one end's chain is complete or the two

@@ -3,12 +3,22 @@
 Descent deletes vertices until at most three remain: degree-4-or-less
 vertices straight off a heap, smallest degree first (fewer of them then
 need a Kempe swap on the way back), and once the minimum degree reaches 5 a
-catalog occurrence as one block.  One deletion loop serves both: a peel
-is a block of one vertex.  Every mutation is logged, so the ascent can
-replay the log backwards and color each vertex the moment its full
+catalog occurrence as one block.  Every deletion is logged, so the ascent
+can replay the log backwards and color each vertex the moment its full
 neighborhood is back.  The log is one flat list of ints (records laid out
 in _Work), so the descent leaves the cyclic garbage collector almost
 nothing to track.
+
+Rows exist only once a scan needs them.  Until the first scan a peel is
+a degree count: it marks the vertex deleted and lowers the count of each
+live neighbor, reading the input's own rows and editing none, which is
+the smallest-last order of Matula and Beck (JACM 30, 1983), O(m) in all.
+The first scan makes mutable rows of the live part of the input, once,
+and from there one deletion loop serves peels and occurrences, a peel
+being a block of one vertex.  An input that never scans, such as a star,
+a path, a tree or most random triangulations, makes no rows at all; its
+ascent colors each peel against the vertex's input row, where a neighbor
+not yet back is uncolored.
 
 Only the catalog search needs triangles; a vertex of degree 4 or less
 takes a color on the way back in any plane graph.  So faces are filled
@@ -47,6 +57,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .catalog import TrialSequence, builtin_catalog, choose_fifth
 from .embedding import all_darts, face_walks, fill_walk
@@ -132,36 +143,49 @@ def reduce_once(rows, occ, colors, stats):
 
 # Tags that close the log's records; every field is a vertex id, a row
 # position or an index, so never negative.
-_LOW, _OCC, _DEL, _CHORD = -1, -2, -3, -4
+_LOW, _OCC, _DEL, _CHORD, _PEEL, _ROWS = -1, -2, -3, -4, -5, -6
 
 
 class _Work:
-    """Mutable rotation rows plus the undo log of the descent.
+    """The descent's state: degree counts, then rotation rows, and the undo log.
+
+    Until the first scan the descent reads the input's own rows (`given`,
+    g.rotation, never edited) and keeps a degree count and a live flag per
+    vertex.  At the first scan it makes `rows`, mutable lists of the live
+    part of `given` (None for a deleted vertex), and edits them from then
+    on.  A descent that never scans makes no rows.
 
     The log is one flat list of ints, each record its fields, then a tag.
-    `p1 .. pk, v, LOW` deletes v, peeled at degree 4 or less, and `p1 ..
-    pk, v, DEL` deletes v as part of an occurrence; v's row is kept in
-    saved[v], and p1..pk are the positions v had in its present neighbors'
-    rows, in row order.  The ascent reinserts v for either tag, and on LOW
-    then colors it, collecting its neighbors' colors in the same loop.  `i,
-    OCC` (occs[i]) opens an occurrence; it is pushed before its deletions,
-    so the ascent colors the pattern once they are undone.  `a, pa, b, pb,
-    CHORD` is a fill chord.  A deletion needs no
-    marker for the neighbors skipped as gone: replayed last in, first out,
-    every vertex deleted after v is back and every one deleted before it is
-    still gone.
+    `v, PEEL` deletes v, peeled at degree 4 or less before the first scan;
+    it changes no row, and the ascent colors v against given[v], where a
+    neighbor not yet back is uncolored and so blocks nothing.  `ROWS`, with
+    no field, marks the first scan: every PEEL comes before it and every
+    other record after it, and the ascent checks there that it restored the
+    rows the scan made.  `p1 .. pk, v, LOW` deletes v, peeled at degree 4
+    or less after the first scan, and `p1 .. pk, v, DEL` deletes v as part
+    of an occurrence; v's row is kept in saved[v], and p1..pk are the
+    positions v had in its present neighbors' rows, in row order.  The
+    ascent reinserts v for either tag, and on LOW then colors it,
+    collecting its neighbors' colors in the same loop.  `i, OCC` (occs[i])
+    opens an occurrence; it is pushed before its deletions, so the ascent
+    colors the pattern once they are undone.  `a, pa, b, pb, CHORD` is a
+    fill chord.  A deletion needs no marker for the neighbors skipped as
+    gone: replayed last in, first out, every vertex deleted after v is back
+    and every one deleted before it is still gone.
 
-    descend writes both deletion tags from one loop, a peel being a block
-    of one vertex.  Holes stay open until the heap runs dry: faces are
-    filled only just before a scan, so every CHORD comes after the last
-    deletion before the next OCC.  Deleted vertices wait in a list, and
-    their saved rows give both the faces to fill and what reaches
+    descend writes LOW and DEL from one loop, a peel being a block of one
+    vertex.  Holes stay open until the heap runs dry: faces are filled only
+    just before a scan, so every CHORD comes after the last deletion before
+    the next OCC.  Deleted vertices wait in a list, and their saved rows
+    (given[v] for a PEEL) give both the faces to fill and what reaches
     index.changed just before the next find_reducible, which is the first
     time the index reads it.
     """
 
     def __init__(self, g):
-        self.rows = [list(r) for r in g.rotation]
+        self.given = g.rotation
+        self.live = bytearray(b"\x01") * len(self.given)
+        self.rows = self.saved = None  # made at the first scan
         # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
         # so its first fill, like every later one, need trace only the faces
         # the peels opened, and one that peels nothing before its first scan
@@ -174,17 +198,25 @@ class _Work:
         self.triangulated = g.m == 3 * g.n - 6
         self.heap = []
         self.log = []
-        self.saved = [None] * len(self.rows)
         self.occs = []
         self.index = ScanIndex(_SCAN_ENTRIES)
 
+    def _live_rows(self):
+        """The input's rows less every deleted vertex: lists, None for a deleted one."""
+        given, live = self.given, self.live
+        if 0 not in live:
+            return [list(r) for r in given]
+        alive = live.__getitem__
+        return [list(compress(r, map(alive, r))) if live[v] else None for v, r in enumerate(given)]
+
     # The heap pops the smallest degree first, the smallest id among equal
-    # degrees.  An entry is the int d * len(rows) + v: every id is below
-    # len(rows), so ints order exactly as the pairs (d, v) would, with no
-    # tuple per entry.  Every vertex whose degree changes is pushed again,
-    # so an entry whose degree no longer matches its vertex's is stale and
-    # dropped.  Both callers find the heap empty (an occurrence comes only
-    # once it ran dry), so one heapify costs what the pushes would.
+    # degrees.  An entry is the int d * n + v: every id is below n, so ints
+    # order exactly as the pairs (d, v) would, with no tuple per entry.
+    # Every vertex whose degree changes is pushed again, so an entry whose
+    # degree no longer matches its vertex's is stale and dropped.  _peel
+    # starts its heap with one heapify, and an occurrence pushes into an
+    # empty one (it comes only once the heap ran dry), so one heapify
+    # costs what the pushes would.
 
     def _push_low(self, verts):
         rows, size = self.rows, len(self.rows)
@@ -193,6 +225,34 @@ class _Work:
             if len(row) <= 4:
                 self.heap.append(len(row) * size + v)
         heapq.heapify(self.heap)
+
+    def _peel(self, stats):
+        """Peel on degree counts until the heap runs dry; returns the vertices left.
+
+        Stops early with 3 left.  A peel marks v deleted and lowers the count
+        of each live neighbor, and no row is read but v's own.
+        """
+        given, live, log = self.given, self.live, self.log
+        heappop, heappush = heapq.heappop, heapq.heappush
+        size = len(given)
+        deg = [len(r) for r in given]
+        heap = [d * size + v for v, d in enumerate(deg) if d <= 4]
+        heapq.heapify(heap)
+        alive = size
+        while alive > 3 and heap:
+            d, v = divmod(heappop(heap), size)
+            if deg[v] != d or not live[v]:
+                continue
+            live[v] = 0
+            log += (v, _PEEL)
+            alive -= 1
+            for u in given[v]:
+                if live[u]:
+                    k = deg[u] = deg[u] - 1
+                    if k <= 4:
+                        heappush(heap, k * size + u)
+        stats.f1_steps += size - alive
+        return alive
 
     def _fill_from(self, darts, stats):
         """Re-triangulate the face walks through `darts`, logging every chord.
@@ -212,13 +272,20 @@ class _Work:
                     changed.add(b)
 
     def descend(self, stats):
-        rows, heap, log, saved, occs = self.rows, self.heap, self.log, self.saved, self.occs
-        index = self.index
+        alive = self._peel(stats)
+        if alive <= 3:
+            return
+        # the heap ran dry with more than 3 vertices left: the first scan.
+        # Make the rows; every peel so far is deleted since the last scan
+        rows = self.rows = self._live_rows()
+        saved = self.saved = [None] * len(rows)
+        unmarked = self.log[::2]
+        for v in unmarked:
+            saved[v] = self.given[v]
+        self.log.append(_ROWS)
+        heap, log, occs, index = self.heap, self.log, self.occs, self.index
         heappop, heappush = heapq.heappop, heapq.heappush
         size = len(rows)
-        alive = size
-        unmarked = []  # deleted since the last scan
-        self._push_low(range(size))
         while alive > 3:
             if heap:
                 d, v = divmod(heappop(heap), size)
@@ -277,23 +344,43 @@ class _Work:
     def ascend(self, stats):
         """Replay the log backwards; returns the colors, indexed by vertex.
 
-        A LOW peel ORs 1 << color over its neighbors while it reinserts
-        itself and takes SPARE_COLOR's entry for that mask; free_color
-        runs only when the entry is 0 (all four colors blocked) or the row
-        is longer than 4, which a correct log never writes, so its
+        A PEEL or LOW peel ORs 1 << color over its neighbors and takes
+        SPARE_COLOR's entry for that mask; a LOW peel reinserts itself in
+        the same loop.  free_color runs only when the entry is 0 (all four
+        colors blocked) or more than 4 neighbors are colored (a LOW row
+        longer than 4), which a correct log never writes, so its
         five-blocker check still fires.  Inline picks are added to
         stats.free_color_calls, which keeps counting every colored peel.
-        reduce_once colors occurrences through free_color.
+        reduce_once colors occurrences through free_color.  At ROWS the
+        rows must be as the first scan made them.
         """
-        rows, log, pop, saved = self.rows, self.log, self.log.pop, self.saved
-        colors = [0] * len(rows)
-        base = [v for v in range(len(rows)) if rows[v] is not None]
+        rows, given, log, pop, saved = self.rows, self.given, self.log, self.log.pop, self.saved
+        size = len(given)
+        colors = [0] * size
+        if rows is None:
+            base = compress(range(size), self.live)
+        else:
+            base = [v for v in range(size) if rows[v] is not None]
         for c, v in enumerate(base, start=1):
             colors[v] = c
         spares = 0  # peels colored inline, without a free_color call
         while log:
             tag = pop()
-            if tag == _LOW:
+            if tag == _PEEL:
+                v = pop()
+                taken = seen = 0
+                for u in given[v]:
+                    c = colors[u]
+                    if c:
+                        taken |= 1 << c
+                        seen += 1
+                spare = SPARE_COLOR[taken & 31]
+                if spare and seen <= 4:
+                    colors[v] = spare
+                    spares += 1
+                else:
+                    colors[v] = free_color(given, colors, v, stats)
+            elif tag == _LOW:
                 v = pop()
                 row = rows[v] = saved[v]
                 taken = 0
@@ -321,6 +408,9 @@ class _Work:
                     raise BrokenInvariant(f"chord {a}-{b} is not where its log put it")
                 del rows[a][pa]
                 del rows[b][pb]
+            elif tag == _ROWS:
+                if rows != self._live_rows():
+                    raise BrokenInvariant("the ascent did not restore the rotation system")
             else:
                 reduce_once(rows, self.occs[pop()], colors, stats)
         stats.free_color_calls += spares
@@ -338,10 +428,7 @@ def color_planar(g, stats=None):
         stats = RunStats()
     work = _Work(g)
     work.descend(stats)
-    colors = work.ascend(stats)
-    if [None if r is None else tuple(r) for r in work.rows] != list(g.rotation):
-        raise BrokenInvariant("the ascent did not restore the rotation system")
-    return dict(enumerate(colors))
+    return dict(enumerate(work.ascend(stats)))
 
 
 def check_coloring(g, colors):

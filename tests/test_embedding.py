@@ -432,9 +432,11 @@ def engine_fill(g):
     """The reducer's _Work for g with every face filled and nothing deleted.
 
     The descent makes this fill just before its first scan, so on an input
-    with no vertex of degree 4 or less it is the descent's first step.
+    with no vertex of degree 4 or less it is the descent's first step,
+    after it makes its rows: here a plain copy of g's.
     """
     work = reducer._Work(g)
+    work.rows = [list(r) for r in g.rotation]
     if not work.triangulated:
         work._fill_from(all_darts(work.rows), RunStats())
     return work

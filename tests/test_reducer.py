@@ -565,7 +565,8 @@ def test_walk_darts_stay_linear(monkeypatch, g, order):
     work.descend(RunStats())
     tags = [x for x in work.log if x < 0]
     last_scan = len(tags) - 1 - tags[::-1].index(reducer._OCC)
-    deleted_first = any(t in (reducer._LOW, reducer._DEL) for t in tags[:last_scan])
+    deleted = (reducer._PEEL, reducer._LOW, reducer._DEL)
+    deleted_first = any(t in deleted for t in tags[:last_scan])
     assert (stats.walk_darts > 0) == deleted_first
 
 
@@ -583,13 +584,14 @@ def test_walk_darts_zero_on_triangulated_input():
 def test_triangulation_fills_at_its_first_scan(base, k):
     # the split edges' vertices peel at degree 4 and leave their 4-holes
     # open; the fill at the first scan closes each with one chord.  So the
-    # log's tags before the first occurrence are the k peels, then the k
-    # chords; a chord placed at each peel would interleave them
+    # log's tags before the first occurrence are the k peels, the rows made
+    # at the scan, then the k chords; a chord placed at each peel would
+    # interleave them
     work = reducer._Work(subdivided(_SPLIT_BASES[base], k))
     work.descend(RunStats())
     tags = [x for x in work.log if x < 0]
     first_scan = tags[: tags.index(reducer._OCC)]
-    assert first_scan == [reducer._LOW] * k + [reducer._CHORD] * k
+    assert first_scan == [reducer._PEEL] * k + [reducer._ROWS] + [reducer._CHORD] * k
 
 
 @pytest.mark.parametrize("segments", _BARRELS)
@@ -667,6 +669,43 @@ def test_sparse_inputs_never_fill(g):
     assert counters == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        build(star_rotations(300)),
+        build(path_rotations(300)),
+        build(cycle_rotations(300)),
+        generate(GenSpec(1, 800, 1600)),
+    ],
+    ids=["star", "path", "cycle", "random"],
+)
+def test_descent_without_a_scan_copies_no_rows(monkeypatch, g):
+    # peels before the first scan read the input's own rows and keep a
+    # degree count per vertex, so a descent that never scans holds no row
+    # of its own, allocates no list per row, and its ascent makes none to
+    # check against the input
+    gc.collect()
+    lists = sum(type(x) is list for x in gc.get_objects())
+    work = reducer._Work(g)
+    stats = RunStats()
+    work.descend(stats)
+    assert stats.scans == 0
+    assert sum(type(x) is list for x in gc.get_objects()) - lists < 20
+    held = [
+        x
+        for value in vars(work).values()
+        if isinstance(value, (list, tuple)) and value is not g.rotation
+        for x in value
+    ]
+    assert not any(isinstance(x, (list, tuple)) for x in held)
+
+    def made(self):
+        raise AssertionError("rows made for a descent that never scans")
+
+    monkeypatch.setattr(reducer._Work, "_live_rows", made)
+    check_coloring(g, color_planar(g))
+
+
 def _thinned(seed, k):
     """A seeded minimum-degree-5 triangulation on 162 vertices less k edges."""
     g = generate(GenSpec(seed, 162, 486, shape_min_degree_5=True))
@@ -700,9 +739,11 @@ def test_fill_waits_for_the_first_scan(seed, n, thinned):
 def test_descent_log_tracks_few_objects(kind):
     # the undo log is a flat list of ints and deleted rows are kept as they
     # were, so beside the occurrences it keeps for the ascent (one tracked
-    # object each, 259 = n/9.9 on icosphere-4) the collector sees almost
-    # nothing new.  A log of op tuples, undo lists and level tuples left
-    # 3.9 (random) and 3.1 (icosphere) new tracked objects per vertex
+    # object each, 259 = n/9.9 on icosphere-4) and the rows the first scan
+    # makes (one list per live vertex; random-2000 never scans and makes
+    # none) the collector sees almost nothing new.  A log of op tuples, undo
+    # lists and level tuples left 3.9 (random) and 3.1 (icosphere) new
+    # tracked objects per vertex
     g = generate(GenSpec(3, 2000, 4000)) if kind == "random-2000" else icosphere(4)
     work = reducer._Work(g)
     stats = RunStats()
@@ -710,7 +751,8 @@ def test_descent_log_tracks_few_objects(kind):
     before = len(gc.get_objects())
     work.descend(stats)
     gc.collect()
-    grown = len(gc.get_objects()) - before - sum(stats.occ_steps.values())
+    made = 0 if work.rows is None else g.n - work.log.count(reducer._PEEL)
+    grown = len(gc.get_objects()) - before - sum(stats.occ_steps.values()) - made
     assert grown < g.n / 10
 
 
@@ -729,33 +771,38 @@ def test_ascent_rejects_a_moved_chord():
         work.ascend(stats)
 
 
-def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
+@pytest.mark.parametrize(
+    "g", [icosphere(2), _SPLIT_ICOSPHERE], ids=["icosphere-2", "icosphere-3-split-4"]
+)
+def test_ascent_rejects_an_unrestored_rotation(monkeypatch, g):
     descend = reducer._Work.descend
 
     def perturbed(self, stats):
         descend(self, stats)
-        # the first vertex deleted is put back last (no fill comes before
-        # the first deletion, so no chord is undone after it); fields are
-        # >= 0, so the first tag of either deletion closes its record
+        assert stats.scans > 0
+        # the first vertex deleted after the first scan is put back last
+        # before the ROWS marker (these fill before that deletion, so no
+        # chord is undone after it); fields are >= 0, so the first tag of
+        # either deletion closes its record
         k = min(i for i, x in enumerate(self.log) if x in (reducer._LOW, reducer._DEL))
         v = self.log[k - 1]
         self.saved[v].reverse()
 
     monkeypatch.setattr(reducer._Work, "descend", perturbed)
     with pytest.raises(BrokenInvariant, match="did not restore the rotation system"):
-        color_planar(generate(GenSpec(1, 200, 400)))
+        color_planar(g)
 
 
 def test_low_peels_log_one_record_each():
-    # a peel's LOW record is its deletion too, so a descent of peels alone
-    # writes one LOW tag per peel and no DEL
+    # a peel's PEEL record is its deletion too, so a descent of peels alone
+    # writes one PEEL tag per peel and no other
     g = generate(GenSpec(1, 800, 1600))
     work = reducer._Work(g)
     stats = RunStats()
     work.descend(stats)
     assert stats.scans == 0 and stats.f1_steps == g.n - 3
-    assert reducer._DEL not in work.log
-    assert work.log.count(reducer._LOW) == stats.f1_steps
+    assert {x for x in work.log if x < 0} == {reducer._PEEL}
+    assert len(work.log) == 2 * work.log.count(reducer._PEEL) == 2 * stats.f1_steps
 
 
 def test_ascent_calls_free_color_only_when_blocked(monkeypatch):
@@ -778,16 +825,25 @@ def test_ascent_calls_free_color_only_when_blocked(monkeypatch):
     assert stats.free_color_calls == stats.f1_steps
 
 
-def test_ascent_keeps_the_five_blocker_tripwire(octahedron):
+@pytest.mark.parametrize("tag", ["PEEL", "LOW"])
+def test_ascent_keeps_the_five_blocker_tripwire(octahedron, tag):
     # a hand-made log no descent writes: 4 and 5 come back next to 1 and 2
     # and both take 3, then 0 comes back with five neighbors colored
-    # 1, 2, 3, 3, 3.  The table alone would give it 4; a LOW row longer
-    # than 4 goes to free_color, which raises
+    # 1, 2, 3, 3, 3.  The table alone would give it 4; a peel with more
+    # than 4 colored neighbors goes to free_color, which raises.  A PEEL
+    # reads the input's rows, where 1, 2 and 3 are left live; a LOW reads
+    # the rows the first scan made and reinserts itself
     work = reducer._Work(octahedron)
-    work.rows = [None, [2, 3], [1, 3], [1, 2], None, None]
-    work.saved = [[1, 2, 3, 4, 5], None, None, None, [1, 2], [1, 2]]
-    low = reducer._LOW
-    work.log = [0, 0, 0, 0, 0, 0, low, 0, 0, 5, low, 0, 0, 4, low]
+    if tag == "PEEL":
+        work.given = [(1, 2, 3, 4, 5), (0, 2, 3), (0, 1, 3), (0, 1, 2), (0, 1, 2), (0, 1, 2)]
+        work.live[:] = bytes([0, 1, 1, 1, 0, 0])
+        peel = reducer._PEEL
+        work.log = [0, peel, 5, peel, 4, peel]
+    else:
+        work.rows = [None, [2, 3], [1, 3], [1, 2], None, None]
+        work.saved = [[1, 2, 3, 4, 5], None, None, None, [1, 2], [1, 2]]
+        low = reducer._LOW
+        work.log = [0, 0, 0, 0, 0, 0, low, 0, 0, 5, low, 0, 0, 4, low]
     with pytest.raises(BrokenInvariant, match="vertex 0 has 5 neighbors colored 1..4"):
         work.ascend(RunStats())
 
@@ -830,17 +886,18 @@ def _descent_log_digest(graphs):
 
 def test_descent_log_pinned():
     # the undo log and the saved rows of descents that peel nothing before
-    # their first scan: occurrence blocks, peels at every degree after
-    # them, one fill before any deletion, and a barrel's fills of the holes
-    # left before each later scan; any drift in which records are written,
-    # or in their order, changes this digest
+    # their first scan: the ROWS marker, occurrence blocks, peels at every
+    # degree after them, one fill before any deletion, and a barrel's fills
+    # of the holes left before each later scan; any drift in which records
+    # are written, or in their order, changes this digest
     graphs = [icosphere(3), _icosphere_minus_edge(3), barrel(4)]
-    assert _descent_log_digest(graphs) == "79f26d4a60867651"
+    assert _descent_log_digest(graphs) == "3e21ac0317fc83aa"
 
 
 def test_descent_log_pinned_random():
-    # the same for a random triangulation, which peels away without a scan
-    assert _descent_log_digest([generate(GenSpec(7, 2000, 4000))]) == "2c1165c9e1f03dd2"
+    # the same for a random triangulation, which peels away without a scan:
+    # PEEL records alone, and no saved rows
+    assert _descent_log_digest([generate(GenSpec(7, 2000, 4000))]) == "18c234b5bad73e41"
 
 
 def test_descent_log_pinned_sparse():
@@ -848,4 +905,4 @@ def test_descent_log_pinned_sparse():
     # scan (or never scan): stars, paths, cycles and plane subgraphs
     graphs = [build(rot(300)) for rot in (star_rotations, path_rotations, cycle_rotations)]
     graphs += [plane_subgraph(s, 300) for s in range(4)]
-    assert _descent_log_digest(graphs) == "b2077bceec3f9308"
+    assert _descent_log_digest(graphs) == "8e5a0169a4cb07e5"
