@@ -196,7 +196,6 @@ class _Work:
         # walk of 2 is a lone edge), and 2m = 3f forces every face to be a
         # triangle.  With n <= 2 no walk is longer than 2.
         self.triangulated = g.m == 3 * g.n - 6
-        self.heap = []
         self.log = []
         self.occs = []
         self.index = ScanIndex(_SCAN_ENTRIES)
@@ -205,7 +204,7 @@ class _Work:
         """The input's rows less every deleted vertex: lists, None for a deleted one."""
         given, live = self.given, self.live
         if 0 not in live:
-            return [list(r) for r in given]
+            return list(map(list, given))
         alive = live.__getitem__
         return [list(compress(r, map(alive, r))) if live[v] else None for v, r in enumerate(given)]
 
@@ -214,29 +213,22 @@ class _Work:
     # order exactly as the pairs (d, v) would, with no tuple per entry.
     # Every vertex whose degree changes is pushed again, so an entry whose
     # degree no longer matches its vertex's is stale and dropped.  _peel
-    # starts its heap with one heapify, and an occurrence pushes into an
-    # empty one (it comes only once the heap ran dry), so one heapify
-    # costs what the pushes would.
-
-    def _push_low(self, verts):
-        rows, size = self.rows, len(self.rows)
-        for v in verts:  # live vertices only
-            row = rows[v]
-            if len(row) <= 4:
-                self.heap.append(len(row) * size + v)
-        heapq.heapify(self.heap)
+    # starts its heap with one heapify, and so does an occurrence, which
+    # finds the heap empty (it comes only once the heap ran dry): one
+    # heapify costs what the pushes would.
 
     def _peel(self, stats):
         """Peel on degree counts until the heap runs dry; returns the vertices left.
 
         Stops early with 3 left.  A peel marks v deleted and lowers the count
-        of each live neighbor, and no row is read but v's own.
+        of each live neighbor, read from v's input row; no row is edited.
         """
         given, live, log = self.given, self.live, self.log
         heappop, heappush = heapq.heappop, heapq.heappush
         size = len(given)
-        deg = [len(r) for r in given]
-        heap = [d * size + v for v, d in enumerate(deg) if d <= 4]
+        deg = list(map(len, given))
+        # the vertices of degree 4 or less, picked out without a Python loop
+        heap = [deg[v] * size + v for v in compress(range(size), map((4).__ge__, deg))]
         heapq.heapify(heap)
         alive = size
         while alive > 3 and heap:
@@ -276,14 +268,15 @@ class _Work:
         if alive <= 3:
             return
         # the heap ran dry with more than 3 vertices left: the first scan.
-        # Make the rows; every peel so far is deleted since the last scan
+        # Make the rows.  Every peel so far is deleted since the last scan,
+        # and the live part of its input row is where the fill starts
         rows = self.rows = self._live_rows()
         saved = self.saved = [None] * len(rows)
         unmarked = self.log[::2]
         for v in unmarked:
             saved[v] = self.given[v]
         self.log.append(_ROWS)
-        heap, log, occs, index = self.heap, self.log, self.occs, self.index
+        heap, log, occs, index = [], self.log, self.occs, self.index
         heappop, heappush = heapq.heappop, heapq.heappush
         size = len(rows)
         while alive > 3:
@@ -332,7 +325,10 @@ class _Work:
                 unmarked.append(v)
             alive -= len(doomed)
             if tag == _DEL:
-                self._push_low({u for v in doomed for u in saved[v] if rows[u] is not None})
+                for u in {u for v in doomed for u in saved[v] if rows[u] is not None}:
+                    if len(rows[u]) <= 4:
+                        heap.append(len(rows[u]) * size + u)
+                heapq.heapify(heap)
                 continue
             stats.f1_steps += 1
             for u in link:
@@ -344,15 +340,16 @@ class _Work:
     def ascend(self, stats):
         """Replay the log backwards; returns the colors, indexed by vertex.
 
-        A PEEL or LOW peel ORs 1 << color over its neighbors and takes
-        SPARE_COLOR's entry for that mask; a LOW peel reinserts itself in
-        the same loop.  free_color runs only when the entry is 0 (all four
-        colors blocked) or more than 4 neighbors are colored (a LOW row
-        longer than 4), which a correct log never writes, so its
-        five-blocker check still fires.  Inline picks are added to
-        stats.free_color_calls, which keeps counting every colored peel.
-        reduce_once colors occurrences through free_color.  At ROWS the
-        rows must be as the first scan made them.
+        Down to ROWS the records are replayed on the rows, which must then
+        be as the first scan made them; the PEELs below it are colored
+        against the input's rows.  A peel ORs 1 << color over its neighbors
+        and takes SPARE_COLOR's entry for that mask; a LOW peel reinserts
+        itself in the same loop.  free_color runs only when the entry is 0
+        (all four colors blocked) or more than 4 neighbors are colored,
+        which a correct log never writes, so its five-blocker check still
+        fires.  Inline picks are added to stats.free_color_calls, which
+        keeps counting every colored peel.  reduce_once colors occurrences
+        through free_color.
         """
         rows, given, log, pop, saved = self.rows, self.given, self.log, self.log.pop, self.saved
         size = len(given)
@@ -364,55 +361,55 @@ class _Work:
         for c, v in enumerate(base, start=1):
             colors[v] = c
         spares = 0  # peels colored inline, without a free_color call
-        while log:
-            tag = pop()
-            if tag == _PEEL:
-                v = pop()
-                taken = seen = 0
-                for u in given[v]:
-                    c = colors[u]
-                    if c:
-                        taken |= 1 << c
-                        seen += 1
-                spare = SPARE_COLOR[taken & 31]
-                if spare and seen <= 4:
-                    colors[v] = spare
-                    spares += 1
+        if rows is not None:
+            while (tag := pop()) != _ROWS:
+                if tag == _LOW:
+                    v = pop()
+                    row = rows[v] = saved[v]
+                    taken = 0
+                    for u in reversed(row):
+                        r = rows[u]
+                        if r is not None:
+                            r.insert(pop(), v)
+                        taken |= 1 << colors[u]
+                    spare = SPARE_COLOR[taken & 31]
+                    if spare and len(row) <= 4:
+                        colors[v] = spare
+                        spares += 1
+                    else:
+                        colors[v] = free_color(rows, colors, v, stats)
+                elif tag == _DEL:
+                    v = pop()
+                    row = rows[v] = saved[v]
+                    for u in reversed(row):
+                        r = rows[u]
+                        if r is not None:
+                            r.insert(pop(), v)
+                elif tag == _CHORD:
+                    pb, b, pa, a = pop(), pop(), pop(), pop()
+                    if rows[a][pa] != b or rows[b][pb] != a:
+                        raise BrokenInvariant(f"chord {a}-{b} is not where its log put it")
+                    del rows[a][pa]
+                    del rows[b][pb]
                 else:
-                    colors[v] = free_color(given, colors, v, stats)
-            elif tag == _LOW:
-                v = pop()
-                row = rows[v] = saved[v]
-                taken = 0
-                for u in reversed(row):
-                    r = rows[u]
-                    if r is not None:
-                        r.insert(pop(), v)
-                    taken |= 1 << colors[u]
-                spare = SPARE_COLOR[taken & 31]
-                if spare and len(row) <= 4:
-                    colors[v] = spare
-                    spares += 1
-                else:
-                    colors[v] = free_color(rows, colors, v, stats)
-            elif tag == _DEL:
-                v = pop()
-                row = rows[v] = saved[v]
-                for u in reversed(row):
-                    r = rows[u]
-                    if r is not None:
-                        r.insert(pop(), v)
-            elif tag == _CHORD:
-                pb, b, pa, a = pop(), pop(), pop(), pop()
-                if rows[a][pa] != b or rows[b][pb] != a:
-                    raise BrokenInvariant(f"chord {a}-{b} is not where its log put it")
-                del rows[a][pa]
-                del rows[b][pb]
-            elif tag == _ROWS:
-                if rows != self._live_rows():
-                    raise BrokenInvariant("the ascent did not restore the rotation system")
+                    reduce_once(rows, self.occs[pop()], colors, stats)
+            if rows != self._live_rows():
+                raise BrokenInvariant("the ascent did not restore the rotation system")
+        # every record left is `v, PEEL`; a neighbor not yet back is 0
+        for v in log[-2::-2]:
+            taken = seen = 0
+            for u in given[v]:
+                c = colors[u]
+                if c:
+                    taken |= 1 << c
+                    seen += 1
+            spare = SPARE_COLOR[taken & 31]
+            if spare and seen <= 4:
+                colors[v] = spare
+                spares += 1
             else:
-                reduce_once(rows, self.occs[pop()], colors, stats)
+                colors[v] = free_color(given, colors, v, stats)
+        log.clear()
         stats.free_color_calls += spares
         return colors
 
