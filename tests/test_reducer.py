@@ -771,26 +771,27 @@ def test_ascent_rejects_a_moved_chord():
         work.ascend(stats)
 
 
-@pytest.mark.parametrize(
-    "g", [icosphere(2), _SPLIT_ICOSPHERE], ids=["icosphere-2", "icosphere-3-split-4"]
-)
-def test_ascent_rejects_an_unrestored_rotation(monkeypatch, g):
+def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
+    # icosphere-2 scans before any peel; the split icosphere peels first,
+    # then fills and scans
     descend = reducer._Work.descend
 
     def perturbed(self, stats):
         descend(self, stats)
         assert stats.scans > 0
         # the first vertex deleted after the first scan is put back last
-        # before the ROWS marker (these fill before that deletion, so no
-        # chord is undone after it); fields are >= 0, so the first tag of
+        # before the rows are checked at the ROWS marker; only the split
+        # icosphere's fill chords are undone after it, and they still sit
+        # where their log put them.  Fields are >= 0, so the first tag of
         # either deletion closes its record
         k = min(i for i, x in enumerate(self.log) if x in (reducer._LOW, reducer._DEL))
         v = self.log[k - 1]
         self.saved[v].reverse()
 
     monkeypatch.setattr(reducer._Work, "descend", perturbed)
-    with pytest.raises(BrokenInvariant, match="did not restore the rotation system"):
-        color_planar(g)
+    for g in (icosphere(2), _SPLIT_ICOSPHERE):
+        with pytest.raises(BrokenInvariant, match="did not restore the rotation system"):
+            color_planar(g)
 
 
 def test_low_peels_log_one_record_each():
@@ -825,25 +826,30 @@ def test_ascent_calls_free_color_only_when_blocked(monkeypatch):
     assert stats.free_color_calls == stats.f1_steps
 
 
-@pytest.mark.parametrize("tag", ["PEEL", "LOW"])
-def test_ascent_keeps_the_five_blocker_tripwire(octahedron, tag):
+def test_ascent_keeps_the_five_blocker_tripwire(octahedron):
     # a hand-made log no descent writes: 4 and 5 come back next to 1 and 2
     # and both take 3, then 0 comes back with five neighbors colored
     # 1, 2, 3, 3, 3.  The table alone would give it 4; a peel with more
-    # than 4 colored neighbors goes to free_color, which raises.  A PEEL
-    # reads the input's rows, where 1, 2 and 3 are left live; a LOW reads
-    # the rows the first scan made and reinserts itself
+    # than 4 colored neighbors goes to free_color, which raises.  These are
+    # PEELs, read against the input's rows, where 1, 2 and 3 are left live
     work = reducer._Work(octahedron)
-    if tag == "PEEL":
-        work.given = [(1, 2, 3, 4, 5), (0, 2, 3), (0, 1, 3), (0, 1, 2), (0, 1, 2), (0, 1, 2)]
-        work.live[:] = bytes([0, 1, 1, 1, 0, 0])
-        peel = reducer._PEEL
-        work.log = [0, peel, 5, peel, 4, peel]
-    else:
-        work.rows = [None, [2, 3], [1, 3], [1, 2], None, None]
-        work.saved = [[1, 2, 3, 4, 5], None, None, None, [1, 2], [1, 2]]
-        low = reducer._LOW
-        work.log = [0, 0, 0, 0, 0, 0, low, 0, 0, 5, low, 0, 0, 4, low]
+    work.given = [(1, 2, 3, 4, 5), (0, 2, 3), (0, 1, 3), (0, 1, 2), (0, 1, 2), (0, 1, 2)]
+    work.live[:] = bytes([0, 1, 1, 1, 0, 0])
+    peel = reducer._PEEL
+    work.log = [0, peel, 5, peel, 4, peel]
+    with pytest.raises(BrokenInvariant, match="vertex 0 has 5 neighbors colored 1..4"):
+        work.ascend(RunStats())
+
+
+def test_ascent_keeps_the_five_blocker_tripwire_after_a_scan(octahedron):
+    # the same log as LOW records, after the first scan: each reinserts
+    # itself into the rows the scan made, and a LOW row longer than 4 goes
+    # to free_color
+    work = reducer._Work(octahedron)
+    work.rows = [None, [2, 3], [1, 3], [1, 2], None, None]
+    work.saved = [[1, 2, 3, 4, 5], None, None, None, [1, 2], [1, 2]]
+    low = reducer._LOW
+    work.log = [0, 0, 0, 0, 0, 0, low, 0, 0, 5, low, 0, 0, 4, low]
     with pytest.raises(BrokenInvariant, match="vertex 0 has 5 neighbors colored 1..4"):
         work.ascend(RunStats())
 
