@@ -295,13 +295,13 @@ def from_faces(n, faces):
 
 
 def fill_walk(rows, walk):
-    """Triangulate one face walk in place; return its chords as (a, pa, b, pb).
+    """Triangulate one face walk in place; return its chords as (a, b).
 
     Cuts ears: the chord (w[0], w[2]) goes into the corner at w[1], landing
-    between the walk neighbors of each endpoint, so b is inserted at pa in
-    rows[a] and a at pb in rows[b].  A cut drops w[1]; either way the walk
-    then rotates by one.  Raises UntriangulatableFace if a whole turn finds
-    no ear.
+    between the walk neighbors of each endpoint: b just before w[-1] in
+    rows[a], and a just before w[1] in rows[b].  A cut drops w[1]; either
+    way the walk then rotates by one.  Raises UntriangulatableFace if a
+    whole turn finds no ear.
     """
     # Each face walk of length >= 4 has an ear.  If w[i] == w[i+2], w[i+1] is a leaf
     # and the next pair is free; else edges w[i]w[i+2], w[i+1]w[i+3] outside the face
@@ -316,11 +316,9 @@ def fill_walk(rows, walk):
             if misses == len(w):
                 raise UntriangulatableFace(f"no chord fits face walk {list(w)!r}")
         else:
-            pa = rows[a].index(w[-1])
-            rows[a].insert(pa, b)
-            pb = rows[b].index(w[1])
-            rows[b].insert(pb, a)
-            chords.append((a, pa, b, pb))
+            rows[a].insert(rows[a].index(w[-1]), b)
+            rows[b].insert(rows[b].index(w[1]), a)
+            chords.append((a, b))
             del w[1]
             misses = 0
         w.rotate(-1)

@@ -7,10 +7,10 @@ are read only at live vertices, so the reducer's working rows, with None for
 each vertex its descent has deleted, serve as they are.
 Uncolored vertices are invisible to chains: a chain is a connected piece
 of the subgraph induced by the colored vertices whose colors lie in a
-two-color pair.  So the input's own rows serve as well, as the reducer
-reads them for the vertices it peeled before its first scan: there a
-neighbor not yet back is uncolored, and it neither blocks a color nor
-joins a chain.
+two-color pair.  So rows that still list vertices not yet colored serve
+as well, as the reducer's ascent reads them (the input's rows, or those of
+the scan before a vertex's deletion): there a neighbor not yet back is
+uncolored, and it neither blocks a color nor joins a chain.
 
 A chain search runs from two ends at once, one vertex from each in
 turn, and stops as soon as one end's chain is complete or the two
@@ -21,8 +21,8 @@ read through a cursor, so a search allocates little beyond its result.
 The spare-color rule is one table, SPARE_COLOR: set bit c of a mask for
 each color c a neighbor has, and the mask's entry is the least of 1..4
 left free, or 0 when all four are taken.  free_color reads it, and so does
-the reducer's ascent, which builds the mask while it reinserts a peeled
-vertex and calls free_color only when the entry is 0.
+the reducer's ascent, which builds the mask over a peeled vertex's colored
+neighbors and calls free_color only when the entry is 0.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class BrokenInvariant(RuntimeError):
     """An internal guarantee of the engine failed; the state is corrupt.
 
     Raised where a correct run cannot get: a swap that breaks an edge, a
-    vertex with five blockers, an undo that does not match its log, a
-    rotation not restored.
+    vertex with five blockers, a fill chord on a row its scan did not
+    copy, a row put back that its scan did not make.
     """
 
 

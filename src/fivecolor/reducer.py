@@ -5,20 +5,21 @@ vertices straight off a heap, smallest degree first (fewer of them then
 need a Kempe swap on the way back), and once the minimum degree reaches 5 a
 catalog occurrence as one block.  Every deletion is logged, so the ascent
 can replay the log backwards and color each vertex the moment its full
-neighborhood is back.  The log is one flat list of ints (records laid out
-in _Work), so the descent leaves the cyclic garbage collector almost
-nothing to track.
+neighborhood is back.  The log is one flat list of vertex ids (laid out in
+_Work), so the descent leaves the cyclic garbage collector almost nothing
+to track.
 
-Rows exist only once a scan needs them.  Until the first scan a peel is
-a degree count: it marks the vertex deleted and lowers the count of each
-live neighbor, reading the input's own rows and editing none, which is
-the smallest-last order of Matula and Beck (JACM 30, 1983), O(m) in all.
-The first scan makes mutable rows of the live part of the input, once,
-and from there one deletion loop serves peels and occurrences, a peel
-being a block of one vertex.  An input that never scans, such as a star,
-a path, a tree or most random triangulations, makes no rows at all; its
-ascent colors each peel against the vertex's input row, where a neighbor
-not yet back is uncolored.
+No deletion edits a row.  It marks the vertex dead and lowers the degree
+count of each live neighbor, which is the smallest-last order of Matula
+and Beck (JACM 30, 1983), O(m) in all.  Rows of live vertices alone are
+needed only by a scan, so they are made there: the first scan makes lists
+of the live part of the input's rows, and each later one new lists of
+just the rows that hold a vertex deleted since the last, keeping the lists
+they replace.  An input that never scans, such as a star, a path, a tree
+or most random triangulations, makes no rows at all.  On the way back a
+vertex is colored against the rows of the last scan before its deletion
+(the input's, before the first), where a neighbor deleted earlier is not
+back yet: it is uncolored, and blocks nothing.
 
 Only the catalog search needs triangles; a vertex of degree 4 or less
 takes a color on the way back in any plane graph.  So faces are filled
@@ -26,19 +27,20 @@ only just before a scan, and only those that deletions opened since the
 last one: every face at the first scan when the input's edge count shows
 a face longer than a triangle, else the faces round the live neighbors
 of the vertices deleted since (the rows were a triangulation at the last
-scan, or as given, and deletions only merge faces).  Inputs that peel
-away, such as stars, paths, trees and most random triangulations, are
-never filled, and a hole an occurrence leaves stays open while its
-boundary peels.
+scan, or as given, and deletions only merge faces).  Those neighbors'
+rows are the ones the scan makes, so a fill edits no list an earlier scan
+made.  Inputs that peel away, such as stars, paths, trees and most random
+triangulations, are never filled, and a hole an occurrence leaves stays
+open while its boundary peels.
 
-The occurrence search is incremental: the descent records each vertex
-whose row it changes, and a matching.ScanIndex re-probes only the anchors
-near those vertices, with the same result as a scan of the whole graph.
-The links of deleted vertices are handed to the index just before the
-next scan, so a descent made only of peels does no set work.
+The occurrence search is incremental: a matching.ScanIndex re-probes only
+the anchors near the vertices whose rows changed since the last scan, with
+the same result as a scan of the whole graph.  Those are the rows the scan
+makes and the ends of its chords, handed to the index just before its
+search, so a descent made only of peels does no set work.
 
 A plain deleted vertex takes a spare color among its at most four colored
-neighbors, read from kempe.SPARE_COLOR while the ascent puts it back; only
+neighbors, read from kempe.SPARE_COLOR as the ascent puts it back; only
 when all four differ does it call kempe.free_color, whose Kempe swap frees
 one.  An occurrence is where color 5 may be spent: its scheme nominates
 candidates in order, a candidate is blocked if it already sees a 5 next
@@ -141,51 +143,27 @@ def reduce_once(rows, occ, colors, stats):
     return fifth, peel
 
 
-# Tags that close the log's records; every field is a vertex id, a row
-# position or an index, so never negative.
-_LOW, _OCC, _DEL, _CHORD, _PEEL, _ROWS = -1, -2, -3, -4, -5, -6
-
-
 class _Work:
-    """The descent's state: degree counts, then rotation rows, and the undo log.
+    """The descent's state: degree counts, the rows scans make, and the undo log.
 
-    Until the first scan the descent reads the input's own rows (`given`,
-    g.rotation, never edited) and keeps a degree count and a live flag per
-    vertex.  At the first scan it makes `rows`, mutable lists of the live
-    part of `given` (None for a deleted vertex), and edits them from then
-    on.  A descent that never scans makes no rows.
+    _peel deletes a vertex by clearing its `live` flag and lowering the
+    `deg` count of each live neighbor, and appends it to `log`.  `rows` is
+    None until the first scan makes it from `given` (g.rotation, never
+    edited), with None for a dead vertex.  Each later scan replaces the
+    rows that hold a vertex deleted since the last one, and kept[k] holds
+    what scan k replaced as `u, old, new, ...`.  The first scan's record is
+    empty: below it the ascent reads `given`.
 
-    The log is one flat list of ints, each record its fields, then a tag.
-    `v, PEEL` deletes v, peeled at degree 4 or less before the first scan;
-    it changes no row, and the ascent colors v against given[v], where a
-    neighbor not yet back is uncolored and so blocks nothing.  `ROWS`, with
-    no field, marks the first scan: every PEEL comes before it and every
-    other record after it, and the ascent checks there that it restored the
-    rows the scan made.  `p1 .. pk, v, LOW` deletes v, peeled at degree 4
-    or less after the first scan, and `p1 .. pk, v, DEL` deletes v as part
-    of an occurrence; v's row is kept in saved[v], and p1..pk are the
-    positions v had in its present neighbors' rows, in row order.  The
-    ascent reinserts v for either tag, and on LOW then colors it,
-    collecting its neighbors' colors in the same loop.  `i, OCC` (occs[i])
-    opens an occurrence; it is pushed before its deletions, so the ascent
-    colors the pattern once they are undone.  `a, pa, b, pb, CHORD` is a
-    fill chord.  A deletion needs no marker for the neighbors skipped as
-    gone: replayed last in, first out, every vertex deleted after v is back
-    and every one deleted before it is still gone.
-
-    descend writes LOW and DEL from one loop, a peel being a block of one
-    vertex.  Holes stay open until the heap runs dry: faces are filled only
-    just before a scan, so every CHORD comes after the last deletion before
-    the next OCC.  Deleted vertices wait in a list, and their saved rows
-    (given[v] for a PEEL) give both the faces to fill and what reaches
-    index.changed just before the next find_reducible, which is the first
-    time the index reads it.
+    cuts[k] is the log's length at scan k.  From there the log holds the
+    vertices of occs[k], which _peel deletes first, then the peels before
+    the next scan; the peels before the first scan come before cuts[0].
     """
 
     def __init__(self, g):
         self.given = g.rotation
         self.live = bytearray(b"\x01") * len(self.given)
-        self.rows = self.saved = None  # made at the first scan
+        self.deg = list(map(len, self.given))
+        self.rows = self.index = None  # made at the first scan
         # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
         # so its first fill, like every later one, need trace only the faces
         # the peels opened, and one that peels nothing before its first scan
@@ -197,8 +175,9 @@ class _Work:
         # triangle.  With n <= 2 no walk is longer than 2.
         self.triangulated = g.m == 3 * g.n - 6
         self.log = []
+        self.cuts = []
         self.occs = []
-        self.index = ScanIndex(_SCAN_ENTRIES)
+        self.kept = []
 
     def _live_rows(self):
         """The input's rows less every deleted vertex: lists, None for a deleted one."""
@@ -208,210 +187,183 @@ class _Work:
         alive = live.__getitem__
         return [list(compress(r, map(alive, r))) if live[v] else None for v, r in enumerate(given)]
 
+    def _rebuild(self, deleted):
+        """Make new lists of the rows that hold a vertex of `deleted`; returns their ids.
+
+        Those are the live neighbors of `deleted`, in the order of the rows
+        that list them.  The rows of `deleted` become None, and what is
+        replaced goes to kept as `u, old, new` per row.
+        """
+        rows, live = self.rows, self.live
+        alive = live.__getitem__
+        starts = dict.fromkeys(u for v in deleted for u in rows[v] if live[u])
+        record = []
+        for v in deleted:
+            record += (v, rows[v], None)
+            rows[v] = None
+        for u in starts:
+            old = rows[u]
+            new = rows[u] = list(compress(old, map(alive, old)))
+            record += (u, old, new)
+        self.kept.append(record)
+        return starts
+
     # The heap pops the smallest degree first, the smallest id among equal
     # degrees.  An entry is the int d * n + v: every id is below n, so ints
     # order exactly as the pairs (d, v) would, with no tuple per entry.
     # Every vertex whose degree changes is pushed again, so an entry whose
-    # degree no longer matches its vertex's is stale and dropped.  _peel
-    # starts its heap with one heapify, and so does an occurrence, which
-    # finds the heap empty (it comes only once the heap ran dry): one
-    # heapify costs what the pushes would.
+    # degree no longer matches its vertex's is stale and dropped.  An
+    # occurrence's vertices enter at degree -1, below every live count, so
+    # they are deleted first; one whose doomed neighbor goes first drops
+    # lower and is pushed again like any other vertex.
 
-    def _peel(self, stats):
-        """Peel on degree counts until the heap runs dry; returns the vertices left.
+    def _peel(self, rows, heap, alive):
+        """Delete off the heap until it runs dry; returns the vertices left.
 
-        Stops early with 3 left.  A peel marks v deleted and lowers the count
-        of each live neighbor, read from v's input row; no row is edited.
+        Stops early with 3 left, which never cuts an occurrence short: a
+        scan finds at least 12 live vertices (a plane graph of minimum
+        degree 5), and an occurrence has 6.
         """
-        given, live, log = self.given, self.live, self.log
+        deg, live, log = self.deg, self.live, self.log
         heappop, heappush = heapq.heappop, heapq.heappush
-        size = len(given)
-        deg = list(map(len, given))
-        # the vertices of degree 4 or less, picked out without a Python loop
-        heap = [deg[v] * size + v for v in compress(range(size), map((4).__ge__, deg))]
-        heapq.heapify(heap)
-        alive = size
+        size = len(live)
         while alive > 3 and heap:
             d, v = divmod(heappop(heap), size)
             if deg[v] != d or not live[v]:
                 continue
             live[v] = 0
-            log += (v, _PEEL)
+            log.append(v)
             alive -= 1
-            for u in given[v]:
+            for u in rows[v]:
                 if live[u]:
                     k = deg[u] = deg[u] - 1
                     if k <= 4:
                         heappush(heap, k * size + u)
-        stats.f1_steps += size - alive
         return alive
 
-    def _fill_from(self, darts, stats):
-        """Re-triangulate the face walks through `darts`, logging every chord.
+    def _fill_from(self, darts, copied, stats):
+        """Re-triangulate the face walks through `darts`; returns the chords as (a, b).
 
-        Adds the walks' darts to stats.walk_darts and the chords' ends to
-        index.changed.
+        Adds the walks' darts to stats.walk_darts.  Every chord end must be
+        a row in `copied`, which this scan made: a list kept from an earlier
+        scan is what the ascent colors that scan's deletions against.
         """
         # walk first: filling changes the rows the walks are read from
         walks = list(face_walks(self.rows, darts))
         stats.walk_darts += sum(map(len, walks))
-        changed = self.index.changed
+        chords = []
         for walk in walks:
             if len(walk) >= 4:
-                for a, pa, b, pb in fill_walk(self.rows, walk):
-                    self.log += (a, pa, b, pb, _CHORD)
-                    changed.add(a)
-                    changed.add(b)
+                chords += fill_walk(self.rows, walk)
+        for a, b in chords:
+            if a not in copied or b not in copied:
+                raise BrokenInvariant(f"a chord lands on a row its scan did not copy: {a}-{b}")
+        return chords
 
     def descend(self, stats):
-        alive = self._peel(stats)
-        if alive <= 3:
-            return
-        # the heap ran dry with more than 3 vertices left: the first scan.
-        # Make the rows.  Every peel so far is deleted since the last scan,
-        # and the live part of its input row is where the fill starts
-        rows = self.rows = self._live_rows()
-        saved = self.saved = [None] * len(rows)
-        unmarked = self.log[::2]
-        for v in unmarked:
-            saved[v] = self.given[v]
-        self.log.append(_ROWS)
-        heap, log, occs, index = [], self.log, self.occs, self.index
-        heappop, heappush = heapq.heappop, heapq.heappush
-        size = len(rows)
+        given, live, deg, log, occs = self.given, self.live, self.deg, self.log, self.occs
+        size = len(given)
+        # the vertices of degree 4 or less, picked out without a Python loop
+        heap = [deg[v] * size + v for v in compress(range(size), map((4).__ge__, deg))]
+        heapq.heapify(heap)
+        alive = self._peel(given, heap, size)
+        if alive > 3:
+            # the heap ran dry with more than 3 vertices left: the first
+            # scan makes every row, and the live part of each peel's input
+            # row is where its fill starts
+            rows = self.rows = self._live_rows()
+            starts = dict.fromkeys(u for v in log for u in given[v] if live[u])
+            copied = range(size)
+            self.kept.append([])  # the ascent goes back to `given` instead
+            index = self.index = ScanIndex(_SCAN_ENTRIES)
         while alive > 3:
-            if heap:
-                d, v = divmod(heappop(heap), size)
-                link = rows[v]  # kept unchanged in saved[v]
-                if link is None or len(link) != d:
-                    continue
-                doomed, tag = (v,), _LOW
+            # fill the faces opened since the last scan, or since the start
+            # if the input was a triangulation: deletions only merge faces,
+            # so each has a dart out of a live neighbor of a vertex deleted
+            # since.  Any other input has every face filled at its first
+            # scan.  A fill only raises degrees, so the heap stays empty
+            if occs or self.triangulated:
+                darts = [(u, w) for u in starts for w in rows[u]]
             else:
-                # fill the faces opened since the last scan (occs holds one
-                # occurrence per scan), or since the start if the input was a
-                # triangulation: deletions only merge faces, so each has a
-                # dart out of a live neighbor of a vertex deleted since.  Any
-                # other input has every face filled before its first scan.  A
-                # fill only raises degrees, so the heap stays empty
-                starts = dict.fromkeys(
-                    u for v in unmarked for u in saved[v] if rows[u] is not None
-                )
-                unmarked.clear()
-                if occs or self.triangulated:
-                    darts = [(u, w) for u in starts for w in rows[u]]
-                else:
-                    darts = all_darts(rows)
-                self._fill_from(darts, stats)
-                index.changed.update(starts)
-                stats.scans += 1
-                occ = find_reducible(rows, index)
-                stats.occ_steps[occ.entry.family] += 1
-                log += (len(occs), _OCC)
-                occs.append(occ)
-                doomed, tag = sorted(occ.vertices), _DEL
-            # p1 .. pk, v, tag per vertex; a neighbor deleted earlier in the
-            # same block is skipped
+                darts = all_darts(rows)
+            chords = self._fill_from(darts, copied, stats)
+            for a, b in chords:
+                deg[a] += 1
+                deg[b] += 1
+            index.changed.update(starts, *chords)
+            stats.scans += 1
+            occ = find_reducible(rows, index)
+            stats.occ_steps[occ.entry.family] += 1
+            self.cuts.append(len(log))
+            occs.append(occ)
+            doomed = sorted(occ.vertices)
             for v in doomed:
-                row = rows[v]
-                for u in row:
-                    r = rows[u]
-                    if r is not None:
-                        pos = r.index(v)
-                        del r[pos]
-                        log.append(pos)
-                log += (v, tag)
-                saved[v] = row
-                rows[v] = None
-                unmarked.append(v)
-            alive -= len(doomed)
-            if tag == _DEL:
-                for u in {u for v in doomed for u in saved[v] if rows[u] is not None}:
-                    if len(rows[u]) <= 4:
-                        heap.append(len(rows[u]) * size + u)
-                heapq.heapify(heap)
-                continue
-            stats.f1_steps += 1
-            for u in link:
-                r = rows[u]
-                if len(r) <= 4:
-                    heappush(heap, len(r) * size + u)
-        stats.probes += index.probes
+                deg[v] = -1
+            alive = self._peel(rows, [v - size for v in doomed], alive)
+            if alive > 3:
+                # the occurrence in id order, then the peels, as they went
+                starts = copied = self._rebuild(doomed + log[self.cuts[-1] + len(doomed) :])
+        stats.f1_steps += len(log) - sum(len(occ.vertices) for occ in occs)
+        if self.index is not None:
+            stats.probes += self.index.probes
 
     def ascend(self, stats):
-        """Replay the log backwards; returns the colors, indexed by vertex.
+        """Color the deleted vertices, last deleted first; returns the colors, indexed by vertex.
 
-        Down to ROWS the records are replayed on the rows, which must then
-        be as the first scan made them; the PEELs below it are colored
-        against the input's rows.  A peel ORs 1 << color over its neighbors
-        and takes SPARE_COLOR's entry for that mask; a LOW peel reinserts
-        itself in the same loop.  free_color runs only when the entry is 0
-        (all four colors blocked) or more than 4 neighbors are colored,
-        which a correct log never writes, so its five-blocker check still
-        fires.  Inline picks are added to stats.free_color_calls, which
-        keeps counting every colored peel.  reduce_once colors occurrences
-        through free_color.
+        Each scan's segment, last first, is colored against that scan's
+        rows: its peels, last first, then its occurrence through
+        reduce_once.  A vertex deleted earlier is uncolored (0) there, so it
+        blocks nothing and joins no chain, and each vertex sees the
+        neighbors it had when it was deleted.  Then the lists the scan
+        replaced are put back, each checked to be the one it made.  The
+        peels before the first scan are colored against the input's rows.
         """
-        rows, given, log, pop, saved = self.rows, self.given, self.log, self.log.pop, self.saved
+        given, log, rows = self.given, self.log, self.rows
         size = len(given)
         colors = [0] * size
-        if rows is None:
-            base = compress(range(size), self.live)
-        else:
-            base = [v for v in range(size) if rows[v] is not None]
-        for c, v in enumerate(base, start=1):
+        for c, v in enumerate(compress(range(size), self.live), start=1):
             colors[v] = c
         spares = 0  # peels colored inline, without a free_color call
-        if rows is not None:
-            while (tag := pop()) != _ROWS:
-                if tag == _LOW:
-                    v = pop()
-                    row = rows[v] = saved[v]
-                    taken = 0
-                    for u in reversed(row):
-                        r = rows[u]
-                        if r is not None:
-                            r.insert(pop(), v)
-                        taken |= 1 << colors[u]
-                    spare = SPARE_COLOR[taken & 31]
-                    if spare and len(row) <= 4:
-                        colors[v] = spare
-                        spares += 1
-                    else:
-                        colors[v] = free_color(rows, colors, v, stats)
-                elif tag == _DEL:
-                    v = pop()
-                    row = rows[v] = saved[v]
-                    for u in reversed(row):
-                        r = rows[u]
-                        if r is not None:
-                            r.insert(pop(), v)
-                elif tag == _CHORD:
-                    pb, b, pa, a = pop(), pop(), pop(), pop()
-                    if rows[a][pa] != b or rows[b][pb] != a:
-                        raise BrokenInvariant(f"chord {a}-{b} is not where its log put it")
-                    del rows[a][pa]
-                    del rows[b][pb]
-                else:
-                    reduce_once(rows, self.occs[pop()], colors, stats)
-            if rows != self._live_rows():
-                raise BrokenInvariant("the ascent did not restore the rotation system")
-        # every record left is `v, PEEL`; a neighbor not yet back is 0
-        for v in log[-2::-2]:
-            taken = seen = 0
-            for u in given[v]:
-                c = colors[u]
-                if c:
-                    taken |= 1 << c
-                    seen += 1
-            spare = SPARE_COLOR[taken & 31]
-            if spare and seen <= 4:
-                colors[v] = spare
-                spares += 1
-            else:
-                colors[v] = free_color(given, colors, v, stats)
-        log.clear()
+        end = len(log)
+        for cut, occ, record in reversed(list(zip(self.cuts, self.occs, self.kept))):
+            spares += _color_peels(rows, log[cut + len(occ.vertices) : end], colors, stats)
+            reduce_once(rows, occ, colors, stats)
+            fields = iter(record)
+            for u, old, new in zip(fields, fields, fields):
+                if rows[u] is not new:
+                    raise BrokenInvariant(f"row {u} is not the list its scan made")
+                rows[u] = old
+            end = cut
+        spares += _color_peels(given, log[:end], colors, stats)
         stats.free_color_calls += spares
         return colors
+
+
+def _color_peels(rows, peels, colors, stats):
+    """Color `peels`, last first, against `rows`; returns how many took a spare inline.
+
+    A peel ORs 1 << color over its colored neighbors and takes SPARE_COLOR's
+    entry for that mask.  free_color runs only when the entry is 0 (all four
+    colors blocked) or more than 4 neighbors are colored, which a correct
+    log never leaves, so its five-blocker check still fires.  Inline picks
+    are counted by the caller in stats.free_color_calls, which keeps
+    counting every colored peel.
+    """
+    spares = 0
+    for v in reversed(peels):
+        taken = seen = 0
+        for u in rows[v]:
+            c = colors[u]
+            if c:
+                taken |= 1 << c
+                seen += 1
+        spare = SPARE_COLOR[taken & 31]
+        if spare and seen <= 4:
+            colors[v] = spare
+            spares += 1
+        else:
+            colors[v] = free_color(rows, colors, v, stats)
+    return spares
 
 
 def color_planar(g, stats=None):

@@ -307,6 +307,28 @@ def coloring_digest(graphs):
     return runs_digest(color_runs(graphs))
 
 
+class MeteredRow(list):
+    """A row list that counts, on the class, every call that removes an item.
+
+    Wrap the rows of a run in it to see whether some step edits them:
+    `removals` sums the __delitem__, remove and pop calls on every instance.
+    """
+
+    removals = 0
+
+    def __delitem__(self, key):
+        MeteredRow.removals += 1
+        super().__delitem__(key)
+
+    def remove(self, value):
+        MeteredRow.removals += 1
+        super().remove(value)
+
+    def pop(self, *index):
+        MeteredRow.removals += 1
+        return super().pop(*index)
+
+
 def least_rotation(walk):
     """A walk's least cyclic rotation, as a tuple: the same for every start."""
     return min(tuple(walk[i:] + walk[:i]) for i in range(len(walk)))

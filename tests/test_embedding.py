@@ -429,7 +429,7 @@ def test_from_faces_isolated_vertex():
 
 
 def engine_fill(g):
-    """The reducer's _Work for g with every face filled and nothing deleted.
+    """The reducer's rows for g with every face filled and nothing deleted, and the chords.
 
     The descent makes this fill just before its first scan, so on an input
     with no vertex of degree 4 or less it is the descent's first step,
@@ -437,9 +437,9 @@ def engine_fill(g):
     """
     work = reducer._Work(g)
     work.rows = [list(r) for r in g.rotation]
-    if not work.triangulated:
-        work._fill_from(all_darts(work.rows), RunStats())
-    return work
+    if work.triangulated:
+        return work.rows, []
+    return work.rows, work._fill_from(all_darts(work.rows), range(g.n), RunStats())
 
 
 @pytest.mark.parametrize(
@@ -457,10 +457,10 @@ def engine_fill(g):
     + [f"cycle-{k}" for k in range(4, 14)],
 )
 def test_engine_fill(g, m, chords):
-    work = engine_fill(g)
-    filled = build(work.rows)
+    rows, placed = engine_fill(g)
+    filled = build(rows)
     assert filled.m == m
-    assert work.log.count(reducer._CHORD) == chords
+    assert len(placed) == chords
     assert all(len(f) == 3 for f in trace_faces(filled))
     assert set(g.edges()) <= set(filled.edges())
 
@@ -489,11 +489,10 @@ def test_fill_walk_triangulates_and_undoes(seed, n):
     # the only faces left that are not triangles bound a lone edge
     for face in trace_faces(filled):
         assert len(face) == 3 or all(filled.degree(v) == 1 for v in face)
-    # the reducer's undo: delete each chord where it was logged, last first
-    for a, pa, b, pb in reversed(chords):
-        assert rows[a][pa] == b and rows[b][pb] == a
-        del rows[a][pa]
-        del rows[b][pb]
+    # removing the chords gives the input rows back
+    for a, b in chords:
+        rows[a].remove(b)
+        rows[b].remove(a)
     assert rows == [list(r) for r in g.rotation]
 
 
@@ -514,7 +513,7 @@ def _digest(data):
 def test_fill_pinned():
     # the rows a whole-graph fill leaves, which place every chord in its
     # rotations; any drift in how fill_walk cuts a face changes this digest
-    assert _digest([engine_fill(g).rows for g in _fill_graphs()]) == "3863b7324e799839"
+    assert _digest([engine_fill(g)[0] for g in _fill_graphs()]) == "3863b7324e799839"
 
 
 def test_fill_colorings_pinned():

@@ -41,6 +41,7 @@ from fivecolor.reducer import (
 )
 
 from conftest import (
+    MeteredRow,
     barrel,
     color_runs,
     coloring_digest,
@@ -563,11 +564,8 @@ def test_walk_darts_stay_linear(monkeypatch, g, order):
     assert stats.walk_darts <= 2 * g.n
     work = reducer._Work(g)
     work.descend(RunStats())
-    tags = [x for x in work.log if x < 0]
-    last_scan = len(tags) - 1 - tags[::-1].index(reducer._OCC)
-    deleted = (reducer._PEEL, reducer._LOW, reducer._DEL)
-    deleted_first = any(t in deleted for t in tags[:last_scan])
-    assert (stats.walk_darts > 0) == deleted_first
+    # cuts[-1] counts the vertices deleted before the last scan
+    assert (stats.walk_darts > 0) == (work.cuts[-1] > 0)
 
 
 def test_walk_darts_zero_on_triangulated_input():
@@ -579,37 +577,52 @@ def test_walk_darts_zero_on_triangulated_input():
     assert stats.f1_steps > 0 and stats.walk_darts == 0
 
 
+def _record_fills_and_scans(monkeypatch):
+    """Record, in order, each fill's chord count and each scan ("scan")."""
+    fill, scan = reducer._Work._fill_from, reducer.find_reducible
+    events = []
+
+    def filled(self, darts, copied, stats):
+        chords = fill(self, darts, copied, stats)
+        events.append(len(chords))
+        return chords
+
+    def scanned(rows, index):
+        events.append("scan")
+        return scan(rows, index)
+
+    monkeypatch.setattr(reducer._Work, "_fill_from", filled)
+    monkeypatch.setattr(reducer, "find_reducible", scanned)
+    return events
+
+
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("base", [0, 1], ids=["icosphere-3", "shaped"])
-def test_triangulation_fills_at_its_first_scan(base, k):
+def test_triangulation_fills_at_its_first_scan(monkeypatch, base, k):
     # the split edges' vertices peel at degree 4 and leave their 4-holes
     # open; the fill at the first scan closes each with one chord.  So the
-    # log's tags before the first occurrence are the k peels, the rows made
-    # at the scan, then the k chords; a chord placed at each peel would
-    # interleave them
+    # k peels come before the first scan, and its fill places the k chords;
+    # a chord placed at each peel would come before that fill
+    events = _record_fills_and_scans(monkeypatch)
     work = reducer._Work(subdivided(_SPLIT_BASES[base], k))
     work.descend(RunStats())
-    tags = [x for x in work.log if x < 0]
-    first_scan = tags[: tags.index(reducer._OCC)]
-    assert first_scan == [reducer._PEEL] * k + [reducer._ROWS] + [reducer._CHORD] * k
+    assert work.cuts[0] == k
+    assert events[:2] == [k, "scan"]
 
 
 @pytest.mark.parametrize("segments", _BARRELS)
-def test_chords_come_only_just_before_a_scan(segments):
-    # faces are filled only just before a scan: between two occurrences the
-    # log holds the first one's deletions, the peels after it and then the
-    # chords of the next fill, and after the last occurrence no chord at
-    # all.  Filling each hole as it opens would put chords among the peels
+def test_chords_come_only_just_before_a_scan(monkeypatch, segments):
+    # faces are filled only just before a scan: each scan comes right after
+    # its fill, the first fill finds a triangulation with nothing deleted
+    # and places no chord, every later one closes the hole the occurrence
+    # and peels before it left, and after the last scan nothing is filled.
+    # Filling each hole as it opens would put more fills than scans
+    events = _record_fills_and_scans(monkeypatch)
     work = reducer._Work(barrel(segments))
     work.descend(RunStats())
-    tags = [x for x in work.log if x < 0]
-    scans = [i for i, t in enumerate(tags) if t == reducer._OCC]
-    assert len(scans) == segments
-    for start, end in zip(scans, scans[1:] + [len(tags)]):
-        between = tags[start + 1 : end]
-        chords = between.count(reducer._CHORD)
-        assert reducer._CHORD not in between[: len(between) - chords]
-        assert (chords > 0) == (end < len(tags))
+    fills, scans = events[::2], events[1::2]
+    assert len(events) == 2 * segments and scans == ["scan"] * segments
+    assert fills[0] == 0 and all(chords > 0 for chords in fills[1:])
 
 
 @pytest.mark.parametrize("order", ["default", "f2-last"])
@@ -655,13 +668,14 @@ def _random_tree(seed, n):
     ],
     ids=["star", "path", "cycle", "tree"],
 )
-def test_sparse_inputs_never_fill(g):
+def test_sparse_inputs_never_fill(monkeypatch, g):
     # counters, not time.  These peel down to three vertices, so the
-    # descent never scans and never fills a face: no chord is logged, no
+    # descent never scans and never fills a face: no chord is placed, no
     # walk traced, and no peel sees four colors on the way back up
+    events = _record_fills_and_scans(monkeypatch)
     work = reducer._Work(g)
     work.descend(RunStats())
-    assert reducer._CHORD not in work.log
+    assert events == []
     stats = RunStats()
     check_coloring(g, color_planar(g, stats))
     assert stats.f1_steps == g.n - 3
@@ -737,11 +751,11 @@ def test_fill_waits_for_the_first_scan(seed, n, thinned):
 
 @pytest.mark.parametrize("kind", ["random-2000", "icosphere-4"])
 def test_descent_log_tracks_few_objects(kind):
-    # the undo log is a flat list of ints and deleted rows are kept as they
-    # were, so beside the occurrences it keeps for the ascent (one tracked
-    # object each, 259 = n/9.9 on icosphere-4) and the rows the first scan
-    # makes (one list per live vertex; random-2000 never scans and makes
-    # none) the collector sees almost nothing new.  A log of op tuples, undo
+    # the undo log is a flat list of ints and a scan keeps the lists it
+    # replaces as they were, so beside the occurrences it keeps for the
+    # ascent (one tracked object each) and the rows the first scan makes
+    # (one list per live vertex; icosphere-4 scans once, and random-2000
+    # never scans and makes none) the collector sees almost nothing new.  A log of op tuples, undo
     # lists and level tuples left 3.9 (random) and 3.1 (icosphere) new
     # tracked objects per vertex
     g = generate(GenSpec(3, 2000, 4000)) if kind == "random-2000" else icosphere(4)
@@ -751,59 +765,83 @@ def test_descent_log_tracks_few_objects(kind):
     before = len(gc.get_objects())
     work.descend(stats)
     gc.collect()
-    made = 0 if work.rows is None else g.n - work.log.count(reducer._PEEL)
+    made = 0 if work.rows is None else g.n - work.cuts[0]
     grown = len(gc.get_objects()) - before - sum(stats.occ_steps.values()) - made
     assert grown < g.n / 10
 
 
-def test_ascent_rejects_a_moved_chord():
-    # a barrel fills the hole its first occurrence leaves before its
-    # second scan, so its log has chords
+def test_fill_rejects_a_chord_on_a_row_its_scan_did_not_copy(monkeypatch):
+    # a barrel fills the hole its first occurrence leaves before its second
+    # scan.  The lists a scan replaces are what the ascent colors the
+    # deletions before it against, so a fill that edited one would corrupt
+    # them: here the second scan is told it did not copy a chord's end
     g = barrel(2)
-    work = reducer._Work(g)
-    stats = RunStats()
-    work.descend(stats)
-    assert reducer._CHORD in work.log
-    # every field is >= 0 and every tag < 0; take the chord replayed first
-    k = len(work.log) - 1 - work.log[::-1].index(reducer._CHORD)
-    work.log[k - 3] -= 1  # its position in the row of its first end
-    with pytest.raises(BrokenInvariant, match="not where its log put it"):
-        work.ascend(stats)
+    fill = reducer._Work._fill_from
+    chords = []
+
+    def recorded(self, darts, copied, stats):
+        chords.append(fill(self, darts, copied, stats))
+        return chords[-1]
+
+    monkeypatch.setattr(reducer._Work, "_fill_from", recorded)
+    check_coloring(g, color_planar(g))
+    end = chords[1][0][0]
+
+    def uncopied(self, darts, copied, stats):
+        if self.occs:
+            copied = {u: None for u in copied if u != end}
+        return fill(self, darts, copied, stats)
+
+    monkeypatch.setattr(reducer._Work, "_fill_from", uncopied)
+    with pytest.raises(BrokenInvariant, match="a chord lands on a row its scan did not copy"):
+        color_planar(g)
 
 
 def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
-    # icosphere-2 scans before any peel; the split icosphere peels first,
-    # then fills and scans
+    # a barrel scans once per segment, and each scan after the first
+    # replaces rows the one before it made.  Put back in the wrong order,
+    # the ascent meets a row that is not the list its scan made
     descend = reducer._Work.descend
 
     def perturbed(self, stats):
         descend(self, stats)
-        assert stats.scans > 0
-        # the first vertex deleted after the first scan is put back last
-        # before the rows are checked at the ROWS marker; only the split
-        # icosphere's fill chords are undone after it, and they still sit
-        # where their log put them.  Fields are >= 0, so the first tag of
-        # either deletion closes its record
-        k = min(i for i, x in enumerate(self.log) if x in (reducer._LOW, reducer._DEL))
-        v = self.log[k - 1]
-        self.saved[v].reverse()
+        assert stats.scans > 2
+        self.kept[1:] = self.kept[:0:-1]
 
     monkeypatch.setattr(reducer._Work, "descend", perturbed)
-    for g in (icosphere(2), _SPLIT_ICOSPHERE):
-        with pytest.raises(BrokenInvariant, match="did not restore the rotation system"):
+    for g in (barrel(4), barrel(8)):
+        with pytest.raises(BrokenInvariant, match="is not the list its scan made"):
             color_planar(g)
 
 
+@pytest.mark.parametrize("g", [barrel(4), _SPLIT_ICOSPHERE], ids=["barrel-4", "icosphere-3-split-4"])
+def test_no_deletion_edits_a_row(monkeypatch, g):
+    # a deletion marks its vertex dead and lowers its neighbors' degree
+    # counts; rows change only at a scan, which makes new lists.  So no
+    # call ever removes an item from the rows the first scan makes
+    live_rows = reducer._Work._live_rows
+
+    def metered(self):
+        return [None if r is None else MeteredRow(r) for r in live_rows(self)]
+
+    monkeypatch.setattr(reducer._Work, "_live_rows", metered)
+    monkeypatch.setattr(MeteredRow, "removals", 0)
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert stats.scans > 0 and stats.f1_steps > 0
+    assert MeteredRow.removals == 0
+
+
 def test_low_peels_log_one_record_each():
-    # a peel's PEEL record is its deletion too, so a descent of peels alone
-    # writes one PEEL tag per peel and no other
+    # a peel's id in the log is its whole record, so a descent of peels
+    # alone logs one id per peel, each vertex once, and nothing else
     g = generate(GenSpec(1, 800, 1600))
     work = reducer._Work(g)
     stats = RunStats()
     work.descend(stats)
     assert stats.scans == 0 and stats.f1_steps == g.n - 3
-    assert {x for x in work.log if x < 0} == {reducer._PEEL}
-    assert len(work.log) == 2 * work.log.count(reducer._PEEL) == 2 * stats.f1_steps
+    assert work.cuts == work.kept == [] and work.rows is None
+    assert len(work.log) == len(set(work.log)) == stats.f1_steps
 
 
 def test_ascent_calls_free_color_only_when_blocked(monkeypatch):
@@ -831,25 +869,13 @@ def test_ascent_keeps_the_five_blocker_tripwire(octahedron):
     # and both take 3, then 0 comes back with five neighbors colored
     # 1, 2, 3, 3, 3.  The table alone would give it 4; a peel with more
     # than 4 colored neighbors goes to free_color, which raises.  These are
-    # PEELs, read against the input's rows, where 1, 2 and 3 are left live
+    # peels before any scan, read against the input's rows, where 1, 2 and
+    # 3 are left live; every peel, before a scan or after one, is colored
+    # by the same loop
     work = reducer._Work(octahedron)
     work.given = [(1, 2, 3, 4, 5), (0, 2, 3), (0, 1, 3), (0, 1, 2), (0, 1, 2), (0, 1, 2)]
     work.live[:] = bytes([0, 1, 1, 1, 0, 0])
-    peel = reducer._PEEL
-    work.log = [0, peel, 5, peel, 4, peel]
-    with pytest.raises(BrokenInvariant, match="vertex 0 has 5 neighbors colored 1..4"):
-        work.ascend(RunStats())
-
-
-def test_ascent_keeps_the_five_blocker_tripwire_after_a_scan(octahedron):
-    # the same log as LOW records, after the first scan: each reinserts
-    # itself into the rows the scan made, and a LOW row longer than 4 goes
-    # to free_color
-    work = reducer._Work(octahedron)
-    work.rows = [None, [2, 3], [1, 3], [1, 2], None, None]
-    work.saved = [[1, 2, 3, 4, 5], None, None, None, [1, 2], [1, 2]]
-    low = reducer._LOW
-    work.log = [0, 0, 0, 0, 0, 0, low, 0, 0, 5, low, 0, 0, 4, low]
+    work.log = [0, 5, 4]
     with pytest.raises(BrokenInvariant, match="vertex 0 has 5 neighbors colored 1..4"):
         work.ascend(RunStats())
 
@@ -881,29 +907,29 @@ def test_peel_then_scan_descents_pinned():
 
 
 def _descent_log_digest(graphs):
-    """sha256 over the undo log and saved rows of each graph's descent."""
+    """sha256 over the undo log and the scans' cuts in it of each graph's descent."""
     h = hashlib.sha256()
     for g in graphs:
         work = reducer._Work(g)
         work.descend(RunStats())
-        h.update(repr((work.log, work.saved)).encode())
+        h.update(repr((work.log, work.cuts)).encode())
     return h.hexdigest()[:16]
 
 
 def test_descent_log_pinned():
-    # the undo log and the saved rows of descents that peel nothing before
-    # their first scan: the ROWS marker, occurrence blocks, peels at every
-    # degree after them, one fill before any deletion, and a barrel's fills
-    # of the holes left before each later scan; any drift in which records
-    # are written, or in their order, changes this digest
+    # the undo log and cuts of descents that peel nothing before their
+    # first scan: occurrences, peels at every degree after them, one fill
+    # before any deletion, and a barrel's scans after the holes its
+    # occurrences leave; any drift in which vertices are deleted, or in
+    # their order, changes this digest
     graphs = [icosphere(3), _icosphere_minus_edge(3), barrel(4)]
-    assert _descent_log_digest(graphs) == "3e21ac0317fc83aa"
+    assert _descent_log_digest(graphs) == "9f5cbf6e150fcdbe"
 
 
 def test_descent_log_pinned_random():
     # the same for a random triangulation, which peels away without a scan:
-    # PEEL records alone, and no saved rows
-    assert _descent_log_digest([generate(GenSpec(7, 2000, 4000))]) == "18c234b5bad73e41"
+    # peels alone, and no cut
+    assert _descent_log_digest([generate(GenSpec(7, 2000, 4000))]) == "edd2308969ff6ccb"
 
 
 def test_descent_log_pinned_sparse():
@@ -911,4 +937,4 @@ def test_descent_log_pinned_sparse():
     # scan (or never scan): stars, paths, cycles and plane subgraphs
     graphs = [build(rot(300)) for rot in (star_rotations, path_rotations, cycle_rotations)]
     graphs += [plane_subgraph(s, 300) for s in range(4)]
-    assert _descent_log_digest(graphs) == "8e5a0169a4cb07e5"
+    assert _descent_log_digest(graphs) == "3a977ac0e43cc308"
