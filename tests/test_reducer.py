@@ -755,9 +755,9 @@ def test_descent_log_tracks_few_objects(kind):
     # replaces as they were, so beside the occurrences it keeps for the
     # ascent (one tracked object each) and the rows the first scan makes
     # (one list per live vertex; icosphere-4 scans once, and random-2000
-    # never scans and makes none) the collector sees almost nothing new.  A log of op tuples, undo
-    # lists and level tuples left 3.9 (random) and 3.1 (icosphere) new
-    # tracked objects per vertex
+    # never scans and makes none) the collector sees almost nothing new.
+    # A log of op tuples, undo lists and level tuples left 3.9 (random)
+    # and 3.1 (icosphere) new tracked objects per vertex
     g = generate(GenSpec(3, 2000, 4000)) if kind == "random-2000" else icosphere(4)
     work = reducer._Work(g)
     stats = RunStats()
@@ -814,7 +814,9 @@ def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
             color_planar(g)
 
 
-@pytest.mark.parametrize("g", [barrel(4), _SPLIT_ICOSPHERE], ids=["barrel-4", "icosphere-3-split-4"])
+@pytest.mark.parametrize(
+    "g", [barrel(4), _SPLIT_ICOSPHERE], ids=["barrel-4", "icosphere-3-split-4"]
+)
 def test_no_deletion_edits_a_row(monkeypatch, g):
     # a deletion marks its vertex dead and lowers its neighbors' degree
     # counts; rows change only at a scan, which makes new lists.  So no
