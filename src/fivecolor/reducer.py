@@ -163,7 +163,7 @@ class _Work:
         self.given = g.rotation
         self.live = bytearray(b"\x01") * len(self.given)
         self.deg = list(map(len, self.given))
-        self.rows = self.index = None  # made at the first scan
+        self.rows = None  # made at the first scan
         # A simple plane graph with n >= 3 and m = 3n - 6 is a triangulation,
         # so its first fill, like every later one, need trace only the faces
         # the peels opened, and one that peels nothing before its first scan
@@ -275,7 +275,7 @@ class _Work:
             starts = dict.fromkeys(u for v in log for u in given[v] if live[u])
             copied = range(size)
             self.kept.append([])  # the ascent goes back to `given` instead
-            index = self.index = ScanIndex(_SCAN_ENTRIES)
+            index = ScanIndex(_SCAN_ENTRIES)
         while alive > 3:
             # fill the faces opened since the last scan, or since the start
             # if the input was a triangulation: deletions only merge faces,
@@ -304,8 +304,8 @@ class _Work:
                 # the occurrence in id order, then the peels, as they went
                 starts = copied = self._rebuild(doomed + log[self.cuts[-1] + len(doomed) :])
         stats.f1_steps += len(log) - sum(len(occ.vertices) for occ in occs)
-        if self.index is not None:
-            stats.probes += self.index.probes
+        if occs:
+            stats.probes += index.probes
 
     def ascend(self, stats):
         """Color the deleted vertices, last deleted first; returns the colors, indexed by vertex.
