@@ -216,18 +216,13 @@ def _count_cycles(succ):
     return count
 
 
-def all_darts(rows):
-    """Every dart (u, w), vertex by vertex in id order, each row in order."""
-    return ((u, w) for u, row in enumerate(rows) if row for w in row)
-
-
 def face_walks(rows, darts):
     """Yield the face walks through `darts`, as vertex lists.
 
     Each walk starts at the first of `darts` on it, and walks come in that
     order; the dart after (a, b) is (b, w), where w precedes a in the
     rotation of b.  Each dart lies on one walk, and no walk is yielded
-    twice.  Pass all_darts(rows) for every face.
+    twice.  Pass every dart of `rows` for every face.
     """
     seen = set()
     for dart in darts:

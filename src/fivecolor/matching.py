@@ -223,6 +223,12 @@ def find_reducible(tri, entries=None):
     before -1.  `entries` may be a ScanIndex, which gives the same answer
     from its record of the anchors already known to fail.  Raises
     CompletenessBreach when nothing matches.
+
+    `tri` must be a triangulation: the matchers read a pattern's rim
+    edges off the anchor's link and never test them, so on any other
+    graph only an f1 occurrence is sound.  On icosphere(2) less the edge
+    between rotation[0][0] and rotation[0][1], this reports
+    wheel-adjacent at 0 with the rim edge 42-44 absent.
     """
     rows = _rows_view(tri)
     if isinstance(entries, ScanIndex):

@@ -12,11 +12,13 @@ to track.
 No deletion edits a row.  It marks the vertex dead and lowers the degree
 count of each live neighbor, which is the smallest-last order of Matula
 and Beck (JACM 30, 1983), O(m) in all.  Rows of live vertices alone are
-needed only by a scan, so they are made there: the first scan makes lists
-of the live part of the input's rows, and each later one new lists of
-just the rows that hold a vertex deleted since the last, keeping the lists
-they replace.  An input that never scans, such as a star, a path, a tree
-or most random triangulations, makes no rows at all.  On the way back a
+needed only by a scan, so they are made there: each scan, the first too,
+makes new lists of just the rows that hold a vertex deleted since the
+last (since the start, at the first), keeping the rows they replace; the
+first scan of an input with a face longer than a triangle makes every
+live row.  An input that never scans, such as a star, a path, a tree or
+most random triangulations, makes no rows at all, nor does an icosphere,
+which peels away after its first scan.  On the way back a
 vertex is colored against the rows of the last scan before its deletion
 (the input's, before the first), where a neighbor deleted earlier is not
 back yet: it is uncolored, and blocks nothing.
@@ -28,10 +30,10 @@ last one: every face at the first scan when the input's edge count shows
 a face longer than a triangle, else the faces round the live neighbors
 of the vertices deleted since (the rows were a triangulation at the last
 scan, or as given, and deletions only merge faces).  Those neighbors'
-rows are the ones the scan makes, so a fill edits no list an earlier scan
-made.  Inputs that peel away, such as stars, paths, trees and most random
-triangulations, are never filled, and a hole an occurrence leaves stays
-open while its boundary peels.
+rows are the ones the scan makes, so a fill edits neither an input row
+nor a list an earlier scan made.  Inputs that peel away, such as stars,
+paths, trees and most random triangulations, are never filled, and a
+hole an occurrence leaves stays open while its boundary peels.
 
 The occurrence search is incremental: a matching.ScanIndex re-probes only
 the anchors near the vertices whose rows changed since the last scan, with
@@ -62,7 +64,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .catalog import TrialSequence, builtin_catalog, choose_fifth
-from .embedding import all_darts, face_walks, fill_walk
+from .embedding import face_walks, fill_walk
 from .kempe import SPARE_COLOR, BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
 
@@ -148,11 +150,12 @@ class _Work:
 
     _peel deletes a vertex by clearing its `live` flag and lowering the
     `deg` count of each live neighbor, and appends it to `log`.  `rows` is
-    None until the first scan makes it from `given` (g.rotation, never
-    edited), with None for a dead vertex.  Each later scan replaces the
-    rows that hold a vertex deleted since the last one, and kept[k] holds
-    what scan k replaced as `u, old, new, ...`.  The first scan's record is
-    empty: below it the ascent reads `given`.
+    None until the first scan makes it a list of `given`'s own rows
+    (g.rotation, never edited).  Each scan makes new lists of the rows
+    that hold a vertex deleted since the last one, sets a dead vertex's
+    row to None, and kept[k] holds what scan k replaced as `u, old, new,
+    ...`.  The ascent puts every record back, the first scan's too, so it
+    ends on `given`'s own rows.
 
     cuts[k] is the log's length at scan k.  From there the log holds the
     vertices of occs[k], which _peel deletes first, then the peels before
@@ -179,24 +182,14 @@ class _Work:
         self.occs = []
         self.kept = []
 
-    def _live_rows(self):
-        """The input's rows less every deleted vertex: lists, None for a deleted one."""
-        given, live = self.given, self.live
-        if 0 not in live:
-            return list(map(list, given))
-        alive = live.__getitem__
-        return [list(compress(r, map(alive, r))) if live[v] else None for v, r in enumerate(given)]
+    def _rebuild(self, deleted, starts):
+        """Make new lists of the rows `starts`, less every dead vertex.
 
-    def _rebuild(self, deleted):
-        """Make new lists of the rows that hold a vertex of `deleted`; returns their ids.
-
-        Those are the live neighbors of `deleted`, in the order of the rows
-        that list them.  The rows of `deleted` become None, and what is
-        replaced goes to kept as `u, old, new` per row.
+        The rows of `deleted` become None, and what is replaced goes to
+        kept as `u, old, new` per row.
         """
-        rows, live = self.rows, self.live
-        alive = live.__getitem__
-        starts = dict.fromkeys(u for v in deleted for u in rows[v] if live[u])
+        rows = self.rows
+        alive = self.live.__getitem__
         record = []
         for v in deleted:
             record += (v, rows[v], None)
@@ -206,7 +199,6 @@ class _Work:
             new = rows[u] = list(compress(old, map(alive, old)))
             record += (u, old, new)
         self.kept.append(record)
-        return starts
 
     # The heap pops the smallest degree first, the smallest id among equal
     # degrees.  An entry is the int d * n + v: every id is below n, so ints
@@ -244,20 +236,22 @@ class _Work:
     def _fill_from(self, darts, copied, stats):
         """Re-triangulate the face walks through `darts`; returns the chords as (a, b).
 
-        Adds the walks' darts to stats.walk_darts.  Every chord end must be
-        a row in `copied`, which this scan made: a list kept from an earlier
-        scan is what the ascent colors that scan's deletions against.
+        Adds the walks' darts to stats.walk_darts.  Every vertex of a walk
+        to fill must be a row in `copied`, which this scan made, checked
+        before any chord goes in: any other row is the input's own tuple or
+        a list an earlier scan made, which the ascent colors that scan's
+        deletions against.
         """
         # walk first: filling changes the rows the walks are read from
         walks = list(face_walks(self.rows, darts))
         stats.walk_darts += sum(map(len, walks))
+        holes = [walk for walk in walks if len(walk) >= 4]
+        strays = [v for walk in holes for v in walk if v not in copied]
+        if strays:
+            raise BrokenInvariant(f"a chord lands on a row its scan did not copy: {strays[0]}")
         chords = []
-        for walk in walks:
-            if len(walk) >= 4:
-                chords += fill_walk(self.rows, walk)
-        for a, b in chords:
-            if a not in copied or b not in copied:
-                raise BrokenInvariant(f"a chord lands on a row its scan did not copy: {a}-{b}")
+        for walk in holes:
+            chords += fill_walk(self.rows, walk)
         return chords
 
     def descend(self, stats):
@@ -268,25 +262,24 @@ class _Work:
         heapq.heapify(heap)
         alive = self._peel(given, heap, size)
         if alive > 3:
-            # the heap ran dry with more than 3 vertices left: the first
-            # scan makes every row, and the live part of each peel's input
-            # row is where its fill starts
-            rows = self.rows = self._live_rows()
-            starts = dict.fromkeys(u for v in log for u in given[v] if live[u])
-            copied = range(size)
-            self.kept.append([])  # the ascent goes back to `given` instead
+            # the heap ran dry with more than 3 vertices left: scans start
+            # from the input's own rows
+            rows = self.rows = list(given)
+            deleted = log
             index = ScanIndex(_SCAN_ENTRIES)
         while alive > 3:
             # fill the faces opened since the last scan, or since the start
             # if the input was a triangulation: deletions only merge faces,
             # so each has a dart out of a live neighbor of a vertex deleted
-            # since.  Any other input has every face filled at its first
-            # scan.  A fill only raises degrees, so the heap stays empty
+            # since.  Any other input has every live row made and every face
+            # filled at its first scan.  A fill only raises degrees, so the
+            # heap stays empty
             if occs or self.triangulated:
-                darts = [(u, w) for u in starts for w in rows[u]]
+                starts = dict.fromkeys(u for v in deleted for u in rows[v] if live[u])
             else:
-                darts = all_darts(rows)
-            chords = self._fill_from(darts, copied, stats)
+                starts = dict.fromkeys(compress(range(size), live))
+            self._rebuild(deleted, starts)
+            chords = self._fill_from([(u, w) for u in starts for w in rows[u]], starts, stats)
             for a, b in chords:
                 deg[a] += 1
                 deg[b] += 1
@@ -300,9 +293,8 @@ class _Work:
             for v in doomed:
                 deg[v] = -1
             alive = self._peel(rows, [v - size for v in doomed], alive)
-            if alive > 3:
-                # the occurrence in id order, then the peels, as they went
-                starts = copied = self._rebuild(doomed + log[self.cuts[-1] + len(doomed) :])
+            # the occurrence in id order, then the peels, as they went
+            deleted = doomed + log[self.cuts[-1] + len(doomed) :]
         stats.f1_steps += len(log) - sum(len(occ.vertices) for occ in occs)
         if occs:
             stats.probes += index.probes
@@ -314,9 +306,10 @@ class _Work:
         rows: its peels, last first, then its occurrence through
         reduce_once.  A vertex deleted earlier is uncolored (0) there, so it
         blocks nothing and joins no chain, and each vertex sees the
-        neighbors it had when it was deleted.  Then the lists the scan
-        replaced are put back, each checked to be the one it made.  The
-        peels before the first scan are colored against the input's rows.
+        neighbors it had when it was deleted.  Then the rows the scan
+        replaced are put back, each after a check that the row there is
+        the one it made; the first scan's record puts back the input's
+        own.  The peels before the first scan are colored against those.
         """
         given, log, rows = self.given, self.log, self.rows
         size = len(given)

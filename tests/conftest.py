@@ -14,7 +14,6 @@ from fivecolor.embedding import (
     LoopEdge,
     NotPlanarEmbedding,
     _components,
-    all_darts,
     build,
     face_walks,
     from_faces,
@@ -84,6 +83,11 @@ def recheck(occ, tri):
     if not any(a is not None and a.mapping == occ.mapping for a in again):
         return False
     return all(occ.mapping[b] in rows[occ.mapping[a]] for a, b in realized_edges(occ, rows))
+
+
+def all_darts(rows):
+    """Every dart (u, w), vertex by vertex in id order, each row in order."""
+    return ((u, w) for u, row in enumerate(rows) if row for w in row)
 
 
 def trace_faces(g):

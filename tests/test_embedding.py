@@ -22,7 +22,6 @@ from fivecolor.embedding import (
     UntriangulatableFace,
     _count_cycles,
     _face_successors,
-    all_darts,
     build,
     face_walks,
     fill_walk,
@@ -32,6 +31,7 @@ from fivecolor.instances import GenSpec, generate, named
 from fivecolor.reducer import RunStats, color_planar
 
 from conftest import (
+    all_darts,
     cycle_rotations,
     has_edge,
     least_rotation,

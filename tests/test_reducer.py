@@ -22,7 +22,6 @@ from fivecolor import matching, reducer
 from fivecolor.catalog import get_entry
 from fivecolor.embedding import (
     _components,
-    all_darts,
     build,
     face_walks,
     fill_walk,
@@ -42,6 +41,7 @@ from fivecolor.reducer import (
 
 from conftest import (
     MeteredRow,
+    all_darts,
     barrel,
     color_runs,
     coloring_digest,
@@ -713,10 +713,10 @@ def test_descent_without_a_scan_copies_no_rows(monkeypatch, g):
     ]
     assert not any(isinstance(x, (list, tuple)) for x in held)
 
-    def made(self):
+    def made(self, deleted, starts):
         raise AssertionError("rows made for a descent that never scans")
 
-    monkeypatch.setattr(reducer._Work, "_live_rows", made)
+    monkeypatch.setattr(reducer._Work, "_rebuild", made)
     check_coloring(g, color_planar(g))
 
 
@@ -753,9 +753,9 @@ def test_fill_waits_for_the_first_scan(seed, n, thinned):
 def test_descent_log_tracks_few_objects(kind):
     # the undo log is a flat list of ints and a scan keeps the lists it
     # replaces as they were, so beside the occurrences it keeps for the
-    # ascent (one tracked object each) and the rows the first scan makes
-    # (one list per live vertex; icosphere-4 scans once, and random-2000
-    # never scans and makes none) the collector sees almost nothing new.
+    # ascent (one tracked object each) and the lists the scans make (none
+    # here: icosphere-4 scans once with nothing deleted, and random-2000
+    # never scans) the collector sees almost nothing new.
     # A log of op tuples, undo lists and level tuples left 3.9 (random)
     # and 3.1 (icosphere) new tracked objects per vertex
     g = generate(GenSpec(3, 2000, 4000)) if kind == "random-2000" else icosphere(4)
@@ -765,7 +765,7 @@ def test_descent_log_tracks_few_objects(kind):
     before = len(gc.get_objects())
     work.descend(stats)
     gc.collect()
-    made = 0 if work.rows is None else g.n - work.cuts[0]
+    made = sum(new is not None for record in work.kept for new in record[2::3])
     grown = len(gc.get_objects()) - before - sum(stats.occ_steps.values()) - made
     assert grown < g.n / 10
 
@@ -797,6 +797,19 @@ def test_fill_rejects_a_chord_on_a_row_its_scan_did_not_copy(monkeypatch):
         color_planar(g)
 
 
+def test_fill_rejects_a_walk_on_the_input_rows():
+    # rows a scan did not make may be the input's own tuples, which take
+    # no chord: the fill checks every walk before it edits anything, so it
+    # raises its tripwire, not the AttributeError of tuple.insert
+    g = plane_subgraph(1, 40)
+    assert g.m < 3 * g.n - 6
+    work = reducer._Work(g)
+    work.rows = list(g.rotation)
+    with pytest.raises(BrokenInvariant, match="a chord lands on a row its scan did not copy"):
+        work._fill_from(all_darts(work.rows), (), RunStats())
+    assert all(work.rows[v] is g.rotation[v] for v in g.vertices())
+
+
 def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
     # a barrel scans once per segment, and each scan after the first
     # replaces rows the one before it made.  Put back in the wrong order,
@@ -820,18 +833,49 @@ def test_ascent_rejects_an_unrestored_rotation(monkeypatch):
 def test_no_deletion_edits_a_row(monkeypatch, g):
     # a deletion marks its vertex dead and lowers its neighbors' degree
     # counts; rows change only at a scan, which makes new lists.  So no
-    # call ever removes an item from the rows the first scan makes
-    live_rows = reducer._Work._live_rows
+    # call ever removes an item from the lists the scans make
+    rebuild = reducer._Work._rebuild
 
-    def metered(self):
-        return [None if r is None else MeteredRow(r) for r in live_rows(self)]
+    def metered(self, deleted, starts):
+        rebuild(self, deleted, starts)
+        record = self.kept[-1]
+        for i in range(0, len(record), 3):
+            u, new = record[i], record[i + 2]
+            if new is not None:
+                record[i + 2] = self.rows[u] = MeteredRow(new)
 
-    monkeypatch.setattr(reducer._Work, "_live_rows", metered)
+    monkeypatch.setattr(reducer._Work, "_rebuild", metered)
     monkeypatch.setattr(MeteredRow, "removals", 0)
     stats = RunStats()
     check_coloring(g, color_planar(g, stats))
     assert stats.scans > 0 and stats.f1_steps > 0
     assert MeteredRow.removals == 0
+
+
+def test_a_scan_with_nothing_deleted_makes_no_row():
+    # an icosphere scans once, before any deletion, and then peels away:
+    # its scan starts from the input's own rows and has none to make
+    g = icosphere(3)
+    work = reducer._Work(g)
+    stats = RunStats()
+    work.descend(stats)
+    assert stats.scans == 1
+    assert all(work.rows[v] is g.rotation[v] for v in g.vertices())
+    assert work.kept == [[]]
+
+
+@pytest.mark.parametrize(
+    "g", [barrel(4), _SPLIT_ICOSPHERE], ids=["barrel-4", "icosphere-3-split-4"]
+)
+def test_ascent_gives_back_the_input_rows(g):
+    # every scan's record goes back, the first scan's too, so after the
+    # ascent each row is the input's own tuple again
+    work = reducer._Work(g)
+    stats = RunStats()
+    work.descend(stats)
+    check_coloring(g, dict(enumerate(work.ascend(stats))))
+    assert stats.scans > 0
+    assert all(work.rows[v] is g.rotation[v] for v in g.vertices())
 
 
 def test_low_peels_log_one_record_each():
