@@ -311,6 +311,39 @@ def coloring_digest(graphs):
     return runs_digest(color_runs(graphs))
 
 
+def order_free_digest(runs):
+    """sha256 over the counts of each run that name no vertex, 16 hex digits.
+
+    Scans, occurrences per family, fifth colors (as counted and as the
+    size of color class 5) and the darts the fills trace.  The vertices
+    live at each scan do not depend on how a peel breaks ties among equal
+    degrees (see five_core), and these counts are read off them, so a new
+    tie-break leaves this digest as it is where colorings and Kempe
+    counters move.
+    """
+    h = hashlib.sha256()
+    for colors, stats in runs:
+        fives = sum(1 for c in colors.values() if c == 5)
+        counts = (stats.scans, sorted(stats.occ_steps.items()), stats.fifth_assigned)
+        h.update(repr(counts + (fives, stats.walk_darts)).encode())
+    return h.hexdigest()[:16]
+
+
+def five_core(rows):
+    """The 5-core of a graph's rows, naively: the vertices left once every
+    vertex of degree 4 or less is stripped, round after round.
+
+    Any order of single deletions of such vertices ends on this same set,
+    since a vertex of the 5-core keeps 5 neighbors in it throughout.
+    """
+    live = set(range(len(rows)))
+    while True:
+        low = {v for v in live if sum(w in live for w in rows[v]) <= 4}
+        if not low:
+            return live
+        live -= low
+
+
 class MeteredRow(list):
     """A row list that counts, on the class, every call that removes an item.
 

@@ -24,7 +24,7 @@ from fivecolor.embedding import from_faces
 from fivecolor.instances import GenSpec, generate, icosphere, read
 from fivecolor.reducer import RunStats, check_coloring
 
-from conftest import color_list, color_runs, reference_chain, runs_digest
+from conftest import color_list, color_runs, order_free_digest, reference_chain, runs_digest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -127,6 +127,21 @@ def test_workload_colorings_pinned(colored, workload, digest):
     # colorings and counters of every instance the benchmark colors at
     # seed 1
     assert runs_digest(colored(workload)) == digest
+
+
+@pytest.mark.parametrize(
+    "workload, digest",
+    [
+        ("random", "bbadc0be25229219"),
+        ("icosphere", "a02c516db34c309b"),
+        ("sparse", "1650462dd1a3cc23"),
+    ],
+)
+def test_workload_order_free_counts_pinned(colored, workload, digest):
+    # the counts of the same runs that name no vertex: scans, occurrence
+    # families, fifth colors and fill darts.  How peels break ties among
+    # equal degrees moves the digests above, not these
+    assert order_free_digest(colored(workload)) == digest
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,8 @@ from conftest import (
     coloring_digest,
     color_list,
     cycle_rotations,
+    five_core,
+    order_free_digest,
     path_rotations,
     plane_subgraph,
     recheck,
@@ -924,6 +926,102 @@ def test_ascent_keeps_the_five_blocker_tripwire(octahedron):
     work.log = [0, 5, 4]
     with pytest.raises(BrokenInvariant, match="vertex 0 has 5 neighbors colored 1..4"):
         work.ascend(RunStats())
+
+
+def _order_free_corpus():
+    """Graphs that scan: barrels, split triangulations and plane subgraphs."""
+    graphs = [barrel(s) for s in (2, 4, 8, 16, 32)]
+    graphs += [subdivided(b, k) for b in _SPLIT_BASES for k in (1, 4, 16)]
+    return graphs + [plane_subgraph(s, 300) for s in range(6)]
+
+
+def test_order_free_counts_pinned():
+    # which vertices are live at each scan does not depend on how peels
+    # break ties among equal degrees, and neither do the scans, the
+    # families and fifth colors of their occurrences, or the darts the
+    # fills trace.  A change of tie-break moves colorings and Kempe
+    # counters, not this digest
+    runs = color_runs(_order_free_corpus())
+    assert sum(stats.scans for _, stats in runs) == 68
+    assert order_free_digest(runs) == "c049955674be0af3"
+
+
+def _first_scan_live(monkeypatch, g):
+    """The vertices live at g's first scan, or the empty set if it never scans."""
+    scan = reducer.find_reducible
+    seen = []
+
+    def recorded(rows, index):
+        if not seen:
+            seen.append({v for v, row in enumerate(rows) if row is not None})
+        return scan(rows, index)
+
+    monkeypatch.setattr(reducer, "find_reducible", recorded)
+    reducer._Work(g).descend(RunStats())
+    monkeypatch.undo()
+    return seen[0] if seen else set()
+
+
+def test_first_scan_sees_the_5_core(monkeypatch):
+    # peels stop when no live vertex has degree 4 or less, and the vertices
+    # left then are the 5-core, in any peel order.  The barrels, the split
+    # graphs and the icosphere have one; plane subgraphs, a random
+    # triangulation, a star, a path and a cycle have none and never scan
+    graphs = _order_free_corpus() + [icosphere(3), generate(GenSpec(7, 2000, 4000))]
+    graphs += [build(rot(300)) for rot in (star_rotations, path_rotations, cycle_rotations)]
+    cores = [five_core(g.rotation) for g in graphs]
+    assert sum(map(bool, cores)) == 12
+    for g, core in zip(graphs, cores):
+        assert _first_scan_live(monkeypatch, g) == core
+
+
+def _replay_peels(g, work):
+    """Replay a descent's log on degree counts; returns how many peels it checked.
+
+    Each segment runs against its rows: the input's before the first scan,
+    then each scan's kept lists in turn (a fill edits only the lists its
+    own scan made, so after the descent they hold what the segment saw).
+    An occurrence's vertices go first, as a set.  Every peel must have
+    degree 4 or less and no live vertex a smaller one, and every scan must
+    find no live vertex of degree 4 or less.
+    """
+    rows = list(g.rotation)
+    live = set(range(g.n))
+    log, peels = work.log, 0
+    starts = [0] + work.cuts
+    for k, start in enumerate(starts):
+        if k:
+            fields = iter(work.kept[k - 1])
+            for u, _, new in zip(fields, fields, fields):
+                rows[u] = new
+            doomed = work.occs[k - 1].vertices
+            assert set(log[start : start + len(doomed)]) == set(doomed)
+            live -= set(doomed)
+            start += len(doomed)
+        deg = {v: sum(w in live for w in rows[v]) for v in live}
+        end = starts[k + 1] if k + 1 < len(starts) else len(log)
+        for v in log[start:end]:
+            assert deg[v] <= 4 and deg[v] == min(deg.values())
+            del deg[v]
+            live.remove(v)
+            for w in rows[v]:
+                if w in live:
+                    deg[w] -= 1
+            peels += 1
+        if k + 1 < len(starts):
+            assert min(deg.values()) >= 5
+    assert len(live) <= 3
+    return peels
+
+
+def test_every_peel_takes_the_smallest_degree():
+    graphs = _order_free_corpus()[:8] + [generate(GenSpec(7, 2000, 4000))]
+    graphs += [build(rot(300)) for rot in (star_rotations, path_rotations, cycle_rotations)]
+    for g in graphs:
+        work = reducer._Work(g)
+        stats = RunStats()
+        work.descend(stats)
+        assert _replay_peels(g, work) == stats.f1_steps
 
 
 @pytest.mark.parametrize(
