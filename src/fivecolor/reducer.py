@@ -1,17 +1,21 @@
 """Five-coloring a planar embedding with a small fifth color class.
 
 Descent deletes vertices until at most three remain: degree-4-or-less
-vertices straight off a heap, smallest degree first (fewer of them then
-need a Kempe swap on the way back), and once the minimum degree reaches 5 a
-catalog occurrence as one block.  Every deletion is logged, so the ascent
-can replay the log backwards and color each vertex the moment its full
-neighborhood is back.  The log is one flat list of vertex ids (laid out in
-_Work), so the descent leaves the cyclic garbage collector almost nothing
-to track.
+vertices off five buckets, one per degree, smallest degree first (fewer of
+them then need a Kempe swap on the way back), and once the minimum degree
+reaches 5 a catalog occurrence as one block.  Every deletion is logged, so
+the ascent can replay the log backwards and color each vertex the moment
+its full neighborhood is back.  The log is one flat list of vertex ids
+(laid out in _Work), so the descent leaves the cyclic garbage collector
+almost nothing to track.
 
 No deletion edits a row.  It marks the vertex dead and lowers the degree
-count of each live neighbor, which is the smallest-last order of Matula
-and Beck (JACM 30, 1983), O(m) in all.  Rows of live vertices alone are
+count of each live neighbor, pushing one that reaches 4 or less onto the
+bucket of its count: the smallest-last order of Matula and Beck (JACM 30,
+1983), O(m) in all.  Ties among equal degrees break last in first out.
+The vertices left when the buckets run dry, the 5-core of what the last
+occurrence left, are the same in any order, so each scan sees the same
+vertices whichever way ties break.  Rows of live vertices alone are
 needed only by a scan, so they are made there: each scan, the first too,
 makes new lists of just the rows that hold a vertex deleted since the
 last (since the start, at the first), keeping the rows they replace; the
@@ -58,7 +62,6 @@ the fifth class never exceeds a sixth of the graph.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
@@ -69,8 +72,8 @@ from .kempe import SPARE_COLOR, BrokenInvariant, free_color
 from .matching import ScanIndex, find_reducible
 
 
-# The catalog as written.  f1 costs no probe: the low heap holds every live
-# vertex of degree 4 or less, and a scan starts only once that heap is empty.
+# The catalog as written.  f1 costs no probe: the low buckets hold every live
+# vertex of degree 4 or less, and a scan starts only once they are empty.
 _SCAN_ENTRIES = builtin_catalog()
 
 
@@ -148,18 +151,19 @@ def reduce_once(rows, occ, colors, stats):
 class _Work:
     """The descent's state: degree counts, the rows scans make, and the undo log.
 
-    _peel deletes a vertex by clearing its `live` flag and lowering the
-    `deg` count of each live neighbor, and appends it to `log`.  `rows` is
-    None until the first scan makes it a list of `given`'s own rows
-    (g.rotation, never edited).  Each scan makes new lists of the rows
-    that hold a vertex deleted since the last one, sets a dead vertex's
-    row to None, and kept[k] holds what scan k replaced as `u, old, new,
-    ...`.  The ascent puts every record back, the first scan's too, so it
+    _peel deletes the vertex of least `deg` count off five buckets by
+    clearing its `live` flag and lowering the count of each live neighbor,
+    and appends it to `log`; descend deletes an occurrence the same way,
+    all of it, before it peels.  `rows` is None until the first scan makes
+    it a list of `given`'s own rows (g.rotation, never edited).  Each scan
+    makes new lists of the rows that hold a vertex deleted since the last
+    one, sets a dead vertex's row to None, and kept[k] holds what scan k
+    replaced as `u, old, new, ...`.  The ascent puts every record back, the first scan's too, so it
     ends on `given`'s own rows.
 
     cuts[k] is the log's length at scan k.  From there the log holds the
-    vertices of occs[k], which _peel deletes first, then the peels before
-    the next scan; the peels before the first scan come before cuts[0].
+    vertices of occs[k] in id order, then the peels before the next scan;
+    the peels before the first scan come before cuts[0].
     """
 
     def __init__(self, g):
@@ -200,27 +204,26 @@ class _Work:
             record += (u, old, new)
         self.kept.append(record)
 
-    # The heap pops the smallest degree first, the smallest id among equal
-    # degrees.  An entry is the int d * n + v: every id is below n, so ints
-    # order exactly as the pairs (d, v) would, with no tuple per entry.
-    # Every vertex whose degree changes is pushed again, so an entry whose
-    # degree no longer matches its vertex's is stale and dropped.  An
-    # occurrence's vertices enter at degree -1, below every live count, so
-    # they are deleted first; one whose doomed neighbor goes first drops
-    # lower and is pushed again like any other vertex.
+    # low[k] holds, last in first out, the vertices whose degree count
+    # reached k <= 4.  A vertex is pushed again whenever its count drops, so
+    # an entry whose vertex is dead or has another count is stale and
+    # dropped.  The cursor d never passes the smallest live low degree: it
+    # drops to a count as soon as one falls below it, and moves up only
+    # past an empty bucket.  So each peel takes the smallest degree, at O(1)
+    # a step beside the stale entries, one per count drop.
 
-    def _peel(self, rows, heap, alive):
-        """Delete off the heap until it runs dry; returns the vertices left.
-
-        Stops early with 3 left, which never cuts an occurrence short: a
-        scan finds at least 12 live vertices (a plane graph of minimum
-        degree 5), and an occurrence has 6.
-        """
+    def _peel(self, rows, low, alive):
+        """Delete off the buckets `low` until they run dry or 3 are left; returns how many are left."""
         deg, live, log = self.deg, self.live, self.log
-        heappop, heappush = heapq.heappop, heapq.heappush
-        size = len(live)
-        while alive > 3 and heap:
-            d, v = divmod(heappop(heap), size)
+        d = 0
+        while alive > 3:
+            bucket = low[d]
+            if not bucket:
+                if d == 4:
+                    break
+                d += 1
+                continue
+            v = bucket.pop()
             if deg[v] != d or not live[v]:
                 continue
             live[v] = 0
@@ -230,7 +233,9 @@ class _Work:
                 if live[u]:
                     k = deg[u] = deg[u] - 1
                     if k <= 4:
-                        heappush(heap, k * size + u)
+                        low[k].append(u)
+                        if k < d:
+                            d = k
         return alive
 
     def _fill_from(self, darts, copied, stats):
@@ -257,12 +262,13 @@ class _Work:
     def descend(self, stats):
         given, live, deg, log, occs = self.given, self.live, self.deg, self.log, self.occs
         size = len(given)
-        # the vertices of degree 4 or less, picked out without a Python loop
-        heap = [deg[v] * size + v for v in compress(range(size), map((4).__ge__, deg))]
-        heapq.heapify(heap)
-        alive = self._peel(given, heap, size)
+        low = [[], [], [], [], []]
+        for v, k in enumerate(deg):
+            if k <= 4:
+                low[k].append(v)
+        alive = self._peel(given, low, size)
         if alive > 3:
-            # the heap ran dry with more than 3 vertices left: scans start
+            # the buckets ran dry with more than 3 vertices left: scans start
             # from the input's own rows
             rows = self.rows = list(given)
             deleted = log
@@ -273,7 +279,7 @@ class _Work:
             # so each has a dart out of a live neighbor of a vertex deleted
             # since.  Any other input has every live row made and every face
             # filled at its first scan.  A fill only raises degrees, so the
-            # heap stays empty
+            # buckets stay empty
             if occs or self.triangulated:
                 starts = dict.fromkeys(u for v in deleted for u in rows[v] if live[u])
             else:
@@ -289,12 +295,19 @@ class _Work:
             stats.occ_steps[occ.entry.family] += 1
             self.cuts.append(len(log))
             occs.append(occ)
+            # the occurrence goes first, in id order, then whatever it
+            # brought down to degree 4 or less peels
             doomed = sorted(occ.vertices)
             for v in doomed:
-                deg[v] = -1
-            alive = self._peel(rows, [v - size for v in doomed], alive)
-            # the occurrence in id order, then the peels, as they went
-            deleted = doomed + log[self.cuts[-1] + len(doomed) :]
+                live[v] = 0
+                for u in rows[v]:
+                    if live[u]:
+                        k = deg[u] = deg[u] - 1
+                        if k <= 4:
+                            low[k].append(u)
+            log += doomed
+            alive = self._peel(rows, low, alive - len(doomed))
+            deleted = log[self.cuts[-1] :]
         stats.f1_steps += len(log) - sum(len(occ.vertices) for occ in occs)
         if occs:
             stats.probes += index.probes

@@ -118,9 +118,9 @@ def test_traced_probes_equal_run_stats(spans):
 @pytest.mark.parametrize(
     "workload, digest",
     [
-        ("random", "f3c5736872acedfb"),
-        ("icosphere", "bdee13fc4a04fee9"),
-        ("sparse", "76f52129fb77a7b6"),
+        ("random", "7dba353eec39d76d"),
+        ("icosphere", "166a4a73ef1d4b4e"),
+        ("sparse", "96e8be13fb2399b3"),
     ],
 )
 def test_workload_colorings_pinned(colored, workload, digest):
