@@ -330,11 +330,12 @@ def order_free_digest(runs):
 
 
 def five_core(rows):
-    """The 5-core of a graph's rows, naively: the vertices left once every
-    vertex of degree 4 or less is stripped, round after round.
+    """The 5-core of a graph's rows, found naively, as a set of vertices.
 
-    Any order of single deletions of such vertices ends on this same set,
-    since a vertex of the 5-core keeps 5 neighbors in it throughout.
+    Strips every vertex of degree 4 or less, round after round, until none
+    is left.  Any order of single deletions of such vertices ends on this
+    same set, since a vertex of the 5-core keeps 5 neighbors in it
+    throughout.
     """
     live = set(range(len(rows)))
     while True:
