@@ -198,3 +198,24 @@ def test_traced_audit_reads_discharge(spans):
     assert calls["discharge.transfers"] == calls["discharge.final_charges"] == 1
     moved = len(discharge.transfers(g).transfers)
     assert tracer.counts["discharge.transfers.count"] == moved > 0
+
+
+def test_free_color_calls_is_n_less_survivors_and_fifths(colored):
+    # every vertex but the descent's last three survivors and the fifth
+    # colors is counted once, so the counter says nothing of its own
+    from test_embedding import _fill_graphs
+    from test_reducer import _SPLIT_BASES, _icosphere_minus_edge, _order_free_corpus, _shaped
+
+    from conftest import barrel, plane_subgraph, subdivided
+
+    graphs = _order_free_corpus() + _fill_graphs()
+    graphs += [subdivided(b, k) for b in _SPLIT_BASES for k in (2, 8)]
+    graphs += [_shaped(s) for s in (1, 2)] + [icosphere(3), _icosphere_minus_edge(3)]
+    graphs += [plane_subgraph(s, 300) for s in range(6, 8)] + [barrel(s) for s in (1, 64)]
+    graphs += [generate(GenSpec(7, 2000, 4000))]
+    runs = color_runs(graphs)
+    runs += [run for w in ("random", "icosphere", "sparse") for run in colored(w)]
+    for colors, stats in runs:
+        n = len(colors)
+        assert stats.free_color_calls == n - min(n, 3) - stats.fifth_assigned
+    print(f"identity holds on {len(runs)} runs")
