@@ -96,8 +96,8 @@ def cmd_color(args):
         print(
             f"stats: f1={stats.f1_steps} occ={occ or '-'} scans={stats.scans}"
             f" fifth={stats.fifth_assigned} fallback={stats.fallback_peels}"
-            f" free_color={stats.free_color_calls} swaps={stats.chain_swaps}"
-            f" chain_verts={stats.chain_verts} walk_darts={stats.walk_darts}"
+            f" swaps={stats.chain_swaps} chain_verts={stats.chain_verts}"
+            f" walk_darts={stats.walk_darts}"
             f" probes={stats.probes}",
             file=sys.stderr,
         )

@@ -21,7 +21,7 @@ read through a cursor, so a search allocates little beyond its result.
 The spare-color rule is one table, SPARE_COLOR: set bit c of a mask for
 each color c a neighbor has, and the mask's entry is the least of 1..4
 left free, or 0 when all four are taken.  free_color reads it, and so does
-the reducer's ascent, which builds the mask over a peeled vertex's colored
+the reducer's ascent, which builds the mask over each vertex's colored
 neighbors and calls free_color only when the entry is 0.
 """
 
@@ -119,9 +119,8 @@ def free_color(rows, colors, v, stats):
     chains at w2 and w4 do.  Each diagonal is searched from both ends; the
     first side to run out is swapped, which frees the color its end had.
     The spare color, when one is free, is SPARE_COLOR's.  `stats`, a
-    RunStats, counts the calls, the swaps and the chain vertices returned.
+    RunStats, counts the swaps and the chain vertices returned.
     """
-    stats.free_color_calls += 1
     taken = blocked = 0
     for w in rows[v]:
         c = colors[w]

@@ -1,7 +1,6 @@
 """Five-coloring a planar embedding with a small fifth color class.
 
-Descent deletes vertices until at most three remain: degree-4-or-less
-vertices off five buckets, one per degree, smallest degree first (fewer of
+Descent deletes every vertex: degree-4-or-less vertices off five buckets, one per degree, smallest degree first (fewer of
 them then need a Kempe swap on the way back), and once the minimum degree
 reaches 5 a catalog occurrence as one block.  Every deletion is logged, so
 the ascent can replay the log backwards and color each vertex the moment
@@ -45,10 +44,11 @@ the same result as a scan of the whole graph.  Those are the rows the scan
 makes and the ends of its chords, handed to the index just before its
 search, so a descent made only of peels does no set work.
 
-A plain deleted vertex takes a spare color among its at most four colored
-neighbors, read from kempe.SPARE_COLOR as the ascent puts it back; only
-when all four differ does it call kempe.free_color, whose Kempe swap frees
-one.  An occurrence is where color 5 may be spent: its scheme nominates
+Every vertex but a fifth color takes a spare color among its at most four
+colored neighbors, read from kempe.SPARE_COLOR as the ascent puts it back
+(_color_peels, the one coloring loop); only when all four differ does it
+call kempe.free_color, whose Kempe swap frees one.  An occurrence is where
+color 5 may be spent: its scheme nominates
 candidates in order, a candidate is blocked if it already sees a 5 next
 door, and the chosen one must leave a peel order for the rest of the
 pattern that keeps every later recoloring under four blockers.  That loop
@@ -83,12 +83,13 @@ class SchemeExhausted(RuntimeError):
 
 @dataclass
 class RunStats:
+    """Counters of one color_planar run; the CLI's `color --stats` prints each."""
+
     f1_steps: int = 0
     occ_steps: Counter = field(default_factory=Counter)  # family -> count
     scans: int = 0
     fifth_assigned: int = 0
     fallback_peels: int = 0
-    free_color_calls: int = 0
     chain_swaps: int = 0
     chain_verts: int = 0  # summed sizes of the sets kempe.chain returned
     probes: int = 0  # match_at calls by the scans, on the alignments degrees allow
@@ -134,8 +135,9 @@ def reduce_once(rows, occ, colors, stats):
     Expects every vertex of the pattern uncolored (0 in the vertex-indexed
     `colors`) and its surroundings colored; afterwards the whole pattern
     is properly colored with at most one new 5, counted in `stats` (a
-    RunStats) as a fifth or a fallback peel.  Returns (fifth vertex or
-    None, peel order).
+    RunStats) as a fifth or a fallback peel; the rest of the pattern takes
+    its colors through _color_peels, last of the peel order first.
+    Returns (fifth vertex or None, peel order).
     """
     fifth, peel = select_fifth(rows, occ, colors)
     if fifth is not None:
@@ -143,8 +145,7 @@ def reduce_once(rows, occ, colors, stats):
         stats.fifth_assigned += 1
     else:
         stats.fallback_peels += 1
-    for v in reversed(peel):
-        colors[v] = free_color(rows, colors, v, stats)
+    _color_peels(rows, peel, colors, stats)
     return fifth, peel
 
 
@@ -212,15 +213,13 @@ class _Work:
     # past an empty bucket.  So each peel takes the smallest degree, at O(1)
     # a step beside the stale entries, one per count drop.
 
-    def _peel(self, rows, low, alive):
-        """Delete off the buckets `low` until they run dry or 3 are left; returns how many are left."""
+    def _peel(self, rows, low):
+        """Delete off the buckets `low` until they run dry."""
         deg, live, log = self.deg, self.live, self.log
         d = 0
-        while alive > 3:
+        while d < 5:
             bucket = low[d]
             if not bucket:
-                if d == 4:
-                    break
                 d += 1
                 continue
             v = bucket.pop()
@@ -228,7 +227,6 @@ class _Work:
                 continue
             live[v] = 0
             log.append(v)
-            alive -= 1
             for u in rows[v]:
                 if live[u]:
                     k = deg[u] = deg[u] - 1
@@ -236,7 +234,6 @@ class _Work:
                         low[k].append(u)
                         if k < d:
                             d = k
-        return alive
 
     def _fill_from(self, darts, copied, stats):
         """Re-triangulate the face walks through `darts`; returns the chords as (a, b).
@@ -266,14 +263,14 @@ class _Work:
         for v, k in enumerate(deg):
             if k <= 4:
                 low[k].append(v)
-        alive = self._peel(given, low, size)
-        if alive > 3:
-            # the buckets ran dry with more than 3 vertices left: scans start
-            # from the input's own rows
+        self._peel(given, low)
+        if len(log) < size:
+            # the buckets ran dry at the 5-core: scans start from the input's
+            # own rows
             rows = self.rows = list(given)
             deleted = log
             index = ScanIndex(_SCAN_ENTRIES)
-        while alive > 3:
+        while len(log) < size:
             # fill the faces opened since the last scan, or since the start
             # if the input was a triangulation: deletions only merge faces,
             # so each has a dart out of a live neighbor of a vertex deleted
@@ -306,14 +303,14 @@ class _Work:
                         if k <= 4:
                             low[k].append(u)
             log += doomed
-            alive = self._peel(rows, low, alive - len(doomed))
+            self._peel(rows, low)
             deleted = log[self.cuts[-1] :]
         stats.f1_steps += len(log) - sum(len(occ.vertices) for occ in occs)
         if occs:
             stats.probes += index.probes
 
     def ascend(self, stats):
-        """Color the deleted vertices, last deleted first; returns the colors, indexed by vertex.
+        """Color every vertex, last deleted first; returns the colors, indexed by vertex.
 
         Each scan's segment, last first, is colored against that scan's
         rows: its peels, last first, then its occurrence through
@@ -325,14 +322,10 @@ class _Work:
         own.  The peels before the first scan are colored against those.
         """
         given, log, rows = self.given, self.log, self.rows
-        size = len(given)
-        colors = [0] * size
-        for c, v in enumerate(compress(range(size), self.live), start=1):
-            colors[v] = c
-        spares = 0  # peels colored inline, without a free_color call
+        colors = [0] * len(given)
         end = len(log)
         for cut, occ, record in reversed(list(zip(self.cuts, self.occs, self.kept))):
-            spares += _color_peels(rows, log[cut + len(occ.vertices) : end], colors, stats)
+            _color_peels(rows, log[cut + len(occ.vertices) : end], colors, stats)
             reduce_once(rows, occ, colors, stats)
             fields = iter(record)
             for u, old, new in zip(fields, fields, fields):
@@ -340,22 +333,21 @@ class _Work:
                     raise BrokenInvariant(f"row {u} is not the list its scan made")
                 rows[u] = old
             end = cut
-        spares += _color_peels(given, log[:end], colors, stats)
-        stats.free_color_calls += spares
+        _color_peels(given, log[:end], colors, stats)
         return colors
 
 
 def _color_peels(rows, peels, colors, stats):
-    """Color `peels`, last first, against `rows`; returns how many took a spare inline.
+    """Color `peels`, last first, against `rows`, each from 1..4.
 
-    A peel ORs 1 << color over its colored neighbors and takes SPARE_COLOR's
+    The one place a vertex takes a color of 1..4: low peels, the last
+    vertices the descent deletes and an occurrence's members alike.  A
+    vertex ORs 1 << color over its colored neighbors and takes SPARE_COLOR's
     entry for that mask.  free_color runs only when the entry is 0 (all four
-    colors blocked) or more than 4 neighbors are colored, which a correct
-    log never leaves, so its five-blocker check still fires.  Inline picks
-    are counted by the caller in stats.free_color_calls, which keeps
-    counting every colored peel.
+    colors blocked) or more than 4 neighbors are colored, so its
+    five-blocker check still fires; in a correct run only a 5 next to an
+    occurrence member makes a fifth.
     """
-    spares = 0
     for v in reversed(peels):
         taken = seen = 0
         for u in rows[v]:
@@ -366,10 +358,8 @@ def _color_peels(rows, peels, colors, stats):
         spare = SPARE_COLOR[taken & 31]
         if spare and seen <= 4:
             colors[v] = spare
-            spares += 1
         else:
             colors[v] = free_color(rows, colors, v, stats)
-    return spares
 
 
 def color_planar(g, stats=None):

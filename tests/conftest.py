@@ -275,7 +275,6 @@ PINNED_COUNTERS = (
     "f1_steps",
     "fallback_peels",
     "fifth_assigned",
-    "free_color_calls",
     "occ_steps",
     "probes",
     "scans",

@@ -58,7 +58,7 @@ def _witness_near(g, v):
 def corpus():
     res = {
         "improper": [], "unbounded": [], "bad_total": [], "bad_sets": [],
-        "breaches": 0, "diagonals": 0, "free_color": 0, "swaps": 0,
+        "breaches": 0, "diagonals": 0, "recolored": 0, "swaps": 0,
         "witnessless": [], "shaped": 0,
     }
     t0 = time.perf_counter()
@@ -83,7 +83,7 @@ def corpus():
             res["unbounded"].append(seed)
         if sizes[5] != stats.fifth_assigned:
             res["bad_sets"].append(seed)
-        res["free_color"] += stats.free_color_calls
+        res["recolored"] += g.n - stats.fifth_assigned
         res["swaps"] += stats.chain_swaps
         if audit(g).total != 12:
             res["bad_total"].append(seed)
@@ -104,7 +104,7 @@ def corpus():
         sizes = check_coloring(g, colors)
         if 6 * sizes[5] > g.n:
             res["unbounded"].append(("shaped", seed))
-        res["free_color"] += stats.free_color_calls
+        res["recolored"] += g.n - stats.fifth_assigned
         res["swaps"] += stats.chain_swaps
         report = audit(g)
         if report.total != 12:
@@ -183,15 +183,15 @@ def test_criterion_4_catalog_certification():
 def test_criterion_5_kempe_invariants(corpus):
     ok = (
         corpus["diagonals"] == 0
-        and corpus["free_color"] >= 10_000
+        and corpus["recolored"] >= 10_000
         and not corpus["bad_sets"]
         and corpus["swaps"] > 0
     )
     _report(
         5, "kempe-invariants", ok,
-        f"0 contradictions over {corpus['free_color']} recolorings,"
+        f"0 contradictions over {corpus['recolored']} recolorings,"
         f" {corpus['swaps']} swaps, class-5 set equality everywhere"
-        if ok else f"diag={corpus['diagonals']} calls={corpus['free_color']}"
+        if ok else f"diag={corpus['diagonals']} recolored={corpus['recolored']}"
         f" bad_sets={corpus['bad_sets']} swaps={corpus['swaps']}",
     )
 

@@ -82,7 +82,7 @@ def test_color_from_stdin_with_stats(monkeypatch, capsys):
     assert main(["color", "--stats"]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[-1] == "n=6 v5=0 bound=PASS"
-    assert "stats: f1=3" in captured.err
+    assert "stats: f1=6" in captured.err
 
 
 def test_verify_accepts_color_output(tmp_path, capsys):
