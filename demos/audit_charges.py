@@ -9,7 +9,16 @@ is the unavoidability argument, and this script checks it numerically.
 
 from fractions import Fraction
 
-from fivecolor import UNIT, GenSpec, audit, find_reducible, generate, named, transfers
+from fivecolor import (
+    UNIT,
+    CompletenessBreach,
+    GenSpec,
+    audit,
+    find_reducible,
+    generate,
+    named,
+    transfers,
+)
 
 ico = named("icosahedron")
 report = audit(ico)
@@ -28,10 +37,15 @@ print(f"shaped n={g.n}: {len(ledger.transfers)} transfers moving {Fraction(moved
 
 # Each positive vertex is evidence that a configuration is nearby; the
 # matcher confirms the graph as a whole contains one, and the audit is
-# consistent only if it does.
-occ = find_reducible(g)
+# consistent only if it does.  find_reducible raises CompletenessBreach
+# when it finds none, which is what an inconsistent audit would report.
+try:
+    occ = find_reducible(g)
+except CompletenessBreach:
+    occ = None
 report = audit(g, matched=occ is not None)
 print("total =", report.total, "positives =", list(report.positives)[:8], "...")
 assert report.total == 12
-print("first occurrence:", occ.entry.family, occ.entry.name, "at", occ.anchor)
+if occ is not None:
+    print("first occurrence:", occ.entry.family, occ.entry.name, "at", occ.anchor)
 print("audit consistent:", not report.inconsistent)

@@ -107,12 +107,6 @@ class ConfigurationSpec:
             degrees = {cap} if 0 in self.exact else range(cap + 1)
         object.__setattr__(self, "degrees", frozenset(degrees))
 
-    def pattern_degree(self, v):
-        return sum(1 for x in self.rotations[v] if not isinstance(x, tuple))
-
-    def halfedges(self, v):
-        return self.caps[v] - self.pattern_degree(v)
-
 
 def _slots(template):
     """A rotation template with each run ("h", k) written out as k Nones."""

@@ -97,8 +97,7 @@ def cmd_color(args):
             f"stats: f1={stats.f1_steps} occ={occ or '-'} scans={stats.scans}"
             f" fifth={stats.fifth_assigned} fallback={stats.fallback_peels}"
             f" swaps={stats.chain_swaps} chain_verts={stats.chain_verts}"
-            f" walk_darts={stats.walk_darts}"
-            f" probes={stats.probes}",
+            f" walk_darts={stats.walk_darts} probes={stats.probes}",
             file=sys.stderr,
         )
     return 0 if ok else 2
@@ -109,8 +108,9 @@ def cmd_verify(args):
     colors = _read_coloring(args.coloring, g.n)
     bad = 0
     for v in g.vertices():
-        if colors.get(v) not in (1, 2, 3, 4, 5):
-            print(f"vertex {v} uncolored")
+        c = colors.get(v)
+        if c not in (1, 2, 3, 4, 5):
+            print(f"vertex {v} uncolored" if c is None else f"vertex {v} has color {c}, not 1..5")
             bad += 1
     for u, w in g.edges():
         cu, cw = colors.get(u), colors.get(w)

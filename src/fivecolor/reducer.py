@@ -1,12 +1,13 @@
 """Five-coloring a planar embedding with a small fifth color class.
 
-Descent deletes every vertex: degree-4-or-less vertices off five buckets, one per degree, smallest degree first (fewer of
-them then need a Kempe swap on the way back), and once the minimum degree
-reaches 5 a catalog occurrence as one block.  Every deletion is logged, so
-the ascent can replay the log backwards and color each vertex the moment
-its full neighborhood is back.  The log is one flat list of vertex ids
-(laid out in _Work), so the descent leaves the cyclic garbage collector
-almost nothing to track.
+Descent deletes every vertex: degree-4-or-less vertices off five buckets,
+one per degree, smallest degree first (fewer of them then need a Kempe
+swap on the way back), and once the minimum degree reaches 5 a catalog
+occurrence as one block.  Every deletion is logged, so the ascent can
+replay the log backwards and color each vertex the moment its full
+neighborhood is back.  The log is one flat list of vertex ids (laid out
+in _Work), so the descent leaves the cyclic garbage collector almost
+nothing to track.
 
 No deletion edits a row.  It marks the vertex dead and lowers the degree
 count of each live neighbor, pushing one that reaches 4 or less onto the
@@ -48,10 +49,10 @@ Every vertex but a fifth color takes a spare color among its at most four
 colored neighbors, read from kempe.SPARE_COLOR as the ascent puts it back
 (_color_peels, the one coloring loop); only when all four differ does it
 call kempe.free_color, whose Kempe swap frees one.  An occurrence is where
-color 5 may be spent: its scheme nominates
-candidates in order, a candidate is blocked if it already sees a 5 next
-door, and the chosen one must leave a peel order for the rest of the
-pattern that keeps every later recoloring under four blockers.  That loop
+color 5 may be spent: its scheme nominates candidates in order, a
+candidate is blocked if it already sees a 5 next door, and the chosen one
+must leave a peel order for the rest of the pattern that keeps every
+later recoloring under four blockers.  That loop
 is catalog.choose_fifth, which the catalog certificate runs against
 worst-case degrees on every blocked set, so a failure here is a tripwire,
 not a recoverable condition.
@@ -340,13 +341,12 @@ class _Work:
 def _color_peels(rows, peels, colors, stats):
     """Color `peels`, last first, against `rows`, each from 1..4.
 
-    The one place a vertex takes a color of 1..4: low peels, the last
-    vertices the descent deletes and an occurrence's members alike.  A
-    vertex ORs 1 << color over its colored neighbors and takes SPARE_COLOR's
-    entry for that mask.  free_color runs only when the entry is 0 (all four
-    colors blocked) or more than 4 neighbors are colored, so its
-    five-blocker check still fires; in a correct run only a 5 next to an
-    occurrence member makes a fifth.
+    The one place a vertex takes a color of 1..4: low peels and an
+    occurrence's members alike.  A vertex ORs 1 << color over its colored
+    neighbors and takes SPARE_COLOR's entry for that mask.  free_color runs
+    only when the entry is 0 (all four colors blocked) or more than 4
+    neighbors are colored, so its five-blocker check still fires; in a
+    correct run only a 5 next to an occurrence member makes a fifth.
     """
     for v in reversed(peels):
         taken = seen = 0

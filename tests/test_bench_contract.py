@@ -200,4 +200,3 @@ def test_traced_audit_reads_discharge(spans):
     assert calls["discharge.transfers"] == calls["discharge.final_charges"] == 1
     moved = len(discharge.transfers(g).transfers)
     assert tracer.counts["discharge.transfers.count"] == moved > 0
-

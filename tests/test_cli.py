@@ -1,5 +1,6 @@
 """End-to-end command behavior through main(argv)."""
 
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -85,6 +86,43 @@ def test_color_from_stdin_with_stats(monkeypatch, capsys):
     assert "stats: f1=6" in captured.err
 
 
+# the stats line's key for each RunStats field
+STATS_KEYS = {
+    "f1": "f1_steps",
+    "occ": "occ_steps",
+    "scans": "scans",
+    "fifth": "fifth_assigned",
+    "fallback": "fallback_peels",
+    "swaps": "chain_swaps",
+    "chain_verts": "chain_verts",
+    "walk_darts": "walk_darts",
+    "probes": "probes",
+}
+
+
+def test_color_stats_print_every_run_stats_field(tmp_path, capsys):
+    # one key=value per field of RunStats, each the run's own count, so a
+    # counter added to RunStats or dropped from it fails here until the
+    # stats line follows
+    g = barrel(4)  # scans, fills, swaps and spends fifths
+    path = tmp_path / "barrel.pg"
+    with open(path, "w") as fh:
+        write(g, fh)
+    assert main(["color", "--stats", str(path)]) == 0
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("stats: ")
+    printed = dict(item.split("=") for item in line.removeprefix("stats: ").split())
+    assert list(printed) == list(STATS_KEYS)
+    assert sorted(STATS_KEYS.values()) == sorted(f.name for f in dataclasses.fields(RunStats))
+    stats = RunStats()
+    color_planar(g, stats)
+    occ = ",".join(f"{f}:{k}" for f, k in sorted(stats.occ_steps.items()))
+    assert printed.pop("occ") == occ
+    assert {key: int(value) for key, value in printed.items()} == {
+        key: getattr(stats, name) for key, name in STATS_KEYS.items() if key != "occ"
+    }
+
+
 def test_verify_accepts_color_output(tmp_path, capsys):
     gpath = graph_file(tmp_path, "icosahedron")
     assert main(["color", gpath]) == 0
@@ -161,6 +199,17 @@ def test_verify_flags_uncolored(tmp_path, capsys):
     cpath.write_text("0 1\n1 2\n2 3\n")
     assert main(["verify", gpath, str(cpath)]) == 1
     assert "vertex 3 uncolored" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("color", [0, 6, 9, -1])
+def test_verify_flags_a_color_out_of_range(tmp_path, capsys, color):
+    gpath = graph_file(tmp_path, "k4")
+    cpath = tmp_path / "odd.txt"
+    cpath.write_text(f"0 1\n1 {color}\n2 3\n3 4\n")
+    assert main(["verify", gpath, str(cpath)]) == 1
+    out = capsys.readouterr().out
+    assert f"vertex 1 has color {color}, not 1..5" in out
+    assert "uncolored" not in out and "verify=FAIL" in out
 
 
 def test_verify_flags_bound(tmp_path, capsys):

@@ -158,15 +158,24 @@ def test_reduce_once_wheel_hub_fallback():
     assert sizes[5] == 4  # three seeded outside plus the hub
 
 
-def test_reduce_once_all_blocked_spends_no_fifth():
+def test_reduce_once_all_blocked_spends_no_fifth(monkeypatch):
     # the 5s outside at 4 and 7 block every candidate, the hub too, so the
     # whole pattern peels and the ascent's one coloring loop gives each
     # member a color of 1..4
+    free_color = reducer.free_color
+    called = []
+    monkeypatch.setattr(
+        reducer, "free_color", lambda *args: called.append(args[2]) or free_color(*args)
+    )
     g, occ = hub_gadget()
     colors = color_list({4: 5, 7: 5, 8: 1, 9: 2}, 10)
     stats = RunStats()
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth is None and set(peel) == occ.vertices
+    # the members take spare colors inline; only the hub and leaf 1, which
+    # come back to more than four colored neighbors (the 5s count), go
+    # through free_color
+    assert called == [0, 1]
     assert stats.fallback_peels == 1 and stats.fifth_assigned == 0
     assert all(colors[v] in (1, 2, 3, 4) for v in peel)
     assert check_coloring(g, dict(enumerate(colors)))[5] == 2  # the two seeded
@@ -703,9 +712,9 @@ def _random_tree(seed, n):
     ids=["star", "path", "cycle", "tree"],
 )
 def test_sparse_inputs_never_fill(monkeypatch, g):
-    # counters, not time.  These peel away, so the
-    # descent never scans and never fills a face: no chord is placed, no
-    # walk traced, and no peel sees four colors on the way back up
+    # counters, not time.  These peel away, so the descent never scans and
+    # never fills a face: no chord is placed, no walk traced, and no peel
+    # sees four colors on the way back up
     events = _record_fills_and_scans(monkeypatch)
     work = reducer._Work(g)
     work.descend(RunStats())
