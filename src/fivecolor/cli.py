@@ -97,6 +97,7 @@ def cmd_color(args):
             f"stats: f1={stats.f1_steps} occ={occ or '-'} scans={stats.scans}"
             f" fifth={stats.fifth_assigned} fallback={stats.fallback_peels}"
             f" swaps={stats.chain_swaps} chain_verts={stats.chain_verts}"
+            f" chain_max={stats.chain_max} closed_diagonals={stats.closed_diagonals}"
             f" walk_darts={stats.walk_darts} probes={stats.probes}",
             file=sys.stderr,
         )

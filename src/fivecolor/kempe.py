@@ -12,11 +12,24 @@ as well, as the reducer's ascent reads them (the input's rows, or those of
 the scan before a vertex's deletion): there a neighbor not yet back is
 uncolored, and it neither blocks a color nor joins a chain.
 
-A chain search runs from two ends at once, one vertex from each in
-turn, and stops as soon as one end's chain is complete or the two
-searches meet.  Its work is then about twice the smaller of the two
-chains, however large the other one is.  Each side is a set and a list
-read through a cursor, so a search allocates little beyond its result.
+A blocked vertex's four blockers w1..w4, in rotation order, give two
+diagonals: (w1, w3) on their colors (c1, c3), and (w2, w4) on (c2, c4).
+One search runs from each of the four, one expansion each in turn.  Two
+searches of one diagonal that meet have found it closed: one chain joins
+its ends, so swapping it frees nothing, and both stop.  The first search
+to run out while its diagonal is still open holds a complete chain
+without the other end, and swapping it frees its end's color.  By
+planarity at most one diagonal closes.
+
+That bounds the work of a blocked vertex by its best chain, not by the
+chains it does not swap.  Let s be the size of the smallest complete
+chain at an end of an open diagonal.  Nothing stops that end's search:
+its partner holds another chain.  It expands one vertex of that chain a
+turn, so it runs out at its s-th expansion at the latest, and by then
+no other search has made more than s expansions.  So a call makes at
+most 4s expansions, however long a closed diagonal's chain is.  One dict
+says which search holds each vertex, and each search's vertices are a
+list read through a cursor, so a call allocates little beyond its result.
 
 The spare-color rule is one table, SPARE_COLOR: set bit c of a mask for
 each color c a neighbor has, and the mask's entry is the least of 1..4
@@ -57,38 +70,107 @@ class BrokenInvariant(RuntimeError):
     """
 
 
-def chain(rows, colors, start, pair, end):
-    """The Kempe chain on `pair` through `start` or through `end`, as a set.
+# (a, b) -> a tuple indexed by color, 0..5, True at a and b: the pairs a
+# chain may be on, two distinct colors of 1..4
+_PAIR_FLAGS = {
+    (a, b): tuple(c in (a, b) for c in range(6))
+    for a in (1, 2, 3, 4)
+    for b in (1, 2, 3, 4)
+    if a != b
+}
 
-    `colors` is indexed by vertex (0 for uncolored); both ends must be
-    colored from `pair`.  Searches from both vertices, one expansion each
-    in turn.  Whichever search runs out first returns its complete chain,
-    which then misses the other end; if the searches meet, the set
-    returned holds both ends (and is not a complete chain).
-    A neighbor's color is tested against the pair before the set lookup,
-    so most neighbors off the chain cost one list read.
+
+def chain(rows, colors, start, pair, end, *cross, stats=None):
+    """Search the Kempe chains at the ends of a diagonal, or of two; returns a set.
+
+    A diagonal is `start, pair, end`: two vertices, each colored from
+    `pair`, a tuple of two distinct colors of 1..4.  `cross`, if given, is a second
+    diagonal the same way, on the other two colors.  `colors` is indexed
+    by vertex (0 for uncolored).  One search runs from each end, the
+    starts first and then the ends (w1, w2, w3, w4 for free_color's two
+    diagonals), one expansion each in turn.  A search that reaches a
+    vertex its partner (the search from the other end of its diagonal)
+    holds has found the diagonal closed, and both stop.  The first search
+    to run out while its diagonal is open returns its chain, complete and
+    without the other end.  If every diagonal closes, the set returned is
+    the last one's two sides, both its ends in it (not a complete chain).
+
+    A neighbor's color is tested against its diagonal's pair before the
+    dict lookup, so most neighbors off the chain cost one list read.  The
+    pairs share no color, so one dict says which search holds a vertex.
+    `stats`, a RunStats, if given, counts the vertices the searches held,
+    the ends too (chain_verts), the most one call held (chain_max) and
+    the diagonals that closed (closed_diagonals).
     """
-    a, b = pair
-    if a == b or a not in (1, 2, 3, 4) or b not in (1, 2, 3, 4):
+    flags = _PAIR_FLAGS.get(pair)
+    if flags is None or colors[start] not in pair or colors[end] not in pair:
+        _reject(colors, start, pair, end)
+    if cross:
+        start2, pair2, end2 = cross
+        flags2 = _PAIR_FLAGS.get(pair2)
+        if flags2 is None or colors[start2] not in pair2 or colors[end2] not in pair2:
+            _reject(colors, start2, pair2, end2)
+        if flags[pair2[0]] or flags[pair2[1]]:
+            raise BadColorPair(f"pairs {pair!r} and {pair2!r} share a color")
+        queues = [[start], [start2], [end], [end2]]
+        flags_of = (flags, flags2, flags, flags2)
+        holder = {start: 0, start2: 1, end: 2, end2: 3}
+        running = [0, 1, 2, 3]
+    else:
+        queues = [[start], [end]]
+        flags_of = (flags, flags)
+        holder = {start: 0, end: 1}
+        running = [0, 1]
+    # search k holds queues[k], read through cursors[k] and never popped;
+    # its partner is k ^ half.  running lists the searches left, in turn
+    half = len(running) // 2
+    cursors = [0] * len(running)
+    closed = 0
+    members = None
+    while running:
+        for k in running:
+            queue = queues[k]
+            i = cursors[k]
+            flags = flags_of[k]
+            for w in rows[queue[i]]:
+                if flags[colors[w]]:
+                    if w not in holder:
+                        holder[w] = k
+                        queue.append(w)
+                    elif holder[w] != k:
+                        break
+            else:
+                i += 1
+                if i == len(queue):
+                    members = set(queue)
+                    break
+                cursors[k] = i
+                continue
+            # the partner holds w: the diagonal is closed, and the searches
+            # left go on in turn from the one after k
+            closed += 1
+            at = running.index(k)
+            running = [j for j in running[at + 1 :] + running[:at] if j != k ^ half]
+            break
+        if members is not None:
+            break
+    else:
+        members = set(queues[k]).union(queues[k ^ half])
+    if stats is not None:
+        stats.chain_verts += len(holder)
+        if len(holder) > stats.chain_max:
+            stats.chain_max = len(holder)
+        stats.closed_diagonals += closed
+    return members
+
+
+def _reject(colors, start, pair, end):
+    """Raise BadColorPair for a diagonal whose pair or ends are not fit to search."""
+    if pair not in _PAIR_FLAGS:
         raise BadColorPair(f"chain colors must be two distinct of 1..4, got {pair!r}")
-    for v in (start, end):
-        if colors[v] not in (a, b):
+    for v in start, end:
+        if colors[v] not in pair:
             raise BadColorPair(f"vertex {v} has color {colors[v]!r}, not in {pair!r}")
-    # indexed by color, 0..5
-    in_pair = [False] * 6
-    in_pair[a] = in_pair[b] = True
-    # two sides, each a (set, list, cursor); swapped after every expansion
-    seen, queue, i = {start}, [start], 0
-    other, other_queue, j = {end}, [end], 0
-    while i < len(queue):
-        for w in rows[queue[i]]:
-            if in_pair[colors[w]] and w not in seen:
-                if w in other:
-                    return seen | other
-                seen.add(w)
-                queue.append(w)
-        seen, queue, i, other, other_queue, j = other, other_queue, j, seen, queue, i + 1
-    return seen
 
 
 def swap(rows, colors, members, pair):
@@ -114,35 +196,41 @@ def free_color(rows, colors, v, stats):
     `colors` is indexed by vertex, 0 for uncolored; a swap rewrites it in
     place.  Requires at most 4 neighbors colored 1..4 (vertices with color
     5 and uncolored ones do not block).  When all four colors appear, the
-    four blocking neighbors w1..w4 sit in rotation order around v; by
-    planarity the (c1, c3) chains at w1 and w3 differ, or the (c2, c4)
-    chains at w2 and w4 do.  Each diagonal is searched from both ends; the
-    first side to run out is swapped, which frees the color its end had.
+    four blocking neighbors w1..w4 sit in rotation order around v, and one
+    call to chain searches both diagonals from all four ends at once.  It
+    returns the first complete chain on a diagonal still open, which
+    holds one end; swapping it frees the color that end had.  By planarity
+    the (c1, c3) chains at w1 and w3 differ, or the (c2, c4) chains at w2
+    and w4 do, so both diagonals closing raises DiagonalContradiction.
     The spare color, when one is free, is SPARE_COLOR's.  `stats`, a
-    RunStats, counts the swaps and the chain vertices returned.
+    RunStats, counts the swaps and chain's work.
     """
-    taken = blocked = 0
+    taken = 0
+    blockers = []
     for w in rows[v]:
         c = colors[w]
         if 0 < c < 5:
             taken |= 1 << c
-            blocked += 1
-    if blocked > 4:
-        raise BrokenInvariant(f"vertex {v} has {blocked} neighbors colored 1..4")
+            blockers.append(w)
+    if len(blockers) > 4:
+        raise BrokenInvariant(f"vertex {v} has {len(blockers)} neighbors colored 1..4")
     spare = SPARE_COLOR[taken]
     if spare:
         return spare
     # all four colors taken by four blockers, so one of each
-    w1, w2, w3, w4 = [w for w in rows[v] if 0 < colors[w] < 5]
+    w1, w2, w3, w4 = blockers
     c1, c2, c3, c4 = colors[w1], colors[w2], colors[w3], colors[w4]
-    for w, far, pair in ((w1, w3, (c1, c3)), (w2, w4, (c2, c4))):
-        members = chain(rows, colors, w, pair, far)
-        stats.chain_verts += len(members)
-        if far in members and w in members:
-            continue
-        swap(rows, colors, members, pair)
-        stats.chain_swaps += 1
-        return pair[0] if w in members else pair[1]
-    raise DiagonalContradiction(
-        f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed"
-    )
+    members = chain(rows, colors, w1, (c1, c3), w3, w2, (c2, c4), w4, stats=stats)
+    # a complete chain holds one end, whose color the swap frees; two ends
+    # of one diagonal mean both diagonals closed
+    for end, far in (w1, w3), (w2, w4), (w3, w1), (w4, w2):
+        if end in members:
+            break
+    if far in members:
+        raise DiagonalContradiction(
+            f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed"
+        )
+    freed = colors[end]
+    swap(rows, colors, members, (freed, colors[far]))
+    stats.chain_swaps += 1
+    return freed

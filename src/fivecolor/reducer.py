@@ -92,7 +92,9 @@ class RunStats:
     fifth_assigned: int = 0
     fallback_peels: int = 0
     chain_swaps: int = 0
-    chain_verts: int = 0  # summed sizes of the sets kempe.chain returned
+    chain_verts: int = 0  # vertices the Kempe searches held, all ends, summed over calls
+    chain_max: int = 0  # the most vertices one blocked vertex's Kempe search held
+    closed_diagonals: int = 0  # diagonals whose two ends one chain joined
     probes: int = 0  # match_at calls by the scans, on the alignments degrees allow
     walk_darts: int = 0  # darts on the walks traced by the fills just before scans
 
@@ -215,12 +217,18 @@ class _Work:
     # a step beside the stale entries, one per count drop.
 
     def _peel(self, rows, low):
-        """Delete off the buckets `low` until they run dry."""
+        """Delete off the buckets `low` until they run dry or every vertex is gone.
+
+        Entries still on the buckets after the last deletion are stale, and
+        are left there unpopped.
+        """
         deg, live, log = self.deg, self.live, self.log
         d = 0
         while d < 5:
             bucket = low[d]
             if not bucket:
+                if len(log) == len(deg):
+                    return
                 d += 1
                 continue
             v = bucket.pop()

@@ -120,8 +120,8 @@ def test_traced_probes_equal_run_stats(spans):
 @pytest.mark.parametrize(
     "workload, digest",
     [
-        ("random", "ec4f02f22040f1c5"),
-        ("icosphere", "1a4d9ad25e9d520a"),
+        ("random", "2979385ad8efbcfe"),
+        ("icosphere", "30c7f37a1c020c30"),
         ("sparse", "c3a08cf6a29ccb76"),
     ],
 )

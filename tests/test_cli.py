@@ -95,6 +95,8 @@ STATS_KEYS = {
     "fallback": "fallback_peels",
     "swaps": "chain_swaps",
     "chain_verts": "chain_verts",
+    "chain_max": "chain_max",
+    "closed_diagonals": "closed_diagonals",
     "walk_darts": "walk_darts",
     "probes": "probes",
 }

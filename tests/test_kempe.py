@@ -3,13 +3,15 @@
 The 7-vertex fixture embeds a double fan where the (1,3) chain from the
 first blocker wraps around and reaches the third, forcing the (2,4) swap;
 the wheel fixture lets the first swap through.  Both traced by hand, as
-are the two small graphs that steer the two-ended search to each outcome.
+are the small graphs that steer the search from two ends, or from all
+four blockers, to each outcome.
 """
 
 import itertools
 import os
 import subprocess
 import sys
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,45 @@ def long_closed():
     return rows, colors
 
 
+def linked_wheel(length):
+    # hub 0 sees blockers 1..4; an alternating (1,3) path of `length`
+    # vertices, 7 on, joins 1 to 3, so that diagonal is closed however long
+    # the path; the (2,4) chain at 2 is {2}, the one at 4 is 4-5-6
+    assert length % 2 == 0
+    path = list(range(7, 7 + length))
+    rows = {0: (1, 2, 3, 4), 2: (0,), 4: (0, 5), 5: (4, 6), 6: (5,)}
+    line = [1, *path, 3]
+    for i, v in enumerate(line):
+        rows[v] = tuple(line[j] for j in (i - 1, i + 1) if 0 <= j < len(line))
+    rows[1], rows[3] = (0, *rows[1]), (0, *rows[3])
+    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 2, 6: 4}
+    colors.update({v: 3 if i % 2 == 0 else 1 for i, v in enumerate(path)})
+    return rows, color_list(colors, 7 + length)
+
+
+def closed_first():
+    # the (1,3) chain 1-5-6-3 closes that diagonal on the fifth turn; the
+    # (2,4) chains go on, 2-7-8-9 and 4-10-11-12-13, until 2's runs out
+    rows = {0: (1, 2, 3, 4), 1: (0, 5), 5: (1, 6), 6: (5, 3), 3: (0, 6),
+            2: (0, 7), 7: (2, 8), 8: (7, 9), 9: (8,),
+            4: (0, 10), 10: (4, 11), 11: (10, 12), 12: (11, 13), 13: (12,)}
+    colors = {1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 6: 1, 7: 4, 8: 2, 9: 4,
+              10: 2, 11: 4, 12: 2, 13: 4}
+    return rows, color_list(colors, 14)
+
+
+class CountedRows:
+    """Rows that count how often each vertex's row is read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = Counter()
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return self.rows[v]
+
+
 def test_chain_membership():
     rows, colors = double_fan()
     assert reference_chain(rows, colors, 1, (1, 3)) == {1, 5, 6, 3}
@@ -95,6 +136,13 @@ def test_chain_bad_pairs():
         chain(rows, colors, 1, (2, 4), 2)  # vertex 1 has color 1
     with pytest.raises(BadColorPair, match="vertex 0"):
         chain(rows, colors, 0, (1, 2), 1)  # vertex 0 uncolored
+    # a second diagonal is checked the same way, and shares no color
+    with pytest.raises(BadColorPair, match="got \\(2, 5\\)"):
+        chain(rows, colors, 1, (1, 3), 3, 2, (2, 5), 4)
+    with pytest.raises(BadColorPair, match="vertex 2"):
+        chain(rows, colors, 1, (1, 3), 3, 2, (3, 4), 4)
+    with pytest.raises(BadColorPair, match="share a color"):
+        chain(rows, colors, 1, (1, 3), 3, 3, (3, 4), 4)
 
 
 def test_two_ended_start_runs_out():
@@ -106,10 +154,11 @@ def test_two_ended_end_runs_out():
     rows, colors = long_start()
     assert reference_chain(rows, colors, 1, (1, 3)) == {1, 5, 7}
     assert chain(rows, colors, 1, (1, 3), 3) == {3}
+    # from all four blockers, 1 takes in 5 and then 2's search runs out
     stats = RunStats()
-    assert free_color(rows, colors, 0, stats) == 3  # pair[1]: 3's side flipped
-    assert colors == color_list({1: 1, 2: 2, 3: 1, 4: 4, 5: 3, 7: 1}, 8)
-    assert stats.chain_swaps == 1 and stats.chain_verts == 1
+    assert free_color(rows, colors, 0, stats) == 2
+    assert colors == color_list({1: 1, 2: 4, 3: 3, 4: 4, 5: 3, 7: 1}, 8)
+    assert stats.chain_swaps == 1 and stats.chain_verts == 5
 
 
 def test_two_ended_searches_meet():
@@ -123,7 +172,37 @@ def test_two_ended_searches_meet():
     assert free_color(rows, colors, 0, stats) == 2  # the (2,4) diagonal
     assert [v for v in before if colors[v] != before[v]] == [2]
     assert colors[2] == 4
-    assert stats.chain_swaps == 1 and stats.chain_verts == 5 + 1
+    # 1 takes in 5, then 2's search runs out before the (1,3) ones meet
+    assert stats.chain_swaps == 1 and stats.chain_verts == 5
+    assert stats.closed_diagonals == 0
+
+
+@pytest.mark.parametrize("length", [10, 100, 1000])
+def test_linked_diagonal_costs_nothing_extra(length):
+    # 1's search takes in the path's first vertex, then 2's runs out: the
+    # same swap and work however long the chain joining 1 to 3
+    rows, colors = linked_wheel(length)
+    before = list(colors)
+    counted = CountedRows(rows)
+    stats = RunStats()
+    assert free_color(counted, colors, 0, stats) == 2
+    assert [v for v in range(len(colors)) if colors[v] != before[v]] == [2]
+    assert (stats.chain_swaps, stats.chain_verts, stats.chain_max) == (1, 5, 5)
+    assert stats.closed_diagonals == 0
+    # rows read: 1 and 2 expanded, 2 checked by the swap
+    assert counted.reads - Counter({0: counted.reads[0]}) == Counter({1: 1, 2: 2})
+
+
+def test_closed_diagonal_drops_out():
+    # turns 1-4 take in 5, 7, 6 and 10; at turn 5, 1's search reaches 6,
+    # which 3's holds, and the (1,3) diagonal closes.  2's and 4's go on in
+    # turn until 2's runs out on 9
+    rows, colors = closed_first()
+    before = list(colors)
+    stats = RunStats()
+    assert free_color(rows, colors, 0, stats) == 2
+    assert {v for v in range(14) if colors[v] != before[v]} == {2, 7, 8, 9}
+    assert (stats.chain_verts, stats.chain_max, stats.closed_diagonals) == (12, 12, 1)
 
 
 def test_two_ended_bad_end():
@@ -195,6 +274,57 @@ def test_chain_matches_reference(kind, seed, rnd):
     assert run(chain) == run(reference_chain)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.integers(8, 80), st.randoms(use_true_random=False))
+def test_free_color_swaps_a_complete_chain_within_the_bound(seed, n, rnd):
+    # a random vertex of degree 4 or more sees 1..4 at four rim places in
+    # rotation order, the rest of its rim uncolored; every other vertex is
+    # colored greedily in random order, left uncolored where nothing is free
+    rows = generate(GenSpec(seed=seed, n=n, flips=n)).rotation
+    v = rnd.choice([u for u in range(n) if len(rows[u]) >= 4])
+    blockers = sorted(rnd.sample(range(len(rows[v])), 4))
+    blockers = [rows[v][i] for i in blockers]
+    partial = dict(zip(blockers, rnd.sample((1, 2, 3, 4), 4)))
+    for u in rnd.sample(range(n), n):
+        if u != v and u not in rows[v]:
+            free = [c for c in (1, 2, 3, 4) if all(partial.get(w) != c for w in rows[u])]
+            if free:
+                partial[u] = rnd.choice(free)
+    colors = color_list(partial, n)
+    before = list(colors)
+    counted = CountedRows(rows)
+    stats = RunStats()
+    got = free_color(counted, colors, v, stats)
+
+    # the same outcome and counters as the rule's oracle
+    again, oracle_stats = list(before), RunStats()
+    assert reference_free_color(rows, again, v, oracle_stats) == got
+    assert again == colors and vars(oracle_stats) == vars(stats)
+
+    # the swap frees `got`, and is the whole chain at one end, on a
+    # diagonal whose other end that chain misses
+    assert all(colors[w] != got for w in rows[v])
+    swapped = {u for u in range(n) if colors[u] != before[u]}
+    ends = [k for k in range(4) if blockers[k] in swapped]
+    assert len(ends) == 1
+    end, far = blockers[ends[0]], blockers[ends[0] ^ 2]
+    pair = (before[end], before[far])
+    assert swapped == reference_chain(rows, before, end, pair)
+    assert far not in swapped and before[end] == got
+
+    # at most 4s expansions, s the smallest complete chain at an end of an
+    # open diagonal (kempe's module docstring); the swap reads each row of
+    # what it swaps once more
+    complete = []
+    for k, w in enumerate(blockers):
+        whole = reference_chain(rows, before, w, (before[w], before[blockers[k ^ 2]]))
+        if blockers[k ^ 2] not in whole:
+            complete.append(len(whole))
+    expansions = sum(counted.reads.values()) - counted.reads[v] - len(swapped)
+    assert expansions <= 4 * min(complete)
+    assert stats.closed_diagonals <= 1  # by planarity
+
+
 def test_swap_flips_both_colors():
     rows, colors = double_fan()
     swap(rows, colors, reference_chain(rows, colors, 1, (1, 3)), (1, 3))
@@ -256,8 +386,11 @@ def test_spare_color_table():
 
 
 def reference_free_color(rows, colors, v, stats):
-    # the spare-color pick over two lists, as free_color made it before
-    # the table: blockers in rotation order, then the first missing color
+    # the four-ended rule over two lists, a set and a deque per search:
+    # blockers in rotation order, then the first missing color; else one
+    # vertex from each blocker's search in turn, a search that reaches its
+    # partner's set closing their diagonal, and the first to empty its
+    # deque on an open diagonal swapped
     blockers, palette = [], []
     for w in rows[v]:
         c = colors[w]
@@ -269,17 +402,37 @@ def reference_free_color(rows, colors, v, stats):
     for c in (1, 2, 3, 4):
         if c not in palette:
             return c
-    w1, w2, w3, w4 = blockers
-    c1, c2, c3, c4 = palette
-    for w, far, pair in ((w1, w3, (c1, c3)), (w2, w4, (c2, c4))):
-        members = chain(rows, colors, w, pair, far)
-        stats.chain_verts += len(members)
-        if far in members and w in members:
-            continue
-        swap(rows, colors, members, pair)
-        stats.chain_swaps += 1
-        return pair[0] if w in members else pair[1]
-    raise DiagonalContradiction(f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed")
+    pairs = [(palette[k], palette[k ^ 2]) for k in range(4)]
+    seen = [{w} for w in blockers]
+    queues = [deque([w]) for w in blockers]
+    turns = deque(range(4))
+    closed = 0
+    found = None
+    while turns and found is None:
+        k = turns.popleft()
+        for x in rows[queues[k].popleft()]:
+            if colors[x] in pairs[k] and x not in seen[k]:
+                if x in seen[k ^ 2]:
+                    closed += 1
+                    turns.remove(k ^ 2)
+                    break
+                seen[k].add(x)
+                queues[k].append(x)
+        else:
+            if queues[k]:
+                turns.append(k)
+            else:
+                found = k
+    held = sum(map(len, seen))
+    stats.chain_verts += held
+    stats.chain_max = max(stats.chain_max, held)
+    stats.closed_diagonals += closed
+    if found is None:
+        c1, c2, c3, c4 = palette
+        raise DiagonalContradiction(f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed")
+    swap(rows, colors, seen[found], pairs[found])
+    stats.chain_swaps += 1
+    return palette[found]
 
 
 def test_free_color_matches_two_list_rule():

@@ -148,9 +148,11 @@ def test_reduce_once_wheel_hub_fallback():
     fifth, peel = reduce_once(list(map(list, g.rotation)), occ, colors, stats)
     assert fifth == 0 and colors[0] == 5
     assert peel == (2, 3, 4, 5, 1)
-    assert stats.chain_swaps == 1 and stats.chain_verts == 1
+    assert stats.chain_swaps == 1 and stats.chain_verts == 7
     # rim 2 sees 3, 2, 1, 4 at 1, 10, 12, 3; the (3,1) chain at 1 runs
-    # through the outer arc, the one at 12 is {12}, so 12 traded 1 -> 3
+    # through the outer arc, the one at 12 is {12}, so 12 traded 1 -> 3.
+    # The four searches held 7 vertices: the ends, 6 and 9 from 1's first
+    # turn and 19 from 10's, before 12's search ran out on its first turn
     assert [v for v in outside if colors[v] != outside[v]] == [12]
     assert colors[12] == 3
     assert {v: colors[v] for v in range(6)} == {0: 5, 1: 3, 2: 1, 3: 4, 4: 3, 5: 4}
@@ -344,11 +346,13 @@ def test_scan_never_probes_f1(monkeypatch, g):
 @pytest.mark.parametrize("n", [2000, 4000, 8000])
 def test_kempe_work_stays_small(n):
     # counters, not time.  Peeling the smallest degree first, ties last in
-    # first out, and swapping whichever side of a diagonal runs out first
-    # gives 0.034 / 0.032 / 0.027 swaps and 0.38 / 0.31 / 0.30 chain
-    # vertices per vertex colored from 1..4 (0.030 / 0.029 / 0.033 and
-    # 0.26 / 0.34 / 0.39 with ties broken by smallest id); popping in id
-    # order with one-ended chains gave 0.444 and 96 / 178 / 282
+    # first out, and searching from all four blockers in turn gives 0.034 /
+    # 0.031 / 0.028 swaps and 0.86 / 0.67 / 0.66 chain vertices (every
+    # vertex a search held, ends included) per vertex colored from 1..4.
+    # Searching one diagonal from both ends, then the other, and counting
+    # only the set swapped read 0.034 / 0.032 / 0.027 and 0.38 / 0.31 /
+    # 0.30; popping in id order with one-ended chains gave 0.444 and 96 /
+    # 178 / 282
     g = generate(GenSpec(seed=7, n=n, flips=2 * n))
     stats = RunStats()
     check_coloring(g, color_planar(g, stats))
@@ -361,15 +365,38 @@ def test_kempe_work_stays_small(n):
 def test_icosphere_kempe_work_stays_small(k):
     # counters, not time.  An icosphere scans once and then peels away in
     # one cascade, so its Kempe searches run over a graph of minimum degree
-    # 5 less one occurrence.  Peel ties broken last in first out give
-    # 0.22 / 0.11 / 0.09 / 0.25 chain vertices per vertex at k = 3..6;
-    # broken by smallest id they gave 0.12 / 0.27 / 1.06 / 0.83, and 28.3
-    # at k = 7, where one linked (c1, c3) diagonal was searched to its end
+    # 5 less one occurrence.  Searching from all four blockers in turn
+    # gives 0.064 / 0.017 / 0.020 / 0.002 chain vertices per vertex at
+    # k = 3..6.  Searching one diagonal, then the other, it read 0.22 /
+    # 0.11 / 0.09 / 0.25 counting only the sets swapped, and 28.3 at k = 7
+    # with ties broken by smallest id, where one linked (c1, c3) diagonal
+    # was searched to its end
     g = icosphere(k)
     stats = RunStats()
     check_coloring(g, color_planar(g, stats))
     assert stats.scans == 1
     assert stats.chain_verts <= g.n
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_permuted_icosphere_kempe_search_stays_local(seed):
+    # counters, not time.  With ids permuted, icosphere(5) has a blocked
+    # vertex whose (c1, c3) diagonal is closed by a chain round the far
+    # side of the graph.  Searching that diagonal from both ends until they
+    # met, before the other, took sets of up to 2325 and 987 vertices (3405
+    # and 1085 summed over the run); the four-ended search holds at most
+    # 374 and 213 in one call (488 and 423 over the run)
+    g = icosphere(5)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    rows = [None] * g.n
+    for v, row in enumerate(g.rotation):
+        rows[perm[v]] = tuple(perm[w] for w in row)
+    g = build(rows)
+    stats = RunStats()
+    check_coloring(g, color_planar(g, stats))
+    assert stats.chain_max <= g.n // 25
+    assert stats.chain_verts <= g.n // 20
 
 
 def _shaped(seed):
@@ -724,6 +751,22 @@ def test_sparse_inputs_never_fill(monkeypatch, g):
     assert stats.f1_steps == g.n
     counters = (stats.scans, stats.chain_swaps, stats.walk_darts, stats.fifth_assigned)
     assert counters == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("rotations", [cycle_rotations, path_rotations], ids=["cycle", "path"])
+def test_peel_stops_at_its_last_deletion(rotations):
+    # every vertex of a cycle or a path starts on a low bucket and is pushed
+    # again as its count drops; the peel pops one live entry per vertex
+    # and stops there, leaving the stale entries behind
+    g = build(rotations(300))
+    work = reducer._Work(g)
+    low = [MeteredRow() for _ in range(5)]
+    for v, k in enumerate(work.deg):
+        low[k].append(v)
+    MeteredRow.removals = 0
+    work._peel(g.rotation, low)
+    assert sorted(work.log) == list(range(300))
+    assert MeteredRow.removals == 300
 
 
 @pytest.mark.parametrize(
@@ -1081,7 +1124,7 @@ def test_every_peel_takes_the_smallest_degree():
 
 @pytest.mark.parametrize(
     "order, digest",
-    [("default", "8a85c9200c5ec84e"), ("f2-last", "adb5aee0a275e071")],
+    [("default", "5581f15bbf513508"), ("f2-last", "3b340cd8982c94e3")],
 )
 def test_occurrence_descents_pinned(monkeypatch, order, digest):
     # colorings and counters of descents that start with an occurrence,
@@ -1102,7 +1145,7 @@ def test_peel_then_scan_descents_pinned():
     graphs += [barrel(s) for s in (2, 4, 8)]
     runs = color_runs(graphs)
     assert sum(stats.scans for _, stats in runs) == 22
-    assert runs_digest(runs) == "c6e823001616574b"
+    assert runs_digest(runs) == "fe4a62d5356926ab"
 
 
 def _descent_log_digest(graphs):
