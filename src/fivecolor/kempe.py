@@ -96,7 +96,7 @@ def chain(rows, colors, start, pair, end, *cross, stats=None):
     the last one's two sides, both its ends in it (not a complete chain).
 
     A neighbor's color is tested against its diagonal's pair before the
-    dict lookup, so most neighbors off the chain cost one list read.  The
+    dict lookup, so most neighbors off the chain cost one table read.  The
     pairs share no color, so one dict says which search holds a vertex.
     `stats`, a RunStats, if given, counts the vertices the searches held,
     the ends too (chain_verts), the most one call held (chain_max) and
