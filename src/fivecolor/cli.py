@@ -86,11 +86,12 @@ def cmd_color(args):
     g = _load_graph(args.file)
     stats = RunStats()
     colors = color_planar(g, stats)
-    for v in sorted(colors):
-        print(f"{v} {colors[v]}")
     v5 = sum(1 for v in g.vertices() if colors.get(v) == 5)
     ok = 6 * v5 <= g.n
-    print(f"n={g.n} v5={v5} bound={'PASS' if ok else 'FAIL'}")
+    # color_planar's dict is keyed in vertex order
+    lines = [f"{v} {c}" for v, c in colors.items()]
+    lines.append(f"n={g.n} v5={v5} bound={'PASS' if ok else 'FAIL'}")
+    print("\n".join(lines))
     if args.stats:
         occ = ",".join(f"{f}:{k}" for f, k in sorted(stats.occ_steps.items()))
         print(
@@ -145,15 +146,16 @@ def cmd_audit(args):
     except CompletenessBreach:
         matched = False
     report = run_audit(g, matched=matched)
-    print(f"sum={report.total} ok")
-    for v in sorted(report.charges):
-        c = report.charges[v]
-        if c != 0:
-            print(f"{v} {c.numerator}/{c.denominator}")
+    # the charges are keyed in vertex order, and a charge's sign is its
+    # numerator's, as in audit
+    lines = [f"sum={report.total} ok"]
+    lines += [
+        f"{v} {c.numerator}/{c.denominator}" for v, c in report.charges.items() if c.numerator
+    ]
     if report.inconsistent:
-        print("inconsistent: minimum degree 5 but no configuration matches")
-        return 4
-    return 0
+        lines.append("inconsistent: minimum degree 5 but no configuration matches")
+    print("\n".join(lines))
+    return 4 if report.inconsistent else 0
 
 
 def cmd_generate(args):

@@ -29,10 +29,13 @@ so it has no table: `transfers` rejects the 7s without exactly four
 degree-5 neighbors and calls the rule on the rest.
 
 Every amount is a whole number of units of 1/360 (UNIT = 360 per unit of
-charge), so transfers are counted and settled in ints; Fractions are made
-only for the final charges of vertices a transfer reached, one per
-distinct charge and shared between the vertices that hold it (Fractions
-are immutable).  The sum is checked, never trusted.
+charge), so transfers are counted and settled in ints.  Only the vertices
+a transfer reached get a Fraction, read from one module-level table of the
+Fractions made so far, keyed by charge and shared by every audit
+(Fractions are immutable): an audit makes a Fraction only for a charge no
+earlier one met, and a repeat audit makes none.  The table stays small,
+since the charges a ledger can reach are few (see _CHARGES).  The sum is
+checked, never trusted.
 """
 
 from __future__ import annotations
@@ -151,13 +154,26 @@ def transfers(g):
     return ChargeLedger(initial, moved, 6 * g.n - 2 * g.m)
 
 
+# UNIT * charge -> the one Fraction made for it, shared by every audit.
+# Only a vertex that some transfer reached is looked up.  On a ledger from
+# `transfers`, its charge is a multiple of 1/12 (every amount is a multiple
+# of UNIT / 12) and lies in [min(-2, 19/3 - d), 6], d its degree:
+#   degree 5: 1, less at most 5/2 sent (five 8s), plus at most 5/6;
+#   degree 7: -1, less at most 1 sent (three flanked 9s), plus at most 7/3;
+#   degree 8: -2, plus 1/2 to 4 received (1/2 from each 5);
+#   degree d >= 9: 6 - d, plus 1/3 to d received (no share exceeds 1).
+# Other degrees neither send nor receive.  So the table holds at most
+# max(97, 12 * D - 3) entries, D the largest degree of any graph audited.
+_CHARGES = {}
+
+
 def final_charges(ledger):
     """Settle the ledger: charge minus sent plus received, per vertex.
 
     Net flows are summed in units of 1/UNIT.  The grand total must come
     back to the ledger's expected value exactly, and every net flow must
     be a whole number of units.  A vertex no transfer reached keeps its
-    int charge; every other vertex gets a Fraction.
+    int charge; every other vertex gets its Fraction from _CHARGES.
     """
     flow = defaultdict(int)
     for (s, r), units in ledger.transfers.items():
@@ -167,14 +183,15 @@ def final_charges(ledger):
     if total != UNIT * ledger.expected:
         raise SumMismatch(f"charges total {Fraction(total, UNIT)}, expected {ledger.expected}")
     charges = dict(ledger.initial)
-    shared = {}  # UNIT * charge -> the one Fraction made for it
+    table = _CHARGES
     for v, units in flow.items():
-        if units % 1:
-            raise SumMismatch(f"vertex {v}: net flow {units} is off the 1/{UNIT} grid")
         num = UNIT * charges[v] + units
-        c = shared.get(num)
+        c = table.get(num)
         if c is None:
-            c = shared[num] = Fraction(num, UNIT)
+            # every key is a whole number, so only a miss can be off the grid
+            if units % 1:
+                raise SumMismatch(f"vertex {v}: net flow {units} is off the 1/{UNIT} grid")
+            c = table[num] = Fraction(num, UNIT)
         charges[v] = c
     return charges
 

@@ -19,8 +19,10 @@ the first d - 3 link vertices of degree <= 5.
 
 A search tries the entries in the order given (the catalog's own order by
 default), anchors ascending, and stops at the first hit.  find_reducible
-without a ScanIndex scans every live vertex and probes every alignment; it
-is the reference the indexed search is tested against.  The reducer, which
+without a ScanIndex walks the rows in order, reading each only when it
+comes to it, and probes every alignment at each live vertex; it is the
+reference the indexed search is tested against, and on raw input its f1
+entry ends it at the first vertex of degree at most 4.  The reducer, which
 searches again after every reduction, passes a ScanIndex instead, which
 visits only the anchors whose surroundings changed since they last failed
 and returns the same first hit.  It keeps them in one heap per entry and
@@ -235,14 +237,14 @@ def find_reducible(tri, entries=None):
         return entries.search(rows)
     if entries is None:
         entries = builtin_catalog()
-    verts = [v for v in range(len(rows)) if rows[v] is not None]
     for e in entries:
         alignments = {d: _alignments(e, d) for d in e.degrees}
-        for v in verts:
-            for offset, direction in alignments.get(len(rows[v]), ()):
-                occ = match_at(tri, e, v, offset, direction)
-                if occ is not None:
-                    return occ
+        for v, row in enumerate(rows):
+            if row is not None:
+                for offset, direction in alignments.get(len(row), ()):
+                    occ = match_at(tri, e, v, offset, direction)
+                    if occ is not None:
+                        return occ
     raise _no_match(rows)
 
 

@@ -76,6 +76,17 @@ def test_color_icosahedron(tmp_path, capsys):
     assert fives <= 2
 
 
+def test_color_output_pinned(tmp_path, capsys):
+    # every line `color` prints, byte for byte
+    path = tmp_path / "g.pg"
+    with open(path, "w") as fh:
+        write(generate(GenSpec(1, 400, 800)), fh)
+    assert main(["color", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\nn=400 v5=0 bound=PASS\n")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "0a40f49183df26d2"
+
+
 def test_color_from_stdin_with_stats(monkeypatch, capsys):
     buf = io.StringIO()
     write(named("octahedron"), buf)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivecolor import discharge
 from fivecolor.discharge import (
     _FIVE_CLASSES,
     _FIVE_SHARES,
@@ -29,7 +30,8 @@ from fivecolor.discharge import (
 )
 from fivecolor.embedding import build, from_faces
 from fivecolor.instances import GenSpec, generate
-from conftest import has_edge
+from conftest import has_edge, star_rotations
+from test_matcher import antiprism
 from test_reducer import hub_gadget, wheel_gadget
 
 
@@ -314,6 +316,69 @@ def test_audit_reports_pinned():
         )
         digest.update(repr(data).encode())
     assert digest.hexdigest()[:16] == "b96fa709586aae97"
+
+
+def bipyramid(n):
+    """Two poles over an equator of n - 2 vertices: poles of degree n - 2."""
+    k = n - 2
+    e = lambda i: 2 + i % k
+    faces = [(0, e(i), e(i + 1)) for i in range(k)] + [(1, e(i + 1), e(i)) for i in range(k)]
+    return from_faces(n, faces)
+
+
+@pytest.fixture
+def charge_table(monkeypatch):
+    # every audit in the process shares the table; these tests start from
+    # an empty one, so what they count is their own
+    table = {}
+    monkeypatch.setattr(discharge, "_CHARGES", table)
+    return table
+
+
+def test_equal_charges_share_one_fraction(charge_table):
+    first = audit(generate(GenSpec(1, 400, 800))).charges
+    second = audit(generate(GenSpec(2, 400, 800))).charges
+    made = {c: c for c in first.values() if type(c) is F}
+    again = [c for c in second.values() if type(c) is F and c in made]
+    assert again
+    assert all(c is made[c] for c in again)
+
+
+def test_charge_table_stays_within_its_bound(charge_table):
+    graphs = [generate(GenSpec(s, 400, 800)) for s in (1, 2, 3)]
+    graphs += [generate(GenSpec(s, 162, 324, True)) for s in (1, 2)]
+    # each hub takes 1 from each of its degree-5 neighbors and ends at 6,
+    # the top of the range
+    graphs += [antiprism(9), antiprism(40)]
+    graphs += [build(star_rotations(5000)), bipyramid(2002)]
+    top = 0
+    for g in graphs:
+        audit(g)
+        top = max(top, *map(len, g.rotation))
+        assert len(charge_table) <= max(97, 12 * top - 3)
+        low = UNIT * min(-2, F(19, 3) - top)
+        assert all(k % (UNIT // 12) == 0 and low <= k <= 6 * UNIT for k in charge_table)
+    assert 6 * UNIT in charge_table
+    # the same graphs again meet only charges the table holds
+    size = len(charge_table)
+    for g in graphs:
+        audit(g)
+    assert len(charge_table) == size
+
+
+def test_repeat_audit_makes_no_fraction(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(discharge, "Fraction", counted)
+    g = generate(GenSpec(1, 400, 800))
+    first = audit(g)
+    made.clear()
+    assert audit(g) == first
+    assert made == []
 
 
 @pytest.mark.parametrize(

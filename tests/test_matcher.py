@@ -6,6 +6,7 @@ rings degree 5, and the hub's rotation comes out as (1, 2, ..., k).
 """
 
 import hashlib
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,31 @@ def test_low_ends_the_default_scan_at_one_probe(monkeypatch):
         calls.clear()
         assert find_reducible(g).entry.name == "low"
         assert len(calls) == 1
+
+
+class CountedRows(Sequence):
+    """Rows that count every row read, iteration included."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return self.rows[v]
+
+
+def test_reference_scan_stops_at_its_first_hit():
+    # the scan walks the rows as it probes them, listing none ahead: on this
+    # graph the first low vertex is 23, and f1 hits there.  A scan that
+    # first lists the live vertices reads every row, 826 in all
+    rows = CountedRows(generate(GenSpec(1, 800, 1600)).rotation)
+    occ = find_reducible(rows)
+    assert occ.entry.family == "f1" and occ.anchor == 23
+    assert rows.reads < 50
 
 
 def test_no_match_without_right_degrees(octahedron, icosahedron):
