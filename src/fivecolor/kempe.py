@@ -8,9 +8,9 @@ each vertex its descent has deleted, serve as they are.
 Uncolored vertices are invisible to chains: a chain is a connected piece
 of the subgraph induced by the colored vertices whose colors lie in a
 two-color pair.  So rows that still list vertices not yet colored serve
-as well, as the reducer's ascent reads them (the input's rows, or those of
-the scan before a vertex's deletion): there a neighbor not yet back is
-uncolored, and it neither blocks a color nor joins a chain.
+as well, as the reducer's ascent reads them (the input's rows): there a
+neighbor not yet back is uncolored, and it neither blocks a color nor joins
+a chain.
 
 A blocked vertex's four blockers w1..w4, in rotation order, give two
 diagonals: (w1, w3) on their colors (c1, c3), and (w2, w4) on (c2, c4).
@@ -66,7 +66,7 @@ class BrokenInvariant(RuntimeError):
 
     Raised where a correct run cannot get: a swap that breaks an edge, a
     vertex with five blockers, a fill chord on a row its scan did not
-    copy, a row put back that its scan did not make.
+    copy.
     """
 
 

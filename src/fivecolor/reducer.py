@@ -18,14 +18,18 @@ occurrence left, are the same in any order, so each scan sees the same
 vertices whichever way ties break.  Rows of live vertices alone are
 needed only by a scan, so they are made there: each scan, the first too,
 makes new lists of just the rows that hold a vertex deleted since the
-last (since the start, at the first), keeping the rows they replace; the
-first scan of an input with a face longer than a triangle makes every
+last (since the start, at the first), and drops the lists they replace;
+the first scan of an input with a face longer than a triangle makes every
 live row.  An input that never scans, such as a star, a path, a tree or
 most random triangulations, makes no rows at all, nor does an icosphere,
-which peels away after its first scan.  On the way back a
-vertex is colored against the rows of the last scan before its deletion
-(the input's, before the first), where a neighbor deleted earlier is not
-back yet: it is uncolored, and blocks nothing.
+which peels away after its first scan.
+
+The way back reads only the input's rows.  A neighbor of v colored
+before v was deleted after v, so it was live when v was deleted and the
+row v was deleted from listed it: v sees no more colored neighbors than
+it had live ones.  A neighbor deleted before v is not back yet: it is
+uncolored, and blocks nothing.  The input is plane, so Kempe's argument
+holds on its rows, and no chord a fill added is ever read there.
 
 Only the catalog search needs triangles; a vertex of degree 4 or less
 takes a color on the way back in any plane graph.  So faces are filled
@@ -34,8 +38,8 @@ last one: every face at the first scan when the input's edge count shows
 a face longer than a triangle, else the faces round the live neighbors
 of the vertices deleted since (the rows were a triangulation at the last
 scan, or as given, and deletions only merge faces).  Those neighbors'
-rows are the ones the scan makes, so a fill edits neither an input row
-nor a list an earlier scan made.  Inputs that peel away, such as stars,
+rows are the ones the scan makes, so a fill edits only lists of its own
+scan, never an input tuple.  Inputs that peel away, such as stars,
 paths, trees and most random triangulations, are never filled, and a
 hole an occurrence leaves stays open while its boundary peels.
 
@@ -107,23 +111,26 @@ def select_fifth(rows, occ, colors):
     neighbor is already colored 5, tested only when its turn comes.
     catalog.choose_fifth, the loop the certificate runs on every blocked
     set, takes the first whose removal lets the remaining members peel:
-    repeatedly take the lowest vertex with at most 4 live neighbors (not
-    peeled, not the candidate, not colored 5).  Members not yet peeled
-    count although uncolored: the ascent colors the peel in reverse, so
-    they get their colors first.  `colors` is indexed by vertex, 0 for
-    uncolored (a list, or a mapping that has every vertex id).  Returns
-    (candidate or None, peel order).
+    repeatedly take the lowest vertex with at most 4 live neighbors
+    (members neither peeled nor the candidate, and neighbors colored
+    1..4).  Members not yet peeled count although uncolored: the ascent
+    colors the peel in reverse, so they get their colors first.  Any other
+    uncolored neighbor was deleted before the occurrence, and the input's
+    rows still list it; it blocks nothing.  `colors` is indexed by vertex,
+    0 for uncolored (a list, or a mapping that has every vertex id).
+    Returns (candidate or None, peel order).
     """
     scheme = occ.entry.scheme
     order = scheme.order if isinstance(scheme, TrialSequence) else sorted(occ.mapping)
+    members = occ.vertices
 
     def blocked(v):
         return any(colors[w] == 5 for w in rows[v])
 
     def live(v, gone):
-        return sum(1 for w in rows[v] if w not in gone and colors[w] != 5)
+        return sum(1 for w in rows[v] if w not in gone and (0 < colors[w] < 5 or w in members))
 
-    chosen = choose_fifth([occ.mapping[p] for p in order], occ.vertices, blocked, live)
+    chosen = choose_fifth([occ.mapping[p] for p in order], members, blocked, live)
     if chosen is None:
         raise SchemeExhausted(
             f"{occ.entry.name} at vertex {occ.anchor}: every candidate leaves "
@@ -161,9 +168,8 @@ class _Work:
     all of it, before it peels.  `rows` is None until the first scan makes
     it a list of `given`'s own rows (g.rotation, never edited).  Each scan
     makes new lists of the rows that hold a vertex deleted since the last
-    one, sets a dead vertex's row to None, and kept[k] holds what scan k
-    replaced as `u, old, new, ...`.  The ascent puts every record back, the first scan's too, so it
-    ends on `given`'s own rows.
+    one and sets a dead vertex's row to None.  Only the descent reads
+    `rows`; the ascent colors against `given`.
 
     cuts[k] is the log's length at scan k.  From there the log holds the
     vertices of occs[k] in id order, then the peels before the next scan;
@@ -188,25 +194,15 @@ class _Work:
         self.log = []
         self.cuts = []
         self.occs = []
-        self.kept = []
 
     def _rebuild(self, deleted, starts):
-        """Make new lists of the rows `starts`, less every dead vertex.
-
-        The rows of `deleted` become None, and what is replaced goes to
-        kept as `u, old, new` per row.
-        """
+        """Make new lists of the rows `starts`, less every dead vertex; `deleted`'s become None."""
         rows = self.rows
         alive = self.live.__getitem__
-        record = []
         for v in deleted:
-            record += (v, rows[v], None)
             rows[v] = None
         for u in starts:
-            old = rows[u]
-            new = rows[u] = list(compress(old, map(alive, old)))
-            record += (u, old, new)
-        self.kept.append(record)
+            rows[u] = list(compress(rows[u], map(alive, rows[u])))
 
     # low[k] holds, last in first out, the vertices whose degree count
     # reached k <= 4.  A vertex is pushed again whenever its count drops, so
@@ -249,9 +245,10 @@ class _Work:
 
         Adds the walks' darts to stats.walk_darts.  Every vertex of a walk
         to fill must be a row in `copied`, which this scan made, checked
-        before any chord goes in: any other row is the input's own tuple or
-        a list an earlier scan made, which the ascent colors that scan's
-        deletions against.
+        before any chord goes in.  A hole the deletions opened runs through
+        live neighbors of the deleted vertices, the rows the scan makes, so
+        a hole through another row is one they did not open, and that row
+        may be the input's own tuple.
         """
         # walk first: filling changes the rows the walks are read from
         walks = list(face_walks(self.rows, darts))
@@ -321,26 +318,18 @@ class _Work:
     def ascend(self, stats):
         """Color every vertex, last deleted first; returns the colors, indexed by vertex.
 
-        Each scan's segment, last first, is colored against that scan's
-        rows: its peels, last first, then its occurrence through
-        reduce_once.  A vertex deleted earlier is uncolored (0) there, so it
-        blocks nothing and joins no chain, and each vertex sees the
-        neighbors it had when it was deleted.  Then the rows the scan
-        replaced are put back, each after a check that the row there is
-        the one it made; the first scan's record puts back the input's
-        own.  The peels before the first scan are colored against those.
+        Each scan's segment, last first: its peels, last first, then its
+        occurrence through reduce_once; then the peels before the first
+        scan.  All of it against `given`, where a vertex deleted earlier is
+        uncolored (0), so it blocks nothing and joins no chain, and each
+        vertex sees colored only neighbors that were live at its deletion.
         """
-        given, log, rows = self.given, self.log, self.rows
+        given, log = self.given, self.log
         colors = [0] * len(given)
         end = len(log)
-        for cut, occ, record in reversed(list(zip(self.cuts, self.occs, self.kept))):
-            _color_peels(rows, log[cut + len(occ.vertices) : end], colors, stats)
-            reduce_once(rows, occ, colors, stats)
-            fields = iter(record)
-            for u, old, new in zip(fields, fields, fields):
-                if rows[u] is not new:
-                    raise BrokenInvariant(f"row {u} is not the list its scan made")
-                rows[u] = old
+        for cut, occ in zip(reversed(self.cuts), reversed(self.occs)):
+            _color_peels(given, log[cut + len(occ.vertices) : end], colors, stats)
+            reduce_once(given, occ, colors, stats)
             end = cut
         _color_peels(given, log[:end], colors, stats)
         return colors

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fivecolor import instances
+from fivecolor import instances, reducer
 from fivecolor.catalog import VirtualHub, hub_edges
 from fivecolor.embedding import (
     AsymmetricAdjacency,
@@ -262,6 +262,24 @@ def reference_chain(rows, colors, start, pair, end=None):
         k = (k + 1) % len(sides)
 
 
+def scan_rows(monkeypatch):
+    """Record the rows each scan makes: a list that gets one {u: row} per scan.
+
+    Wraps reducer._Work._rebuild through monkeypatch.  The lists recorded
+    are the ones the scan's fill then edits, and no later scan edits them,
+    so after the descent each holds the row its segment was peeled on.
+    """
+    made = []
+    rebuild = reducer._Work._rebuild
+
+    def recorded(self, deleted, starts):
+        rebuild(self, deleted, starts)
+        made.append({u: self.rows[u] for u in starts})
+
+    monkeypatch.setattr(reducer._Work, "_rebuild", recorded)
+    return made
+
+
 def color_list(colors, n):
     """A vertex-indexed color list on ids 0..n-1: `colors` where given, 0 elsewhere."""
     return [colors.get(v, 0) for v in range(n)]
@@ -303,11 +321,6 @@ def runs_digest(runs):
     for colors, stats in runs:
         h.update(repr((sorted(colors.items()), pinned_counters(stats))).encode())
     return h.hexdigest()[:16]
-
-
-def coloring_digest(graphs):
-    """runs_digest over a fresh coloring of each graph."""
-    return runs_digest(color_runs(graphs))
 
 
 def order_free_digest(runs):
