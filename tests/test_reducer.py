@@ -893,11 +893,11 @@ def test_descent_log_tracks_few_objects(monkeypatch, kind):
 
 def test_fill_rejects_a_chord_on_a_row_its_scan_did_not_copy(monkeypatch):
     # a barrel fills the hole its first occurrence leaves before its second
-    # scan.  Every face a deletion opens runs through live neighbors of the
-    # deleted vertices, whose rows that scan makes, so a walk through any
-    # other row means the scan missed a face, and a chord there could land
-    # on an input tuple: here the second scan is told it did not copy a
-    # chord's end
+    # scan.  Every hole a deletion opens runs through live neighbors of the
+    # deleted vertices, whose rows that scan makes, so a hole through any
+    # other row is one its deletions did not open, and a chord there could
+    # land on an input tuple: here the second scan is told it did not copy
+    # a chord's end
     g = barrel(2)
     fill = reducer._Work._fill_from
     chords = []
