@@ -38,7 +38,7 @@ from .embedding import (
     from_faces,
 )
 from .instances import GenSpec, ParseError, UnknownName, generate, icosphere, named, read, write
-from .kempe import BadColorPair, BrokenInvariant, DiagonalContradiction, chain, free_color, swap
+from .kempe import BrokenInvariant, DiagonalContradiction, free_color, swap
 from .matching import CompletenessBreach, Occurrence, find_reducible, match_at
 from .reducer import RunStats, SchemeExhausted, check_coloring, color_planar
 
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymmetricAdjacency",
     "AuditReport",
-    "BadColorPair",
     "BrokenInvariant",
     "ChargeLedger",
     "CompletenessBreach",
@@ -73,7 +72,6 @@ __all__ = [
     "audit",
     "build",
     "builtin_catalog",
-    "chain",
     "check_coloring",
     "color_planar",
     "final_charges",

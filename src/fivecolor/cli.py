@@ -29,14 +29,11 @@ from .instances import (
     read,
     write,
 )
-from .kempe import BadColorPair, BrokenInvariant, DiagonalContradiction
+from .kempe import BrokenInvariant, DiagonalContradiction
 from .matching import CompletenessBreach, find_reducible
 from .reducer import RunStats, SchemeExhausted, color_planar
 
-# BadColorPair can only come from a corrupt coloring here: the CLI passes the
-# chains no pair of its own.
 TRIPWIRES = (
-    BadColorPair,
     BrokenInvariant,
     CompletenessBreach,
     DiagonalContradiction,

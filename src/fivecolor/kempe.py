@@ -2,9 +2,10 @@
 
 Works on plain rotation rows (indexable: rows[v] iterates neighbors) and a
 vertex-indexed color store: a list with one entry per vertex id, or any
-mapping that has every vertex id, holding 1..5 or 0 for uncolored.  Rows
-are read only at live vertices, so the reducer's working rows, with None for
-each vertex its descent has deleted, serve as they are.
+mapping that has every vertex id, holding 1..5 or 0 for uncolored.
+chain has one caller, free_color, which passes it the four blockers of a
+vertex that sees all of 1..4, one of each color, so chain checks none of
+its arguments.
 Uncolored vertices are invisible to chains: a chain is a connected piece
 of the subgraph induced by the colored vertices whose colors lie in a
 two-color pair.  So rows that still list vertices not yet colored serve
@@ -48,10 +49,6 @@ SPARE_COLOR = tuple(
 )
 
 
-class BadColorPair(ValueError):
-    pass
-
-
 class DiagonalContradiction(RuntimeError):
     """Both diagonal chain swaps around one vertex were unavailable.
 
@@ -70,8 +67,8 @@ class BrokenInvariant(RuntimeError):
     """
 
 
-# (a, b) -> a tuple indexed by color, 0..5, True at a and b: the pairs a
-# chain may be on, two distinct colors of 1..4
+# (a, b) -> a tuple indexed by color, 0..5, True at a and b, for each
+# pair of two distinct colors of 1..4
 _PAIR_FLAGS = {
     (a, b): tuple(c in (a, b) for c in range(6))
     for a in (1, 2, 3, 4)
@@ -80,54 +77,39 @@ _PAIR_FLAGS = {
 }
 
 
-def chain(rows, colors, start, pair, end, *cross, stats=None):
-    """Search the Kempe chains at the ends of a diagonal, or of two; returns a set.
+def chain(rows, colors, blockers, stats):
+    """Search the Kempe chains at a blocked vertex's four blockers; returns a set.
 
-    A diagonal is `start, pair, end`: two vertices, each colored from
-    `pair`, a tuple of two distinct colors of 1..4.  `cross`, if given, is a second
-    diagonal the same way, on the other two colors.  `colors` is indexed
-    by vertex (0 for uncolored).  One search runs from each end, the
-    starts first and then the ends (w1, w2, w3, w4 for free_color's two
-    diagonals), one expansion each in turn.  A search that reaches a
-    vertex its partner (the search from the other end of its diagonal)
-    holds has found the diagonal closed, and both stop.  The first search
-    to run out while its diagonal is open returns its chain, complete and
-    without the other end.  If every diagonal closes, the set returned is
-    the last one's two sides, both its ends in it (not a complete chain).
+    `blockers` is free_color's w1..w4, in rotation order, colored with four
+    distinct colors of 1..4; `colors` is indexed by vertex (0 for
+    uncolored).  One search runs from each blocker, w1, w2, w3, w4, one
+    expansion each in turn, on its diagonal's two colors.  A search that
+    reaches a vertex its partner (the search from the other end of its
+    diagonal) holds has found the diagonal closed, and both stop.  The
+    first search to run out while its diagonal is open returns its chain,
+    complete and without the other end.  If both diagonals close, it
+    raises DiagonalContradiction.
 
     A neighbor's color is tested against its diagonal's pair before the
     dict lookup, so most neighbors off the chain cost one table read.  The
     pairs share no color, so one dict says which search holds a vertex.
-    `stats`, a RunStats, if given, counts the vertices the searches held,
-    the ends too (chain_verts), the most one call held (chain_max) and
-    the diagonals that closed (closed_diagonals).
+    `stats`, a RunStats, counts the vertices the searches held, the
+    blockers too (chain_verts), the most one call held (chain_max) and the
+    diagonals that closed (closed_diagonals).
     """
-    flags = _PAIR_FLAGS.get(pair)
-    if flags is None or colors[start] not in pair or colors[end] not in pair:
-        _reject(colors, start, pair, end)
-    if cross:
-        start2, pair2, end2 = cross
-        flags2 = _PAIR_FLAGS.get(pair2)
-        if flags2 is None or colors[start2] not in pair2 or colors[end2] not in pair2:
-            _reject(colors, start2, pair2, end2)
-        if flags[pair2[0]] or flags[pair2[1]]:
-            raise BadColorPair(f"pairs {pair!r} and {pair2!r} share a color")
-        queues = [[start], [start2], [end], [end2]]
-        flags_of = (flags, flags2, flags, flags2)
-        holder = {start: 0, start2: 1, end: 2, end2: 3}
-        running = [0, 1, 2, 3]
-    else:
-        queues = [[start], [end]]
-        flags_of = (flags, flags)
-        holder = {start: 0, end: 1}
-        running = [0, 1]
+    w1, w2, w3, w4 = blockers
+    c1, c2, c3, c4 = colors[w1], colors[w2], colors[w3], colors[w4]
+    flags13, flags24 = _PAIR_FLAGS[c1, c3], _PAIR_FLAGS[c2, c4]
+    flags_of = (flags13, flags24, flags13, flags24)
     # search k holds queues[k], read through cursors[k] and never popped;
-    # its partner is k ^ half.  running lists the searches left, in turn
-    half = len(running) // 2
-    cursors = [0] * len(running)
+    # its partner is k ^ 2.  running lists the searches left, in turn
+    queues = [[w1], [w2], [w3], [w4]]
+    holder = {w1: 0, w2: 1, w3: 2, w4: 3}
+    cursors = [0, 0, 0, 0]
+    running = [0, 1, 2, 3]
     closed = 0
     members = None
-    while running:
+    while running and members is None:
         for k in running:
             queue = queues[k]
             i = cursors[k]
@@ -150,27 +132,18 @@ def chain(rows, colors, start, pair, end, *cross, stats=None):
             # left go on in turn from the one after k
             closed += 1
             at = running.index(k)
-            running = [j for j in running[at + 1 :] + running[:at] if j != k ^ half]
+            running = [j for j in running[at + 1 :] + running[:at] if j != k ^ 2]
             break
-        if members is not None:
-            break
-    else:
-        members = set(queues[k]).union(queues[k ^ half])
-    if stats is not None:
-        stats.chain_verts += len(holder)
-        if len(holder) > stats.chain_max:
-            stats.chain_max = len(holder)
-        stats.closed_diagonals += closed
+    stats.chain_verts += len(holder)
+    if len(holder) > stats.chain_max:
+        stats.chain_max = len(holder)
+    stats.closed_diagonals += closed
+    if members is None:
+        raise DiagonalContradiction(
+            f"blockers {w1}, {w2}, {w3}, {w4} colored {c1}, {c2}, {c3}, {c4}: "
+            f"chains {c1}/{c3} and {c2}/{c4} both closed"
+        )
     return members
-
-
-def _reject(colors, start, pair, end):
-    """Raise BadColorPair for a diagonal whose pair or ends are not fit to search."""
-    if pair not in _PAIR_FLAGS:
-        raise BadColorPair(f"chain colors must be two distinct of 1..4, got {pair!r}")
-    for v in start, end:
-        if colors[v] not in pair:
-            raise BadColorPair(f"vertex {v} has color {colors[v]!r}, not in {pair!r}")
 
 
 def swap(rows, colors, members, pair):
@@ -201,7 +174,7 @@ def free_color(rows, colors, v, stats):
     returns the first complete chain on a diagonal still open, which
     holds one end; swapping it frees the color that end had.  By planarity
     the (c1, c3) chains at w1 and w3 differ, or the (c2, c4) chains at w2
-    and w4 do, so both diagonals closing raises DiagonalContradiction.
+    and w4 do, and chain raises DiagonalContradiction if both close.
     The spare color, when one is free, is SPARE_COLOR's.  `stats`, a
     RunStats, counts the swaps and chain's work.
     """
@@ -217,20 +190,13 @@ def free_color(rows, colors, v, stats):
     spare = SPARE_COLOR[taken]
     if spare:
         return spare
-    # all four colors taken by four blockers, so one of each
-    w1, w2, w3, w4 = blockers
-    c1, c2, c3, c4 = colors[w1], colors[w2], colors[w3], colors[w4]
-    members = chain(rows, colors, w1, (c1, c3), w3, w2, (c2, c4), w4, stats=stats)
-    # a complete chain holds one end, whose color the swap frees; two ends
-    # of one diagonal mean both diagonals closed
-    for end, far in (w1, w3), (w2, w4), (w3, w1), (w4, w2):
+    # all four colors taken by four blockers, so one of each; the chain
+    # holds one of them, whose color the swap frees
+    members = chain(rows, colors, blockers, stats)
+    for k, end in enumerate(blockers):
         if end in members:
             break
-    if far in members:
-        raise DiagonalContradiction(
-            f"vertex {v}: chains {c1}/{c3} and {c2}/{c4} both closed"
-        )
     freed = colors[end]
-    swap(rows, colors, members, (freed, colors[far]))
+    swap(rows, colors, members, (freed, colors[blockers[k ^ 2]]))
     stats.chain_swaps += 1
     return freed

@@ -18,7 +18,6 @@ from fivecolor.embedding import (
     face_walks,
     from_faces,
 )
-from fivecolor.kempe import BadColorPair
 from fivecolor.matching import _alignments, _rows_view, match_at
 from fivecolor.reducer import RunStats, color_planar
 
@@ -224,42 +223,19 @@ def _check_euler(g):
         )
 
 
-def _check_pair(pair):
-    a, b = pair
-    if a == b or not {a, b} <= {1, 2, 3, 4}:
-        raise BadColorPair(f"chain colors must be two distinct of 1..4, got {pair!r}")
-    return a, b
+def reference_chain(rows, colors, start, pair):
+    """The Kempe chain through `start` on `pair`, as a set of vertices.
 
-
-def reference_chain(rows, colors, start, pair, end=None):
-    """Reference oracle for kempe.chain: the deque search it replaced.
-
-    The Kempe chain through `start` on `pair`, as a set of vertices.
-    `colors` is indexed by vertex (0 for uncolored); both ends must be
-    colored from `pair`.  With `end`, searches from both vertices, one
-    expansion each in turn.  Whichever search runs out first returns its
-    complete chain, which then misses the other end; if the searches
-    meet, the set returned holds both ends (and is not a complete chain).
+    A plain deque search, the oracle the swap and free_color tests compare
+    against.  `colors` is indexed by vertex (0 for uncolored).
     """
-    a, b = _check_pair(pair)
-    ends = (start,) if end is None else (start, end)
-    for v in ends:
-        if colors[v] not in (a, b):
-            raise BadColorPair(f"vertex {v} has color {colors[v]!r}, not in {pair!r}")
-    sides = [({v}, deque([v])) for v in ends]
-    k = 0
-    while True:
-        seen, queue = sides[k]
-        if not queue:
-            return seen
-        other = sides[k - 1][0]  # seen itself when searching from one end
+    seen, queue = {start}, deque([start])
+    while queue:
         for w in rows[queue.popleft()]:
-            if w not in seen and colors[w] in (a, b):
-                if w in other:
-                    return seen | other
+            if w not in seen and colors[w] in pair:
                 seen.add(w)
                 queue.append(w)
-        k = (k + 1) % len(sides)
+    return seen
 
 
 def scan_rows(monkeypatch):

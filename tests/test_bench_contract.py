@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from fivecolor import discharge, kempe, matching, reducer
-from fivecolor.embedding import from_faces
 from fivecolor.instances import GenSpec, generate, icosphere, read
 from fivecolor.reducer import RunStats, check_coloring
 
@@ -69,11 +68,19 @@ def test_every_patch_point_exists(spans):
 
 
 def test_chain_result_has_a_length():
-    g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
-    colors = color_list({1: 1, 2: 3, 3: 4, 4: 2}, 5)
-    assert reference_chain(g.rotation, colors, 1, (1, 3)) == {1, 2}
-    # the searches from 1 and from 2 meet at once
-    assert len(kempe.chain(g.rotation, colors, 1, (1, 3), 2)) == 2
+    # hub 0 sees blockers 1..4; the (1,3) chain at 1 is 1-5, and each other
+    # blocker's chain is a path of three, so 1's search runs out first
+    rows = {0: (1, 2, 3, 4), 1: (0, 5), 5: (1,), 2: (0, 6), 6: (2, 7), 7: (6,),
+            3: (0, 8), 8: (3, 9), 9: (8,), 4: (0, 10), 10: (4, 11), 11: (10,)}
+    colors = color_list({1: 1, 5: 3, 2: 2, 6: 4, 7: 2, 3: 3, 8: 1, 9: 3,
+                         4: 4, 10: 2, 11: 4}, 12)
+    assert reference_chain(rows, colors, 1, (1, 3)) == {1, 5}
+    # _chain_size records len of what chain returns: the chain free_color swaps
+    result = kempe.chain(rows, colors, [1, 2, 3, 4], RunStats())
+    before = list(colors)
+    assert kempe.free_color(rows, colors, 0, RunStats()) == 1
+    swapped = {v for v in rows if colors[v] != before[v]}
+    assert len(result) == len(swapped) == 2
 
 
 @pytest.mark.parametrize(

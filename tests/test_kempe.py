@@ -3,8 +3,8 @@
 The 7-vertex fixture embeds a double fan where the (1,3) chain from the
 first blocker wraps around and reaches the third, forcing the (2,4) swap;
 the wheel fixture lets the first swap through.  Both traced by hand, as
-are the small graphs that steer the search from two ends, or from all
-four blockers, to each outcome.
+are the small graphs that steer the search from all four blockers to
+each outcome.
 """
 
 import itertools
@@ -20,13 +20,11 @@ from hypothesis import strategies as st
 
 import fivecolor
 from fivecolor.embedding import from_faces
-from fivecolor.instances import GenSpec, generate, icosphere
+from fivecolor.instances import GenSpec, generate
 from fivecolor.kempe import (
     SPARE_COLOR,
-    BadColorPair,
     BrokenInvariant,
     DiagonalContradiction,
-    chain,
     free_color,
     swap,
 )
@@ -114,59 +112,20 @@ class CountedRows:
         return self.rows[v]
 
 
-def test_chain_membership():
-    rows, colors = double_fan()
-    assert reference_chain(rows, colors, 1, (1, 3)) == {1, 5, 6, 3}
-    # 1 and 3 lie on that one chain, so the two searches meet inside it
-    assert {1, 3} <= chain(rows, colors, 1, (1, 3), 3) <= {1, 5, 6, 3}
-
-
-def test_chain_singleton():
-    rows, colors = wheel4()
-    assert reference_chain(rows, colors, 1, (1, 3)) == {1}
-    assert chain(rows, colors, 1, (1, 3), 3) == {1}
-
-
-def test_chain_bad_pairs():
-    rows, colors = wheel4()
-    for pair in ((1, 5), (0, 2), (2, 2), (3, 6)):
-        with pytest.raises(BadColorPair):
-            chain(rows, colors, 1, pair, 3)
-    with pytest.raises(BadColorPair, match="vertex 1"):
-        chain(rows, colors, 1, (2, 4), 2)  # vertex 1 has color 1
-    with pytest.raises(BadColorPair, match="vertex 0"):
-        chain(rows, colors, 0, (1, 2), 1)  # vertex 0 uncolored
-    # a second diagonal is checked the same way, and shares no color
-    with pytest.raises(BadColorPair, match="got \\(2, 5\\)"):
-        chain(rows, colors, 1, (1, 3), 3, 2, (2, 5), 4)
-    with pytest.raises(BadColorPair, match="vertex 2"):
-        chain(rows, colors, 1, (1, 3), 3, 2, (3, 4), 4)
-    with pytest.raises(BadColorPair, match="share a color"):
-        chain(rows, colors, 1, (1, 3), 3, 3, (3, 4), 4)
-
-
-def test_two_ended_start_runs_out():
-    rows, colors = long_start()
-    assert chain(rows, colors, 3, (1, 3), 1) == {3}
-
-
-def test_two_ended_end_runs_out():
+def test_free_color_swaps_the_first_chain_to_run_out():
     rows, colors = long_start()
     assert reference_chain(rows, colors, 1, (1, 3)) == {1, 5, 7}
-    assert chain(rows, colors, 1, (1, 3), 3) == {3}
-    # from all four blockers, 1 takes in 5 and then 2's search runs out
+    # 1 takes in 5 and then 2's search runs out
     stats = RunStats()
     assert free_color(rows, colors, 0, stats) == 2
     assert colors == color_list({1: 1, 2: 4, 3: 3, 4: 4, 5: 3, 7: 1}, 8)
     assert stats.chain_swaps == 1 and stats.chain_verts == 5
 
 
-def test_two_ended_searches_meet():
+def test_free_color_swaps_before_a_closed_diagonal_meets():
     rows, colors = long_closed()
     full = reference_chain(rows, colors, 1, (1, 3))
     assert full == {1, 5, 6, 3, 8, 9, 10}
-    # one step from each end, then 5 finds 6 on the other side
-    assert chain(rows, colors, 1, (1, 3), 3) == {1, 5, 3, 6, 8}
     before = dict(enumerate(colors))
     stats = RunStats()
     assert free_color(rows, colors, 0, stats) == 2  # the (2,4) diagonal
@@ -203,75 +162,6 @@ def test_closed_diagonal_drops_out():
     assert free_color(rows, colors, 0, stats) == 2
     assert {v for v in range(14) if colors[v] != before[v]} == {2, 7, 8, 9}
     assert (stats.chain_verts, stats.chain_max, stats.closed_diagonals) == (12, 12, 1)
-
-
-def test_two_ended_bad_end():
-    rows, colors = long_start()
-    with pytest.raises(BadColorPair, match="vertex 2"):
-        chain(rows, colors, 1, (1, 3), 2)  # vertex 2 has color 2
-    with pytest.raises(BadColorPair, match="vertex 0"):
-        chain(rows, colors, 1, (1, 3), 0)  # vertex 0 uncolored
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(4, 60), st.randoms(use_true_random=False))
-def test_two_ended_chain_agrees_with_one_ended(seed, n, rnd):
-    rows = generate(GenSpec(seed=seed, n=n, flips=n)).rotation
-    partial = {}  # a random proper coloring in 1..4, some vertices left out
-    for v in rnd.sample(range(n), n):
-        free = [c for c in (1, 2, 3, 4) if all(partial.get(w) != c for w in rows[v])]
-        if free:
-            partial[v] = rnd.choice(free)
-    start, end = rnd.choice(sorted(partial)), rnd.choice(sorted(partial))
-    pair = (partial[start], partial[end])
-    if pair[0] == pair[1]:
-        pair = (pair[0], rnd.choice([c for c in (1, 2, 3, 4) if c != pair[0]]))
-    colors = color_list(partial, n)
-    both = chain(rows, colors, start, pair, end)
-    from_start = reference_chain(rows, colors, start, pair)
-    from_end = reference_chain(rows, colors, end, pair)
-    if start in both and end in both:
-        assert from_start == from_end
-        assert both <= from_start
-    else:
-        assert (both == from_start and end not in both) or (
-            both == from_end and start not in both
-        )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(["generate", "icosphere"]),
-    st.integers(0, 10_000),
-    st.randoms(use_true_random=False),
-)
-def test_chain_matches_reference(kind, seed, rnd):
-    # random partial colorings, proper or not, and pairs that are often
-    # bad: the same set, or the same BadColorPair, as the deque search
-    if kind == "icosphere":
-        rows = icosphere(seed % 3).rotation
-    else:
-        rows = generate(GenSpec(seed=seed, n=4 + seed % 60, flips=seed % 120)).rotation
-    n = len(rows)
-    blank = rnd.random()
-    colors = [0 if rnd.random() < blank else rnd.choice((1, 2, 3, 4, 5)) for _ in range(n)]
-    start = rnd.randrange(n)
-    end = rnd.randrange(n)
-    if rnd.random() < 0.7:
-        pair = tuple(rnd.sample((1, 2, 3, 4), 2))
-    else:
-        pair = (rnd.randint(0, 5), rnd.randint(0, 5))
-    for v in (start, end):
-        if rnd.random() < 0.9:
-            colors[v] = rnd.choice(pair)
-
-    def run(fn):
-        try:
-            return fn(rows, list(colors), start, pair, end)
-        except BadColorPair as e:
-            return str(e)
-
-    assert run(chain) == run(reference_chain)
 
 
 @settings(max_examples=200, deadline=None)
@@ -466,43 +356,6 @@ def test_too_many_blockers_asserts():
         free_color(rows, colors, 0, RunStats())  # five neighbors colored 1..4
 
 
-# The two guards above, run where `python -O` would strip an `assert`.
-OPTIMIZED_GUARDS = """\
-import sys
-
-from fivecolor.embedding import from_faces
-from fivecolor.kempe import BrokenInvariant, free_color, swap
-from fivecolor.reducer import RunStats
-
-g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
-cases = (
-    lambda: swap(g.rotation, [0, 1, 2, 3, 4], {2}, (2, 3)),
-    lambda: free_color({0: (1, 2, 3, 4, 5)}, [0, 1, 2, 3, 4, 1], 0, RunStats()),
-)
-print("optimize:", sys.flags.optimize)
-for case in cases:
-    try:
-        case()
-    except BrokenInvariant as exc:
-        print("raised:", exc)
-    else:
-        print("passed silently")
-"""
-
-
-def test_guards_survive_optimize():
-    src = Path(fivecolor.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert run.returncode == 0, run.stderr
-    head, *lines = run.stdout.splitlines()
-    assert head == "optimize: 1"
-    assert len(lines) == 2 and all(line.startswith("raised:") for line in lines), run.stdout
-
-
 def test_diagonal_contradiction_on_crossing_chains():
     # in a planar embedding the (1,3) path w1..w3 and the (2,4) path w2..w4
     # would have to cross, so this adjacency structure is nonplanar; the
@@ -519,8 +372,51 @@ def test_diagonal_contradiction_on_crossing_chains():
         4: (0, 8),
     }
     colors = color_list({1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 7: 1, 6: 4, 8: 2}, 9)
-    # each diagonal's two searches meet: both ends on one chain
-    assert {1, 3} <= chain(rows, colors, 1, (1, 3), 3)
-    assert {2, 4} <= chain(rows, colors, 2, (2, 4), 4)
-    with pytest.raises(DiagonalContradiction):
-        free_color(rows, colors, 0, RunStats())
+    # both ends of each diagonal on one chain
+    assert 3 in reference_chain(rows, colors, 1, (1, 3))
+    assert 4 in reference_chain(rows, colors, 2, (2, 4))
+    stats = RunStats()
+    with pytest.raises(DiagonalContradiction, match="blockers 1, 2, 3, 4 colored 1, 2, 3, 4"):
+        free_color(rows, colors, 0, stats)
+    assert stats.closed_diagonals == 2 and stats.chain_swaps == 0
+
+
+# The guards above, run where `python -O` would strip an `assert`.
+OPTIMIZED_GUARDS = """\
+import sys
+
+from fivecolor.embedding import from_faces
+from fivecolor.kempe import BrokenInvariant, DiagonalContradiction, free_color, swap
+from fivecolor.reducer import RunStats
+
+g = from_faces(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (2, 1, 4, 3)])
+# the rows of test_diagonal_contradiction_on_crossing_chains
+crossing = {0: (1, 2, 3, 4), 1: (0, 5), 5: (1, 7), 7: (5, 3), 3: (0, 7),
+            2: (0, 6), 6: (2, 8), 8: (6, 4), 4: (0, 8)}
+cases = (
+    lambda: swap(g.rotation, [0, 1, 2, 3, 4], {2}, (2, 3)),
+    lambda: free_color({0: (1, 2, 3, 4, 5)}, [0, 1, 2, 3, 4, 1], 0, RunStats()),
+    lambda: free_color(crossing, [0, 1, 2, 3, 4, 3, 4, 1, 2], 0, RunStats()),
+)
+print("optimize:", sys.flags.optimize)
+for case in cases:
+    try:
+        case()
+    except (BrokenInvariant, DiagonalContradiction) as exc:
+        print("raised:", exc)
+    else:
+        print("passed silently")
+"""
+
+
+def test_guards_survive_optimize():
+    src = Path(fivecolor.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_GUARDS],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    head, *lines = run.stdout.splitlines()
+    assert head == "optimize: 1"
+    assert len(lines) == 3 and all(line.startswith("raised:") for line in lines), run.stdout
