@@ -12,7 +12,9 @@ All graphs travel as pg/1 text; `-` means stdin.  Coloring output is one
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
+import statistics
 import sys
 import time
 
@@ -31,7 +33,7 @@ from .instances import (
 )
 from .kempe import BrokenInvariant, DiagonalContradiction
 from .matching import CompletenessBreach, find_reducible
-from .reducer import RunStats, SchemeExhausted, color_planar
+from .reducer import RunStats, SchemeExhausted, color_planar, coloring_faults
 
 TRIPWIRES = (
     BrokenInvariant,
@@ -45,22 +47,22 @@ TRIPWIRES = (
 INPUT_ERRORS = (ParseError, UnknownName, EmbeddingError, ValidationFailure, OSError)
 
 
-def _load_graph(path):
+def _read_text(path):
+    """The text of the file at `path`, or of stdin for `-`."""
     if path == "-":
-        return read(sys.stdin)
+        return sys.stdin.read()
     with open(path) as fh:
-        return read(fh)
+        return fh.read()
+
+
+def _load_graph(path):
+    return read(_read_text(path))
 
 
 def _read_coloring(path, n):
     """Parse `<vertex> <color>` lines, each id 0..n-1 at most once; comments and k=v are noise."""
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
     colors = {}
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line or "=" in line:
             continue
@@ -72,54 +74,53 @@ def _read_coloring(path, n):
         except ValueError:
             raise ParseError("expected '<vertex> <color>'", lineno) from None
         if not 0 <= v < n:
-            raise ParseError(f"vertex {v} is not in the graph (ids 0..{n - 1})", lineno)
+            ids = f"ids 0..{n - 1}" if n else "it has no vertices"
+            raise ParseError(f"vertex {v} is not in the graph ({ids})", lineno)
         if v in colors:
             raise ParseError(f"vertex {v} is colored twice", lineno)
         colors[v] = c
     return colors
 
 
+def _bound(g, colors):
+    """Whether the fifth color class holds at most n/6 vertices, and the `n= v5= bound=` line."""
+    v5 = sum(1 for v in g.vertices() if colors.get(v) == 5)
+    ok = 6 * v5 <= g.n
+    return ok, f"n={g.n} v5={v5} bound={'PASS' if ok else 'FAIL'}"
+
+
+def _stat(value):
+    """One RunStats value as `color --stats` prints it.
+
+    A Counter prints as its key:count pairs, sorted by key, or `-` if empty.
+    """
+    if isinstance(value, dict):
+        return ",".join(f"{k}:{n}" for k, n in sorted(value.items())) or "-"
+    return value
+
+
 def cmd_color(args):
     g = _load_graph(args.file)
     stats = RunStats()
     colors = color_planar(g, stats)
-    v5 = sum(1 for v in g.vertices() if colors.get(v) == 5)
-    ok = 6 * v5 <= g.n
+    ok, bound = _bound(g, colors)
     # color_planar's dict is keyed in vertex order
     lines = [f"{v} {c}" for v, c in colors.items()]
-    lines.append(f"n={g.n} v5={v5} bound={'PASS' if ok else 'FAIL'}")
+    lines.append(bound)
     print("\n".join(lines))
     if args.stats:
-        occ = ",".join(f"{f}:{k}" for f, k in sorted(stats.occ_steps.items()))
-        print(
-            f"stats: f1={stats.f1_steps} occ={occ or '-'} scans={stats.scans}"
-            f" fifth={stats.fifth_assigned} fallback={stats.fallback_peels}"
-            f" swaps={stats.chain_swaps} chain_verts={stats.chain_verts}"
-            f" chain_max={stats.chain_max} closed_diagonals={stats.closed_diagonals}"
-            f" walk_darts={stats.walk_darts} probes={stats.probes}",
-            file=sys.stderr,
-        )
+        pairs = (f"{f.name}={_stat(getattr(stats, f.name))}" for f in dataclasses.fields(stats))
+        print("stats:", *pairs, file=sys.stderr)
     return 0 if ok else 2
 
 
 def cmd_verify(args):
     g = _load_graph(args.graph)
     colors = _read_coloring(args.coloring, g.n)
-    bad = 0
-    for v in g.vertices():
-        c = colors.get(v)
-        if c not in (1, 2, 3, 4, 5):
-            print(f"vertex {v} uncolored" if c is None else f"vertex {v} has color {c}, not 1..5")
-            bad += 1
-    for u, w in g.edges():
-        cu, cw = colors.get(u), colors.get(w)
-        if cu is not None and cu == cw:
-            print(f"edge {u}-{w} both {cu}")
-            bad += 1
-    v5 = sum(1 for v in g.vertices() if colors.get(v) == 5)
-    ok = bad == 0 and 6 * v5 <= g.n
-    print(f"n={g.n} v5={v5} bound={'PASS' if 6 * v5 <= g.n else 'FAIL'}")
-    print(f"verify={'OK' if ok else 'FAIL'}")
+    faults = list(coloring_faults(g, colors))
+    in_bound, bound = _bound(g, colors)
+    ok = in_bound and not faults
+    print("\n".join([*faults, bound, f"verify={'OK' if ok else 'FAIL'}"]))
     return 0 if ok else 1
 
 
@@ -224,9 +225,7 @@ def loglog_slope(points):
     """Least-squares slope of log(seconds) against log(n) over (n, seconds)."""
     xs = [math.log(n) for n, _ in points]
     ys = [math.log(max(t, 1e-6)) for _, t in points]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / sum((x - mx) ** 2 for x in xs)
+    return statistics.linear_regression(xs, ys).slope
 
 
 def cmd_bench(args):

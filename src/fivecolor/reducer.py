@@ -46,8 +46,9 @@ hole an occurrence leaves stays open while its boundary peels.
 The occurrence search is incremental: a matching.ScanIndex re-probes only
 the anchors near the vertices whose rows changed since the last scan, with
 the same result as a scan of the whole graph.  Those are the rows the scan
-makes and the ends of its chords, handed to the index just before its
-search, so a descent made only of peels does no set work.
+makes, handed to the index just before its search, so a descent made only
+of peels does no set work.  They hold the ends of its chords too: a chord
+joins two vertices of a hole, and every hole vertex is a row the scan made.
 
 Every vertex but a fifth color takes a spare color among its at most four
 colored neighbors, read from kempe.SPARE_COLOR as the ascent puts it back
@@ -88,7 +89,7 @@ class SchemeExhausted(RuntimeError):
 
 @dataclass
 class RunStats:
-    """Counters of one color_planar run; the CLI's `color --stats` prints each."""
+    """Counters of one color_planar run; `fivecolor color --stats` prints each, in order."""
 
     f1_steps: int = 0
     occ_steps: Counter = field(default_factory=Counter)  # family -> count
@@ -292,7 +293,8 @@ class _Work:
             for a, b in chords:
                 deg[a] += 1
                 deg[b] += 1
-            index.changed.update(starts, *chords)
+            # _fill_from checked that every chord's ends are in starts
+            index.changed.update(starts)
             stats.scans += 1
             occ = find_reducible(rows, index)
             stats.occ_steps[occ.entry.family] += 1
@@ -373,18 +375,30 @@ def color_planar(g, stats=None):
     return dict(enumerate(work.ascend(stats)))
 
 
-def check_coloring(g, colors):
-    """Verify a proper 1..5 coloring of g; returns the class sizes."""
-    sizes = Counter()
+def coloring_faults(g, colors):
+    """Yield one line per fault of `colors` as a proper 1..5 coloring of g.
+
+    Vertices first, in id order: one uncolored, or colored outside 1..5.
+    Then each edge once, in g.edges() order, whose ends share a color.
+    These are the lines `fivecolor verify` prints.
+    """
     for v in g.vertices():
         c = colors.get(v)
         if c not in (1, 2, 3, 4, 5):
-            raise ValueError(f"vertex {v} has no valid color (got {c!r})")
-        sizes[c] += 1
-    for v in g.vertices():
-        for w in g.rotation[v]:
-            if colors[v] == colors[w]:
-                raise ValueError(
-                    f"edge {v}-{w} has both ends colored {colors[v]}"
-                )
+            yield f"vertex {v} uncolored" if c is None else f"vertex {v} has color {c}, not 1..5"
+    for u, w in g.edges():
+        c = colors.get(u)
+        if c is not None and c == colors.get(w):
+            yield f"edge {u}-{w} both {c}"
+
+
+def check_coloring(g, colors):
+    """Verify a proper 1..5 coloring of g; returns the class sizes.
+
+    Raises ValueError on the first of the faults that `fivecolor verify`
+    prints, the first line of coloring_faults.
+    """
+    for fault in coloring_faults(g, colors):
+        raise ValueError(fault)
+    sizes = Counter(colors[v] for v in g.vertices())
     return {c: sizes[c] for c in (1, 2, 3, 4, 5)}

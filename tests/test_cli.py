@@ -19,7 +19,7 @@ from fivecolor import cli
 from fivecolor.cli import main
 from fivecolor.instances import GenSpec, ParseError, generate, icosphere, named, read, write
 from fivecolor.matching import CompletenessBreach
-from fivecolor.reducer import RunStats, color_planar
+from fivecolor.reducer import RunStats, check_coloring, color_planar
 
 from conftest import barrel
 
@@ -94,29 +94,12 @@ def test_color_from_stdin_with_stats(monkeypatch, capsys):
     assert main(["color", "--stats"]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[-1] == "n=6 v5=0 bound=PASS"
-    assert "stats: f1=6" in captured.err
-
-
-# the stats line's key for each RunStats field
-STATS_KEYS = {
-    "f1": "f1_steps",
-    "occ": "occ_steps",
-    "scans": "scans",
-    "fifth": "fifth_assigned",
-    "fallback": "fallback_peels",
-    "swaps": "chain_swaps",
-    "chain_verts": "chain_verts",
-    "chain_max": "chain_max",
-    "closed_diagonals": "closed_diagonals",
-    "walk_darts": "walk_darts",
-    "probes": "probes",
-}
+    assert "stats: f1_steps=6 occ_steps=- " in captured.err
 
 
 def test_color_stats_print_every_run_stats_field(tmp_path, capsys):
-    # one key=value per field of RunStats, each the run's own count, so a
-    # counter added to RunStats or dropped from it fails here until the
-    # stats line follows
+    # one name=value per field of RunStats, in field order, each the run's
+    # own count; occ_steps as family:count pairs
     g = barrel(4)  # scans, fills, swaps and spends fifths
     path = tmp_path / "barrel.pg"
     with open(path, "w") as fh:
@@ -125,14 +108,13 @@ def test_color_stats_print_every_run_stats_field(tmp_path, capsys):
     line = capsys.readouterr().err.strip()
     assert line.startswith("stats: ")
     printed = dict(item.split("=") for item in line.removeprefix("stats: ").split())
-    assert list(printed) == list(STATS_KEYS)
-    assert sorted(STATS_KEYS.values()) == sorted(f.name for f in dataclasses.fields(RunStats))
+    assert list(printed) == [f.name for f in dataclasses.fields(RunStats)]
     stats = RunStats()
     color_planar(g, stats)
     occ = ",".join(f"{f}:{k}" for f, k in sorted(stats.occ_steps.items()))
-    assert printed.pop("occ") == occ
-    assert {key: int(value) for key, value in printed.items()} == {
-        key: getattr(stats, name) for key, name in STATS_KEYS.items() if key != "occ"
+    assert occ and printed.pop("occ_steps") == occ
+    assert {name: int(value) for name, value in printed.items()} == {
+        name: getattr(stats, name) for name in printed
     }
 
 
@@ -187,6 +169,16 @@ def test_verify_rejects_ids_outside_the_graph_and_repeats(
     assert err == f"error: {message}\n"
 
 
+def test_verify_names_an_empty_graph(tmp_path, monkeypatch, capsys):
+    gpath = tmp_path / "empty.pg"
+    gpath.write_text("pg 0\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n"))
+    assert main(["verify", str(gpath)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 1: vertex 0 is not in the graph (it has no vertices)\n"
+
+
 def test_coloring_parse_errors_carry_the_line(tmp_path):
     cpath = tmp_path / "coloring.txt"
     for text, line_no in (("0 1\n1 2 3\n", 2), ("# c\n\n7 1\n", 3)):
@@ -223,6 +215,56 @@ def test_verify_flags_a_color_out_of_range(tmp_path, capsys, color):
     out = capsys.readouterr().out
     assert f"vertex 1 has color {color}, not 1..5" in out
     assert "uncolored" not in out and "verify=FAIL" in out
+
+
+def _broken(name):
+    """(g, coloring, fault) for colorings of named(name), each proper but at an edge's end w."""
+    g = named(name)
+    proper = color_planar(g)
+    u, w = next(g.edges())
+    return [
+        (g, {v: c for v, c in proper.items() if v != w}, f"vertex {w} uncolored"),
+        (g, {**proper, w: 9}, f"vertex {w} has color 9, not 1..5"),
+        (g, {**proper, w: proper[u]}, f"edge {u}-{w} both {proper[u]}"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "g, colors, fault",
+    _broken("k4") + _broken("icosahedron"),
+    ids=[f"{g}-{kind}" for g in ("k4", "icosahedron") for kind in ("uncolored", "9", "edge")],
+)
+def test_check_coloring_raises_the_first_fault_verify_prints(tmp_path, capsys, g, colors, fault):
+    # the library check and the command word a fault alike
+    gpath = tmp_path / "g.pg"
+    with open(gpath, "w") as fh:
+        write(g, fh)
+    cpath = tmp_path / "coloring.txt"
+    cpath.write_text("".join(f"{v} {c}\n" for v, c in colors.items()))
+    with pytest.raises(ValueError) as info:
+        check_coloring(g, colors)
+    assert str(info.value) == fault
+    assert main(["verify", str(gpath), str(cpath)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == fault
+
+
+@pytest.mark.parametrize(
+    "name, colors",
+    [("k4", {0: 1, 1: 2, 2: 3, 3: 5}), ("icosahedron", color_planar(named("icosahedron")))],
+    ids=["k4-over-bound", "icosahedron"],
+)
+def test_verify_prints_no_fault_where_check_coloring_accepts(tmp_path, capsys, name, colors):
+    # verify prints only its bound and verdict lines; the k4 coloring is
+    # proper but over the bound
+    g = named(name)
+    v5 = check_coloring(g, colors)[5]
+    gpath = graph_file(tmp_path, name)
+    cpath = tmp_path / "coloring.txt"
+    cpath.write_text("".join(f"{v} {c}\n" for v, c in colors.items()))
+    main(["verify", gpath, str(cpath)])
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith(f"n={g.n} v5={v5} bound=") and out[1].startswith("verify=")
 
 
 def test_verify_flags_bound(tmp_path, capsys):
@@ -277,7 +319,7 @@ def test_color_stats_count_probes(monkeypatch, capsys):
     assert main(["color", "--stats"]) == 0
     err = capsys.readouterr().err
     assert stats.probes > 0 and stats.walk_darts > 0
-    assert err.rstrip().endswith(f" walk_darts={stats.walk_darts} probes={stats.probes}")
+    assert err.rstrip().endswith(f" probes={stats.probes} walk_darts={stats.walk_darts}")
 
 
 def test_match_low_first(tmp_path, capsys):
@@ -350,6 +392,12 @@ def test_catalog_validate(capsys):
     assert lines[-1] == "catalog ok (18 entries)"
     assert len(lines) == 19
     assert all(" PASS " in line for line in lines[:-1])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_loglog_slope_of_an_exact_power_law(k):
+    points = [(n, 3e-5 * n**k) for n in (50, 100, 400, 1600)]
+    assert cli.loglog_slope(points) == pytest.approx(k, abs=1e-9)
 
 
 def test_bench_reports_slope(capsys):
