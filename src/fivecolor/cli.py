@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import math
 import statistics
 import sys
@@ -206,19 +207,29 @@ def _at_least(low):
     return count
 
 
-def time_ladder(sizes, seed, repeat):
-    """Yield (n, seconds) per size: the best of `repeat` color_planar runs.
+def _best_of(repeat, fn, arg):
+    """The least seconds of `repeat` calls fn(arg), and the last call's result."""
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn(arg)
+        best = min(best, time.perf_counter() - t0)
+    return best, out
 
-    The i-th size n is timed on generate(GenSpec(seed + i, n, 2 * n)).
+
+def time_ladder(sizes, seed, repeat):
+    """Yield (n, read seconds, color seconds) per size, each the best of `repeat` runs.
+
+    The i-th size n is generate(GenSpec(seed + i, n, 2 * n)) written as
+    pg/1; `read` parses that text (with build's checks), and color_planar
+    colors the graph it read.
     """
     for i, n in enumerate(sizes):
-        g = generate(GenSpec(seed + i, n, 2 * n))
-        best = math.inf
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            color_planar(g)
-            best = min(best, time.perf_counter() - t0)
-        yield n, best
+        buf = io.StringIO()
+        write(generate(GenSpec(seed + i, n, 2 * n)), buf)
+        read_s, g = _best_of(repeat, read, buf.getvalue())
+        color_s, _ = _best_of(repeat, color_planar, g)
+        yield n, read_s, color_s
 
 
 def loglog_slope(points):
@@ -230,11 +241,12 @@ def loglog_slope(points):
 
 def cmd_bench(args):
     points = []
-    for n, best in time_ladder(args.sizes, args.seed, args.repeat):
-        points.append((n, best))
-        print(f"{n} {best:.4f}")
+    for n, read_s, color_s in time_ladder(args.sizes, args.seed, args.repeat):
+        points.append((n, read_s, color_s))
+        print(f"{n} {read_s:.4f} {color_s:.4f}")
     if len(points) >= 2:
-        print(f"slope={loglog_slope(points):.3f}")
+        print(f"read_slope={loglog_slope([(n, r) for n, r, _ in points]):.3f}")
+        print(f"color_slope={loglog_slope([(n, c) for n, _, c in points]):.3f}")
     return 0
 
 
@@ -275,7 +287,7 @@ def _build_parser():
     p.add_argument("action", choices=["validate"])
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("bench", help="time the coloring across sizes")
+    p = sub.add_parser("bench", help="time reading and coloring across sizes")
     p.add_argument("--sizes", type=_sizes, default="250,500,1000,2000,4000")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeat", type=_at_least(1), default=3)

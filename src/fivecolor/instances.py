@@ -104,6 +104,8 @@ def icosphere(k):
 #
 # '#' starts a comment.  Ids are 0-based decimal.  Readers accept vertex
 # lines in any order but every vertex in 0..n-1 must appear exactly once.
+# `read` parses each id once per graph: every row lists one shared int
+# object per vertex, not one per dart.
 
 
 def read(stream):
@@ -134,6 +136,10 @@ def read(stream):
                 raise ParseError(f"{n} vertices but {len(lines)} lines", line_no)
             rows = [None] * n
             filled = 0
+            # each id's decimal text to one int object, so that every row
+            # lists the same object for the same vertex
+            ids = list(range(n))
+            table = dict(zip(map(str, ids), ids))
             continue
         head, sep, tail = text.partition(":")
         if not sep:
@@ -143,13 +149,20 @@ def read(stream):
         except ValueError:
             raise ParseError(f"bad vertex id {head.strip()!r}", line_no) from None
         if not 0 <= v < n:
-            raise ParseError(f"vertex id {v} out of range 0..{n - 1}", line_no)
+            where = f"out of range 0..{n - 1}" if n else "given, but the graph has no vertices"
+            raise ParseError(f"vertex id {v} {where}", line_no)
         if rows[v] is not None:
             raise ParseError(f"vertex {v} given twice", line_no)
+        tokens = tail.split()
         try:
-            rows[v] = tuple(map(int, tail.split()))
-        except ValueError:
-            raise ParseError(f"bad neighbor list {tail.strip()!r}", line_no) from None
+            rows[v] = tuple(map(table.__getitem__, tokens))
+        except KeyError:
+            # a token outside the table ('+5', '05', '-1', an id >= n, 'q'):
+            # int() reads the row, accepting or refusing it as it always has
+            try:
+                rows[v] = tuple(map(int, tokens))
+            except ValueError:
+                raise ParseError(f"bad neighbor list {tail.strip()!r}", line_no) from None
         filled += 1
     if n is None:
         raise ParseError("empty input, expected 'pg <n>' header")

@@ -197,7 +197,7 @@ def test_criterion_5_kempe_invariants(corpus):
 
 
 def test_criterion_6_quadratic_scaling():
-    points = list(time_ladder(BENCH_SIZES, seed=100, repeat=2))
+    points = [(n, color_s) for n, _, color_s in time_ladder(BENCH_SIZES, seed=100, repeat=2)]
     slope = loglog_slope(points)
     ok = slope <= 2.3
     times = " ".join(f"{n}:{t:.3f}s" for n, t in points)

@@ -403,9 +403,15 @@ def test_loglog_slope_of_an_exact_power_law(k):
 def test_bench_reports_slope(capsys):
     assert main(["bench", "--sizes", "30,60", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("30 ") and lines[1].startswith("60 ")
-    assert lines[2].startswith("slope=")
+    assert len(lines) == 4
+    # n, then read and color seconds, each timed apart
+    for line, n in zip(lines, ("30", "60")):
+        size, read_s, color_s = line.split()
+        assert size == n and float(read_s) > 0 and float(color_s) > 0
+    slopes = dict(line.split("=") for line in lines[2:])
+    assert list(slopes) == ["read_slope", "color_slope"]
+    for value in slopes.values():
+        float(value)  # raises unless a number
 
 
 @pytest.mark.parametrize("tripwire", cli.TRIPWIRES)
@@ -482,6 +488,29 @@ def check_script(cmd, env):
     # Exit 0 alone would also pass a wrapper that dropped main's return value.
     run = subprocess.run(cmd + ["no-such-command"], capture_output=True, env=env)
     assert run.returncode == 1
+
+
+def test_python_dash_m_pipes_generate_into_color():
+    cmd = [sys.executable, "-m", "fivecolor"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    check_script(cmd, env)
+    gen = subprocess.run(
+        cmd + ["generate", "--named", "k4"], capture_output=True, text=True, env=env
+    )
+    assert gen.returncode == 0, gen.stderr
+    run = subprocess.run(
+        cmd + ["color", "-"], input=gen.stdout, capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    *lines, bound = run.stdout.splitlines()
+    assert bound == "n=4 v5=0 bound=PASS"
+    colors = {int(v): int(c) for v, c in map(str.split, lines)}
+    assert check_coloring(named("k4"), colors)[5] == 0
+    run = subprocess.run(
+        cmd + ["color", "-"], input="pg two\n", capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and run.stdout == ""
 
 
 def test_console_script_installed():

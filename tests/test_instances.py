@@ -10,6 +10,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fivecolor.embedding import AsymmetricAdjacency, DuplicateNeighbor, LoopEdge
 from fivecolor.instances import (
     GenSpec,
     ParseError,
@@ -81,6 +82,7 @@ def test_read_errors():
         ("pg 2\n0: 1\n", "missing"),
         ("pg 2\n0: 1\n0: 1\n", "twice"),
         ("pg 2\n0: 1\n5: 0\n", "range"),
+        ("pg 0\n0: 1\n", "line 2: vertex id 0 given, but the graph has no vertices"),
         ("pg 2\n0: 1\n1 0\n", "line 3"),
         ("pg 2\n0: q\n1: 0\n", "neighbor"),
         # refused before any allocation: each vertex needs its own line
@@ -95,6 +97,63 @@ def test_read_error_line_numbers():
     with pytest.raises(ParseError) as info:
         read("# x\npg 2\n0: 1\n0: 1\n")
     assert info.value.line_no == 4
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # a token the id table lacks goes through int(); build names the id
+        ("pg 2\n0: 1\n1: 0 5\n", AsymmetricAdjacency, "vertex 1 lists missing vertex 5"),
+        ("pg 2\n0: 1 -1\n1: 0\n", AsymmetricAdjacency, "vertex 0 lists missing vertex -1"),
+        ("pg 2\n0: 0\n1:\n", LoopEdge, "vertex 0 lists itself"),
+        ("pg 2\n0: 1 +1\n1: 0\n", DuplicateNeighbor, "vertex 0 lists 1 twice"),
+        ("pg 2\n0: 1\n1: 0 1e3\n", ParseError, "line 3: bad neighbor list '0 1e3'"),
+    ],
+    ids=["missing", "negative", "loop", "signed-twice", "not-decimal"],
+)
+def test_read_passes_bad_neighbor_ids_to_build(text, error, message):
+    with pytest.raises(error) as info:
+        read(text)
+    assert str(info.value) == message
+
+
+def pg1(g):
+    buf = io.StringIO()
+    write(g, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_read_shares_one_id_object_per_vertex(seed):
+    g = generate(GenSpec(seed, 600, 1200))
+    h = read(pg1(g))
+    assert h == g
+    # ids above 256 are not interned, so one int() per dart would make 2m
+    assert len({id(w) for row in h.rotation for w in row}) == h.n
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(4, 300),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_read_accepts_odd_but_valid_tokens(seed, n, rnd):
+    g = generate(GenSpec(seed, n, 2 * n))
+
+    def token(v):
+        return rnd.choice([str(v), f"+{v}", f"00{v}", f"+0{v}"])
+
+    lines = []
+    for v, row in enumerate(g.rotation):
+        sep = rnd.choice([" ", "\t", " \t ", "  "])
+        line = f"{token(v)}:{sep}{sep.join(map(token, row))}"
+        lines.append(line + rnd.choice(["", "  # a comment", "\t#"]))
+    rnd.shuffle(lines)
+    for _ in range(rnd.randrange(4)):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["# note", "", "\t"]))
+    text = "\n".join([f"pg\t{n}  # header", *lines]) + "\n"
+    assert read(text) == g == read(pg1(g))
 
 
 # -- splitmix64 --------------------------------------------------------------
